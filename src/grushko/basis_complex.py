@@ -25,6 +25,7 @@ from .factors import (
     parse_class,
     same_class_oracle,
 )
+from .jsoncheck import check
 from .trees import MarkedTree, enumerate_shapes
 from .topology import Poset, SimplicialComplex, betti, components
 from .visibility import CertificationError, bp_fiber, certify_partial_basis, is_visible
@@ -64,6 +65,10 @@ class PartialBasisComplex:
     @staticmethod
     def from_json(text: str) -> "PartialBasisComplex":
         data = json.loads(text)
+        check(data, {"classes": list})
+        class_ids = range(len(data["classes"]))
+        check(data, {"n": int, "ambient": ("paired", "unpaired"), "params": dict,
+                     "classes": [str], "elements": [[class_ids]]})
         n = data["n"]
         cls_list = [parse_class(t, n) for t in data["classes"]]
         elements = [frozenset(cls_list[i] for i in ids) for ids in data["elements"]]

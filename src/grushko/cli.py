@@ -12,12 +12,13 @@ import json
 import sys
 import time
 
-from . import kernels
 from .words import parse
+from .jsoncheck import check
 from .membership import contains, fold, make_automorphism, semidirect_embed
 from .factors import parse_class
-from .trees import BudgetExceededError, MarkedTree, enumerate_shapes, shape_poset
-from .visibility import certify_partial_basis, visible_classes, visible_classes_brute
+from .trees import BudgetExceededError, MarkedTree, enumerate_shapes, shape_poset, standard_marking
+from .visibility import (certify_partial_basis, segment_masks, visible_classes,
+                         visible_classes_brute, visible_words)
 from .topology import SimplicialComplex, betti, homology_report_json
 from .basis_complex import PartialBasisComplex, build_from_trees, build_unpaired_radius, connectivity_report
 from .verify import RunConfig, run_all
@@ -32,18 +33,35 @@ def _note(msg: str) -> None:
 
 
 def _load_json_file(path: str):
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
+    """The JSON in a file, or on stdin for "-"; a parse error exits with code 2."""
+    if path == "-":
+        text = sys.stdin.read()
+    else:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
-        _note(f"error: {path}: parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}")
+        _note(f"error: {_source(path)}: parse error at line {exc.lineno}, "
+              f"column {exc.colno}: {exc.msg}")
         raise SystemExit(2) from None
 
 
-def _load_tree(path: str) -> MarkedTree:
+def _load(path: str, from_json):
+    """from_json of the JSON in path; its ValueError names the file."""
     data = _load_json_file(path)
-    return MarkedTree.from_json(json.dumps(data))
+    try:
+        return from_json(json.dumps(data))
+    except ValueError as exc:
+        raise ValueError(f"{_source(path)}: {exc}") from None
+
+
+def _source(path: str) -> str:
+    return "<stdin>" if path == "-" else path
+
+
+def _load_tree(path: str) -> MarkedTree:
+    return _load(path, MarkedTree.from_json)
 
 
 def _infer_rank(texts: list[str], flag: int | None) -> int:
@@ -112,6 +130,10 @@ def cmd_visible(args) -> int:
 def cmd_certify(args) -> int:
     tree = _load_tree(args.tree)
     class_texts = _load_json_file(args.classes)
+    try:
+        check(class_texts, [str])
+    except ValueError as exc:
+        raise ValueError(f"{_source(args.classes)}: {exc}") from None
     classes = [parse_class(t, tree.n) for t in class_texts]
     basis = certify_partial_basis(tree, classes)
     _emit({"basis": [str(w) for w in basis]})
@@ -146,8 +168,7 @@ def cmd_shapes(args) -> int:
 
 
 def cmd_homology(args) -> int:
-    text = sys.stdin.read() if args.infile == "-" else json.dumps(_load_json_file(args.infile))
-    cx = SimplicialComplex.from_json(text)
+    cx = _load(args.infile, SimplicialComplex.from_json)
     _emit(homology_report_json(cx))
     if args.field:
         field = "Q" if args.field == "Q" else int(args.field)
@@ -168,8 +189,7 @@ def cmd_bp(args) -> int:
         _emit(sub.to_json())
         _note(f"{len(sub.elements)} partial bases over {len(sub.classes)} classes")
     else:
-        text = sys.stdin.read() if args.infile == "-" else json.dumps(_load_json_file(args.infile))
-        sub = PartialBasisComplex.from_json(text)
+        sub = _load(args.infile, PartialBasisComplex.from_json)
         _emit(connectivity_report(sub).to_json())
     return 0
 
@@ -189,8 +209,8 @@ def cmd_gn_embed(args) -> int:
 
 
 def cmd_verify_all(args) -> int:
-    config = RunConfig(n_max=args.n, max_len=args.max_len, radius=args.radius,
-                       vertex_cap=args.vertex_cap, seed=args.seed, out=args.out)
+    config = RunConfig(n_max=args.n, radius=args.radius, vertex_cap=args.vertex_cap,
+                       seed=args.seed)
     t0 = time.monotonic()
     report = run_all(config)
     for item in report["criteria"]:
@@ -212,33 +232,22 @@ def cmd_verify_all(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    from .trees import caterpillar
-    from .kernels import reduced_words, segment_tables, sweep_backends
-
-    tree = caterpillar(args.n)
-    segmask, seglen = segment_tables(tree)
-    # a single full-length block: the dominant cost of a sweep
-    words = reduced_words(args.n, args.max_len)
-    results = {}
-    timings = {}
-    for name, fn in sweep_backends().items():
-        fn(words[:64], segmask, seglen, 1, 2)  # warm-up / JIT
+    if args.n < 2 or args.repeat < 1:
+        _note("error: bench needs --n >= 2 and --repeat >= 1")
+        raise SystemExit(2)
+    sweeps = [(segment_masks(MarkedTree(shape, standard_marking(args.n))), i)
+              for shape in enumerate_shapes(args.n) for i in range(1, args.n // 2 + 1)]
+    best = float("inf")
+    for _ in range(args.repeat):
         t0 = time.perf_counter()
-        for _ in range(args.repeat):
-            mask = fn(words, segmask, seglen, 1, 2)
-        timings[name] = (time.perf_counter() - t0) / args.repeat
-        results[name] = int(mask.sum())
-    if len(set(results.values())) != 1:
-        _note(f"error: backends disagree: {results}")
-        raise SystemExit(1)
-    _emit({
-        "n": args.n, "max_len": args.max_len, "words": int(words.shape[0]),
-        "visible": results.popitem()[1],
-        "seconds": {k: round(v, 5) for k, v in timings.items()},
-        "active_backend": kernels.BACKEND,
-    })
-    for name, sec in sorted(timings.items()):
-        _note(f"{name:>6s}: {sec * 1e3:8.2f} ms per sweep")
+        results = [visible_words(masks, 2 * i - 1, 2 * i) for masks, i in sweeps]
+        best = min(best, time.perf_counter() - t0)
+    nodes = sum(count for _, count in results)
+    visible = sum(len(words) for words, _ in results)
+    _emit({"n": args.n, "sweeps": len(sweeps), "nodes": nodes, "visible": visible,
+           "seconds": round(best, 6)})
+    _note(f"{len(sweeps)} sweeps, {nodes} search nodes, {visible} visible words: "
+          f"{best * 1e3:.2f} ms (best of {args.repeat})")
     return 0
 
 
@@ -309,16 +318,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-all", help="run the acceptance criteria")
     p.add_argument("--n", type=int, default=5)
-    p.add_argument("--max-len", type=int, default=8)
     p.add_argument("--radius", type=int, default=1)
     p.add_argument("--vertex-cap", type=int, default=10 ** 6)
     p.add_argument("--seed", type=int, default=20240601)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_verify_all)
 
-    p = sub.add_parser("bench", help="compare the sweep kernel backends")
+    p = sub.add_parser("bench", help="time the visibility search over the rank-n fixture trees")
     p.add_argument("--n", type=int, default=5)
-    p.add_argument("--max-len", type=int, default=8)
     p.add_argument("--repeat", type=int, default=5)
     p.set_defaults(fn=cmd_bench)
 

@@ -204,6 +204,8 @@ def parse_class(text: str, rank: int) -> CanonicalClass:
     if not (body.startswith("W2[") and body.endswith("]")):
         raise ValueError(f"bad class literal: {text!r}")
     parts = dict(kv.split("=", 1) for kv in body[3:-1].split(";"))
+    if "a" not in parts or "b" not in parts:
+        raise ValueError(f"bad class literal: {text!r}")
     a = parse(parts["a"], rank)
     b = parse(parts["b"], rank)
     f = make_factor(a, b)

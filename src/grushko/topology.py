@@ -34,6 +34,8 @@ import itertools
 import json
 from dataclasses import dataclass
 
+from .jsoncheck import check
+
 
 # ---------------------------------------------------------------------------
 # posets
@@ -185,6 +187,7 @@ class SimplicialComplex:
     @staticmethod
     def from_json(text: str) -> "SimplicialComplex":
         data = json.loads(text)
+        check(data, {"vertices": [int], "simplices": [[int]]})
         simplices = list(data["simplices"]) + [[v] for v in data["vertices"]]
         return SimplicialComplex.from_maximal(simplices)
 

@@ -21,6 +21,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .words import Word, generators, involution_core, parse
+from .jsoncheck import check
 from . import membership
 
 
@@ -246,12 +247,16 @@ class MarkedTree:
     @staticmethod
     def from_json(text: str) -> "MarkedTree":
         data = json.loads(text)
-        verts = data["vertices"]
-        slot_of = [0] * len(verts)
-        for item in verts:
+        check(data, {"vertices": list})
+        ids = range(len(data["vertices"]))
+        check(data, {"vertices": [{"id": ids, "label": ("trivial", {"slot": int})}],
+                     "edges": [[ids, ids]], "marking": dict})
+        slot_of = [0] * len(ids)
+        for item in data["vertices"]:
             lab = item["label"]
-            slot_of[item["id"]] = 0 if lab == "trivial" else int(lab["slot"])
-        n = max(slot_of)
+            slot_of[item["id"]] = 0 if lab == "trivial" else lab["slot"]
+        n = max(slot_of, default=0)
+        check(data["marking"], {str(k): str for k in range(1, n + 1)}, "$.marking")
         shape = TreeShape(n, tuple(slot_of), tuple(tuple(e) for e in data["edges"]))
         marking = tuple(parse(data["marking"][str(k)], n) for k in range(1, n + 1))
         return MarkedTree(shape, marking)

@@ -22,14 +22,18 @@ from .trees import (
     CollapseError,
     MarkedTree,
     TreeShape,
+    bs_path,
+    caterpillar,
     collapse,
     enumerate_shapes,
+    fixed_point,
     shape_poset,
     standard_marking,
 )
 from .visibility import (
     bp_fiber,
     certify_partial_basis,
+    is_visible,
     visible_classes,
     visible_classes_brute,
 )
@@ -38,6 +42,7 @@ from .topology import (
     Poset,
     SimplicialComplex,
     betti,
+    components,
     integral_homology,
     join_poset,
     verify_wedge,
@@ -59,14 +64,12 @@ class RunConfig:
     """Budgets and seeds for the verification run."""
 
     n_max: int = 5
-    max_len: int = 8
     radius: int = 1
     vertex_cap: int = 10 ** 6
     seed: int = 20240601
-    out: str | None = None
 
     def __post_init__(self):
-        if self.n_max < 2 or self.max_len < 0 or self.radius < 0 or self.vertex_cap < 1:
+        if self.n_max < 2 or self.radius < 0 or self.vertex_cap < 1:
             raise ValueError("budgets must be positive and n >= 2")
 
 
@@ -94,21 +97,21 @@ def _fixture_trees(n_max: int) -> list[MarkedTree]:
 
 
 def check_1_conjugator_completeness(config: RunConfig) -> dict:
-    """Brute-forced visible classes never leave the segment-conjugator set."""
+    """Exhaustively searched visible classes are exactly the segment-conjugator ones."""
     checked = 0
     classes_seen = 0
     _crosscheck_tile_route(config)
     for tree in _fixture_trees(config.n_max):
         for i in range(1, tree.n // 2 + 1):
             fam = set(visible_classes(tree, i).classes)
-            brute = visible_classes_brute(tree, i, config.max_len)
+            brute = visible_classes_brute(tree, i)
             if not brute <= fam:
                 extra = next(iter(brute - fam))
                 raise CheckFailure(f"class {extra} visible in {tree!r} escapes the "
                                    f"segment conjugators of pair {i}")
             if brute != fam:
                 missing = next(iter(fam - brute))
-                raise CheckFailure(f"conjugator class {missing} missed by the sweep")
+                raise CheckFailure(f"conjugator class {missing} missed by the search")
             checked += 1
             classes_seen += len(fam)
     return {"sweeps": checked, "classes": classes_seen}
@@ -120,9 +123,6 @@ def _crosscheck_tile_route(config: RunConfig) -> None:
     Honors config.vertex_cap, so a tiny cap surfaces as a budget error
     rather than a verification failure.
     """
-    from .trees import bs_path, caterpillar, fixed_point
-    from .visibility import is_visible
-
     rng = random.Random(config.seed)
     for _ in range(20):
         n = rng.choice([3, 4])
@@ -199,7 +199,6 @@ def check_4_unpaired_components(config: RunConfig) -> dict:
         report = connectivity_report(sub)
         if report.num_components != 3:
             raise CheckFailure(f"radius {L}: {report.num_components} components, expected 3")
-        from .topology import components
         cx = sub.order_complex()
         comps = components(cx)
         poset = sub.poset()
@@ -315,7 +314,6 @@ def check_8_collapse_monotone(config: RunConfig) -> dict:
                     tree_s = MarkedTree(collapsed, standard_marking(n))
                     pairs += 1
                     for cls in visible_t:
-                        from .visibility import is_visible
                         if not is_visible(tree_s, cls):
                             raise CheckFailure(
                                 f"{cls} visible in {tree_t!r} but not in its collapse")
@@ -430,9 +428,8 @@ def run_all(config: RunConfig) -> dict:
             continue
         results.append(run_criterion(cid, config))
     report = {
-        "config": {"n_max": config.n_max, "max_len": config.max_len,
-                   "radius": config.radius, "vertex_cap": config.vertex_cap,
-                   "seed": config.seed},
+        "config": {"n_max": config.n_max, "radius": config.radius,
+                   "vertex_cap": config.vertex_cap, "seed": config.seed},
         "criteria": [
             {"id": r.cid, "name": r.name, "status": r.status,
              "seconds": round(r.seconds, 2), "budget": r.budget, "details": r.details}

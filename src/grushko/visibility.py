@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from .words import Word, conjugate, identity, involution_core, reduce
 from .factors import CanonicalClass, VisibleIn, W2Factor, canonical_class
 from .trees import MarkedTree, adapted_order, convex_hull_vertices
-from . import kernels
 
 
 class CertificationError(RuntimeError):
@@ -117,12 +116,67 @@ def visible_classes(tree: MarkedTree, i: int) -> VisibleFamily:
     return VisibleFamily(tree, i, classes)
 
 
-def visible_classes_brute(tree: MarkedTree, i: int, max_len: int) -> set[CanonicalClass]:
-    """Independent enumeration: every conjugator g with |g| <= max_len.
+def segment_masks(tree: MarkedTree) -> list[list[int]]:
+    """Edge bitmask of the shape path between the vertices of slots a and b.
+
+    Indexed [a][b] for slots 1..n; row and column 0 and the diagonal are 0.
+    """
+    n = tree.n
+    masks = [[0] * (n + 1) for _ in range(n + 1)]
+    for a in range(1, n + 1):
+        for b in range(1, n + 1):
+            if a != b:
+                for e in tree.labels_between(tree.vertex_of_slot(a), tree.vertex_of_slot(b)):
+                    masks[a][b] |= 1 << e
+    return masks
+
+
+def visible_words(masks: list[list[int]], r: int, s: int,
+                  max_len: int | None = None) -> tuple[list[tuple[int, ...]], int]:
+    """Reduced words g whose slot walk r, g_1, ..., g_k, s has disjoint segments.
+
+    masks[a][b] is the edge bitmask of the segment from slot a to slot b
+    (see segment_masks).  Returns the visible words and the number of
+    search nodes, the prefixes whose segments are still disjoint.
+
+    The search extends a prefix only while its segments stay disjoint:
+    the union of a prefix's segments only grows as letters are added, so
+    an overlapping prefix has no visible extension and pruning it is
+    exact.  Every letter after the first joins two distinct slots, so when
+    those masks are nonzero each step adds at least one new edge and the
+    search ends without a length bound; max_len, if given, bounds |g|.
+    """
+    n = len(masks) - 1
+    if max_len is None and any(not masks[a][b] for a in range(1, n + 1)
+                               for b in range(1, n + 1) if a != b):
+        raise ValueError("an empty segment between distinct slots: "
+                         "the unbounded search would not end")
+    out: list[tuple[int, ...]] = []
+    nodes = 0
+    stack: list[tuple[tuple[int, ...], int, int]] = [((), r, 0)]
+    while stack:
+        letters, last, used = stack.pop()
+        nodes += 1
+        if not used & masks[last][s]:
+            out.append(letters)
+        if max_len is not None and len(letters) >= max_len:
+            continue
+        row = masks[last]
+        for k in range(1, n + 1):
+            if not used & row[k] and (k != last or not letters):
+                stack.append((letters + (k,), k, used | row[k]))
+    return out, nodes
+
+
+def visible_classes_brute(tree: MarkedTree, i: int,
+                          max_len: int | None = None) -> set[CanonicalClass]:
+    """Independent enumeration: every conjugator g whose walk is visible.
 
     This is the oracle side of the finiteness statement for visible paired
-    factors; the kernel route requires the standard marking, otherwise a
-    plain python walk runs.
+    factors.  In the standard marking it runs the pruned search of
+    visible_words, exhaustive unless max_len bounds |g|; in any other
+    marking a plain walk over every g with |g| <= max_len runs, and
+    max_len is required.
     """
     n = tree.n
     if 2 * i > n or i < 1:
@@ -131,13 +185,15 @@ def visible_classes_brute(tree: MarkedTree, i: int, max_len: int) -> set[Canonic
     y = tree.marking_word(2 * i)
     out: set[CanonicalClass] = set()
     if tree.standard:
-        segmask, seglen = kernels.segment_tables(tree)
-        for letters in kernels.sweep_visible(segmask, seglen, 2 * i - 1, 2 * i, n, max_len):
+        words, _ = visible_words(segment_masks(tree), 2 * i - 1, 2 * i, max_len)
+        for letters in words:
             b = conjugate(y, Word(letters, n))
             if b == a:
                 continue
             out.add(canonical_class(W2Factor(a, b)).with_certificate(VisibleIn(tree)))
         return out
+    if max_len is None:
+        raise ValueError("a tree outside the standard marking needs a length bound")
     stack: list[tuple[int, ...]] = [()]
     while stack:
         letters = stack.pop()

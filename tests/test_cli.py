@@ -1,3 +1,4 @@
+import io
 import json
 
 import pytest
@@ -100,12 +101,74 @@ def test_gn_embed(capsys):
 
 
 def test_bench_tiny(capsys):
-    code, out, _ = run_cli(capsys, "bench", "--n", "3", "--max-len", "3",
-                           "--repeat", "1")
+    code, out, _ = run_cli(capsys, "bench", "--n", "3", "--repeat", "1")
     assert code == 0
     data = json.loads(out)
-    assert data["words"] == 12
-    assert "numpy" in data["seconds"]
+    assert (data["sweeps"], data["nodes"], data["visible"]) == (4, 28, 20)
+    assert data["seconds"] >= 0
+
+
+TREE = json.loads(caterpillar(2).to_json())
+NO_MARKING = {k: v for k, v in TREE.items() if k != "marking"}
+COMPLEX = {"vertices": [0, 1], "simplices": [[0, 1]]}
+BP = {"n": 2, "ambient": "paired", "params": {}, "classes": ["W2[a=x1;b=x2;pair=1]"],
+      "elements": [[0]]}
+
+
+def _with(data, key, value):
+    return {**data, key: value}
+
+
+# (subcommand, file contents, a fragment of the message); "{f}" is the file
+MALFORMED = [
+    (["visible", "--tree", "{f}", "--pair", "1"], NO_MARKING, "$.marking: missing key"),
+    (["visible", "--tree", "{f}", "--pair", "1"], [TREE], "$: expected an object"),
+    (["visible", "--tree", "{f}", "--pair", "1"],
+     _with(TREE, "vertices", [{"id": 0, "label": {"slot": "1"}}] + TREE["vertices"][1:]),
+     "$.vertices[0].label"),
+    (["visible", "--tree", "{f}", "--pair", "1"], _with(TREE, "edges", [[0, 2]]),
+     "$.edges[0][1]"),
+    (["visible", "--tree", "{f}", "--pair", "1"], _with(TREE, "marking", {"1": "x1"}),
+     "$.marking.2: missing key"),
+    (["certify", "--tree", "{f}", "--classes", "{f}"], NO_MARKING, "$.marking"),
+    (["certify", "--tree", "{tree}", "--classes", "{f}"], {"W2[a=x1;b=x2]": 1},
+     "$: expected an array"),
+    (["certify", "--tree", "{tree}", "--classes", "{f}"], [1], "$[0]: expected a string"),
+    (["certify", "--tree", "{tree}", "--classes", "{f}"], ["W2[a=x1]"], "bad class literal"),
+    (["homology", "--in", "{f}"], [COMPLEX], "$: expected an object"),
+    (["homology", "--in", "{f}"], {"vertices": [0]}, "$.simplices: missing key"),
+    (["homology", "--in", "{f}"], _with(COMPLEX, "simplices", [[0, "1"]]), "$.simplices[0][1]"),
+    (["bp", "report", "--in", "{f}"], [BP], "$: expected an object"),
+    (["bp", "report", "--in", "{f}"], _with(BP, "elements", [[1]]), "$.elements[0][0]"),
+    (["bp", "report", "--in", "{f}"], _with(BP, "classes", "W2[a=x1;b=x2;pair=1]"),
+     "$.classes: expected an array"),
+    (["bp", "report", "--in", "{f}"], {k: v for k, v in BP.items() if k != "ambient"},
+     "$.ambient: missing key"),
+    (["bp", "build", "--n", "2", "--trees", "{tree},{f}"], NO_MARKING, "$.marking"),
+]
+
+
+@pytest.mark.parametrize("argv,data,message", MALFORMED,
+                         ids=["-".join([*(w for w in a[:2] if w[0] != "-"), str(i)])
+                              for i, (a, _, _) in enumerate(MALFORMED)])
+def test_malformed_input_exits_2_with_key_path(tmp_path, capsys, argv, data, message):
+    path, tree = tmp_path / "in.json", tmp_path / "tree.json"
+    path.write_text(json.dumps(data))
+    tree.write_text(json.dumps(TREE))
+    argv = [a.format(f=path, tree=tree) for a in argv]
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == 2
+    assert message in err
+
+
+def test_malformed_input_on_stdin(monkeypatch, capsys):
+    monkeypatch.setattr("sys.stdin", io.StringIO("[1, 2]"))
+    assert main(["homology", "--in", "-"]) == 2
+    assert "<stdin>: $: expected an object" in capsys.readouterr().err
 
 
 def test_vertex_cap_surfaces_as_budget_status():

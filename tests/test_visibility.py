@@ -1,5 +1,9 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -23,8 +27,10 @@ from grushko.visibility import (
     is_visible,
     path_labels,
     segment_conjugators,
+    segment_masks,
     visible_classes,
     visible_classes_brute,
+    visible_words,
 )
 W = parse
 
@@ -109,6 +115,7 @@ def test_visible_classes_match_brute_force():
         for i in (1, 2):
             fam = set(visible_classes(t, i).classes)
             assert visible_classes_brute(t, i, 6) == fam
+            assert visible_classes_brute(t, i) == fam
     # the (1,3,2,4) ordering separates the pair (x1, x2) by three stabilizers
     assert len(segment_conjugators(caterpillar(4, (1, 3, 2, 4)), 1, 2)) == 8
 
@@ -119,55 +126,57 @@ def test_brute_force_length_zero():
     assert len(out) == 1
 
 
-def test_kernel_backends_agree():
-    from grushko.kernels import reduced_words, segment_tables, sweep_backends
+def _visible_by_enumeration(masks, r, s, max_len):
+    """Every reduced word up to max_len, visible when its segments are disjoint."""
+    n = len(masks) - 1
+    words, level = [], [()]
+    for length in range(max_len + 1):
+        assert len(level) == (n * (n - 1) ** (length - 1) if length else 1)
+        words += level
+        level = [w + (k,) for w in level for k in range(1, n + 1) if not w or w[-1] != k]
+    visible = []
+    for w in words:
+        segments = [masks[a][b] for a, b in zip((r, *w), (*w, s))]
+        union = 0
+        for m in segments:
+            union |= m
+        if bin(union).count("1") == sum(bin(m).count("1") for m in segments):
+            visible.append(w)
+    return visible
 
-    backends = sweep_backends()
-    if len(backends) < 2:
-        pytest.skip("numba unavailable")
-    for shape in enumerate_shapes(4)[::7]:
-        tree = MarkedTree(shape, standard_marking(4))
-        segmask, seglen = segment_tables(tree)
-        for L in (0, 1, 4):
-            words = reduced_words(4, L)
-            outs = [tuple(bool(x) for x in fn(words, segmask, seglen, 1, 2))
-                    for fn in backends.values()]
-            assert outs[0] == outs[1]
 
-
-def test_kernel_backends_agree_on_fuzzed_tables():
-    """Backends agree on any table whose segment masks match their lengths."""
-    import numpy as np
-    from grushko.kernels import reduced_words, sweep_backends
-
-    backends = sweep_backends()
-    if len(backends) < 2:
-        pytest.skip("numba unavailable")
+def test_pruned_search_equals_full_enumeration_on_fuzzed_tables():
     rng = random.Random(35)
     n = 4
     for _ in range(20):
-        segmask = np.zeros((n + 1, n + 1), dtype=np.uint64)
-        seglen = np.zeros((n + 1, n + 1), dtype=np.int64)
-        for a in range(1, n + 1):
-            for b in range(1, n + 1):
-                if a == b:
-                    continue
-                mask = rng.getrandbits(10)
-                segmask[a, b] = mask
-                seglen[a, b] = bin(mask).count("1")
-        words = reduced_words(n, 5)
-        outs = [tuple(bool(x) for x in fn(words, segmask, seglen, 1, 2))
-                for fn in backends.values()]
-        assert outs[0] == outs[1]
+        masks = [[rng.getrandbits(10) if a and b and a != b else 0 for b in range(n + 1)]
+                 for a in range(n + 1)]
+        words, nodes = visible_words(masks, 1, 2, 5)
+        assert len(words) == len(set(words))
+        assert set(words) == set(_visible_by_enumeration(masks, 1, 2, 5))
+        assert len(words) <= nodes
+    masks[3][4] = 0
+    with pytest.raises(ValueError):
+        visible_words(masks, 1, 2)
+    assert visible_words(masks, 1, 2, 3)[0]
 
 
-def test_reduced_word_counts():
-    from grushko.kernels import reduced_words
+def test_unbounded_search_equals_bound_8_on_fixtures():
+    for n in range(2, 5):
+        for shape in enumerate_shapes(n):
+            masks = segment_masks(MarkedTree(shape, standard_marking(n)))
+            for i in range(1, n // 2 + 1):
+                words, _ = visible_words(masks, 2 * i - 1, 2 * i)
+                assert sorted(words) == sorted(visible_words(masks, 2 * i - 1, 2 * i, 8)[0])
 
-    for n in (2, 3, 5):
-        assert reduced_words(n, 0).shape == (1, 0)
-        for L in (1, 2, 4):
-            assert reduced_words(n, L).shape[0] == n * (n - 1) ** (L - 1)
+
+def test_package_imports_without_numpy():
+    """The runtime is the standard library alone."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = [str(src), *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    subprocess.run([sys.executable, "-c", "import grushko, sys; assert 'numpy' not in sys.modules"],
+                   env=env, check=True, timeout=60)
 
 
 def test_nonstandard_marking_route():
@@ -178,6 +187,8 @@ def test_nonstandard_marking_route():
     brute = visible_classes_brute(tree, 1, 3)
     fam = set(visible_classes(tree, 1).classes)
     assert brute <= fam
+    with pytest.raises(ValueError):
+        visible_classes_brute(tree, 1)
 
 
 def test_certify_empty_returns_adapted_basis():
