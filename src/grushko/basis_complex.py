@@ -134,20 +134,18 @@ def _complete_to_basis(fixed: list[Word], cores_left: list[int],
     return None
 
 
-def build_unpaired_radius(n: int, radius: int, pool_len: int | None = None) -> PartialBasisComplex:
+def build_unpaired_radius(n: int, radius: int) -> PartialBasisComplex:
     """All partial bases of classes with conjugators of length <= radius.
 
     Classes are <g x_i g^-1, h x_j h^-1> with |g|, |h| <= radius; every
     element carries a completing-basis certificate found by bounded search
-    (conjugator pool of length radius + 2 by default).  Search misses are
-    reported, never silently dropped.
+    (conjugator pool of length radius + 2).  Search misses are reported,
+    never silently dropped.
     """
     if n > 5 or radius > 8:
         raise ValueError("budgeted construction: n <= 5 and radius <= 8")
-    if pool_len is None:
-        pool_len = radius + 2
     conjs = _reduced_words_upto(n, radius)
-    pool = _reduced_words_upto(n, pool_len)
+    pool = _reduced_words_upto(n, radius + 2)
     classes: dict[CanonicalClass, tuple[int, int]] = {}
     for i, j in itertools.combinations(range(1, n + 1), 2):
         for g in conjs:
@@ -184,7 +182,7 @@ def build_unpaired_radius(n: int, radius: int, pool_len: int | None = None) -> P
                 for sub in range(2, size + 1):
                     for picked in itertools.combinations(combo, sub):
                         elements.add(frozenset(picked))
-    params = {"radius": radius, "pool_len": pool_len, "uncertified": sorted(uncertified)}
+    params = {"radius": radius, "pool_len": radius + 2, "uncertified": sorted(uncertified)}
     return PartialBasisComplex(n, False, params,
                                sorted(certified.values(), key=lambda c: (c.a.key(), c.b.key())),
                                sorted(elements, key=_element_key))
@@ -218,13 +216,13 @@ def _joint_certificate(combo: list[CanonicalClass], core_of, pool: list[Word]):
 # the rank-3 isolated family
 # ---------------------------------------------------------------------------
 
-def rank3_isolated_family(m_max: int, oracle_len: int = 10) -> list[CanonicalClass]:
+def rank3_isolated_family(m_max: int) -> list[CanonicalClass]:
     """Classes <x1, g_m x2 g_m^-1> with g_m = x3 (x1 x3)^m, m = 0..m_max.
 
     At rank 3 every partial basis is a single class, so these are isolated
     vertices; the classes are pairwise distinct (checked both by canonical
-    form and by the independent oracle) and each is certified visible in a
-    marked tree found by searching shapes and bounded markings.
+    form and by the independent oracle at bound 10) and each is certified
+    visible in a marked tree found by searching shapes and bounded markings.
     """
     out = []
     factors = []
@@ -237,7 +235,7 @@ def rank3_isolated_family(m_max: int, oracle_len: int = 10) -> list[CanonicalCla
         factors.append(f)
     for i in range(len(out)):
         for j in range(i + 1, len(out)):
-            if out[i] == out[j] or same_class_oracle(factors[i], factors[j], oracle_len):
+            if out[i] == out[j] or same_class_oracle(factors[i], factors[j], 10):
                 raise CertificationError(
                     f"family members m={i} and m={j} are not distinct classes")
     return out

@@ -16,9 +16,8 @@ from .words import parse
 from .jsoncheck import check
 from .membership import contains, fold, make_automorphism, semidirect_embed
 from .factors import parse_class
-from .trees import BudgetExceededError, MarkedTree, enumerate_shapes, shape_poset, standard_marking
-from .visibility import (certify_partial_basis, segment_masks, visible_classes,
-                         visible_classes_brute, visible_words)
+from .trees import BudgetExceededError, MarkedTree, enumerate_shapes, shape_poset
+from .visibility import certify_partial_basis, visible_classes, visible_classes_brute, visible_words
 from .topology import SimplicialComplex, betti, homology_report_json
 from .basis_complex import PartialBasisComplex, build_from_trees, build_unpaired_radius, connectivity_report
 from .verify import RunConfig, run_all
@@ -235,7 +234,7 @@ def cmd_bench(args) -> int:
     if args.n < 2 or args.repeat < 1:
         _note("error: bench needs --n >= 2 and --repeat >= 1")
         raise SystemExit(2)
-    sweeps = [(segment_masks(MarkedTree(shape, standard_marking(args.n))), i)
+    sweeps = [(shape.segment_masks, i)
               for shape in enumerate_shapes(args.n) for i in range(1, args.n // 2 + 1)]
     best = float("inf")
     for _ in range(args.repeat):
@@ -276,7 +275,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tree", required=True)
     p.add_argument("--pair", type=int, required=True)
     p.add_argument("--brute", type=int, default=None, metavar="L",
-                   help="cross-check against brute force at conjugator length L")
+                   help="cross-check against brute force, conjugators of at most "
+                        "L marking letters")
     p.set_defaults(fn=cmd_visible)
 
     p = sub.add_parser("certify", help="build a basis realizing visible classes")

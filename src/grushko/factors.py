@@ -273,16 +273,18 @@ def same_class_oracle(f: W2Factor, g: W2Factor, max_len: int) -> bool:
             pairs.append((q, p))
         return pairs
 
-    fp = pair_orbit(f)
-    gp = set((p.letters, q.letters) for p, q in pair_orbit(g))
-    gp_pairs = pair_orbit(g)
-    for (p1, p2) in fp:
-        j1, u = involution_core(p1)
-        for (q1, q2) in gp_pairs:
-            k1, v = involution_core(q1)
-            if j1 != k1:
-                continue
-            for mid in (identity(f.rank), Word((j1,), f.rank)):
+    targets = pair_orbit(g)
+    gp = {(q1.letters, q2.letters) for q1, q2 in targets}
+    # target conjugators v (q1 = v x_k v^-1) grouped by the core letter k
+    by_core: dict[int, set[Word]] = {}
+    for q1, _ in targets:
+        k, v = involution_core(q1)
+        by_core.setdefault(k, set()).add(v)
+    for p1, p2 in pair_orbit(f):
+        j, u = involution_core(p1)
+        mids = (identity(f.rank), Word((j,), f.rank))
+        for v in by_core.get(j, ()):
+            for mid in mids:
                 w = v * mid * ~u
                 if len(w) > max_len:
                     continue

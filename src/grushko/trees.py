@@ -19,6 +19,7 @@ import itertools
 import json
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 from .words import Word, generators, involution_core, parse
 from .jsoncheck import check
@@ -111,6 +112,29 @@ class TreeShape:
         out.reverse()
         return out
 
+    @cached_property
+    def segment_masks(self) -> tuple[tuple[int, ...], ...]:
+        """Edge bitmask of the path between the vertices of slots a and b.
+
+        Indexed [a][b] for slots 1..n, with bit e set for each edge e on the
+        path; row and column 0 and the diagonal are 0.  One traversal from
+        each marked vertex fills its row.
+        """
+        adj = self.adjacency()
+        rows = [(0,) * (self.n + 1)]
+        for a in range(1, self.n + 1):
+            row = [0] * (self.n + 1)
+            stack = [(self.vertex_of_slot(a), -1, 0)]
+            while stack:
+                u, parent, mask = stack.pop()
+                if self.slot_of[u]:
+                    row[self.slot_of[u]] = mask
+                for v, e in adj[u]:
+                    if v != parent:
+                        stack.append((v, u, mask | 1 << e))
+            rows.append(tuple(row))
+        return tuple(rows)
+
     def canonical_key(self) -> tuple:
         """Key invariant under relabeling of trivial vertices.
 
@@ -196,7 +220,6 @@ class MarkedTree:
         self.n = n
         self.standard = all(len(b) == 1 for b in marking)
         self._slot_vertex = tuple(shape.vertex_of_slot(k) for k in range(1, n + 1))
-        self._label_cache: dict[tuple[int, int], tuple[int, ...]] = {}
         self._inverse_marking = None
 
     def marking_word(self, slot: int) -> Word:
@@ -204,13 +227,6 @@ class MarkedTree:
 
     def vertex_of_slot(self, k: int) -> int:
         return self._slot_vertex[k - 1]
-
-    def labels_between(self, u: int, v: int) -> tuple[int, ...]:
-        """Edge indices along the shape path between two shape vertices."""
-        key = (u, v)
-        if key not in self._label_cache:
-            self._label_cache[key] = tuple(e for e, _ in self.shape.path(u, v))
-        return self._label_cache[key]
 
     def in_marking_letters(self, w: Word) -> Word:
         """Rewrite w as a word in the marking basis (letters name slots)."""
@@ -258,8 +274,13 @@ class MarkedTree:
         n = max(slot_of, default=0)
         check(data["marking"], {str(k): str for k in range(1, n + 1)}, "$.marking")
         shape = TreeShape(n, tuple(slot_of), tuple(tuple(e) for e in data["edges"]))
-        marking = tuple(parse(data["marking"][str(k)], n) for k in range(1, n + 1))
-        return MarkedTree(shape, marking)
+        marking = []
+        for k in range(1, n + 1):
+            try:
+                marking.append(parse(data["marking"][str(k)], n))
+            except ValueError as exc:
+                raise ValueError(f"$.marking.{k}: {exc}") from None
+        return MarkedTree(shape, tuple(marking))
 
 
 def standard_marking(n: int) -> tuple[Word, ...]:
@@ -373,8 +394,8 @@ def collapse(shape: TreeShape, edge_set) -> TreeShape:
     """Collapse each component of the given edge set to a point.
 
     Raises CollapseError when a component contains two marked vertices.
-    Valence-2 trivial vertices produced by a collapse are smoothed (this
-    cannot happen when the input is reduced, but is kept as a safeguard).
+    The result is reduced again: a component of k >= 1 trivial vertices and
+    no marked one keeps valence >= 3k - 2(k - 1) = k + 2 >= 3.
     """
     edge_set = set(edge_set)
     for e in edge_set:
@@ -409,29 +430,7 @@ def collapse(shape: TreeShape, edge_set) -> TreeShape:
         if i in edge_set:
             continue
         edges.append((index[find(u)], index[find(v)]))
-    slot_of, edges = _smooth(slot_of, edges)
     return TreeShape(shape.n, tuple(slot_of), tuple(tuple(sorted(e)) for e in edges))
-
-
-def _smooth(slot_of: list[int], edges: list[tuple[int, int]]):
-    """Remove trivial valence-2 vertices, joining their two edges."""
-    while True:
-        deg: dict[int, list[int]] = {v: [] for v in range(len(slot_of))}
-        for i, (u, v) in enumerate(edges):
-            deg[u].append(i)
-            deg[v].append(i)
-        target = next((v for v in range(len(slot_of))
-                       if slot_of[v] == 0 and len(deg[v]) == 2), None)
-        if target is None:
-            return slot_of, edges
-        e1, e2 = deg[target]
-        ends = [x for e in (e1, e2) for x in edges[e] if x != target]
-        edges = [e for i, e in enumerate(edges) if i not in (e1, e2)]
-        edges.append((ends[0], ends[1]))
-        keep = [v for v in range(len(slot_of)) if v != target]
-        remap = {v: i for i, v in enumerate(keep)}
-        slot_of = [slot_of[v] for v in keep]
-        edges = [(remap[u], remap[v]) for u, v in edges]
 
 
 def _anonymous_shapes(n: int) -> list[tuple[tuple[int, ...], tuple[tuple[int, int], ...]]]:
@@ -546,7 +545,11 @@ class ShapePoset:
 
 
 def shape_poset(n: int) -> ShapePoset:
-    """The spine poset at rank n: S <= T when T collapses onto S."""
+    """The spine poset at rank n: S <= T when T collapses onto S.
+
+    Collapsing S and then S' is collapsing S | S', which the subset loop
+    visits too, so the relation is transitive as built.
+    """
     shapes = enumerate_shapes(n)
     index = {s.canonical_key(): i for i, s in enumerate(shapes)}
     below: list[set[int]] = [set() for _ in shapes]
@@ -559,17 +562,6 @@ def shape_poset(n: int) -> ShapePoset:
                 except CollapseError:
                     continue
                 below[i].add(index[smaller.canonical_key()])
-    # transitive closure (single-subset collapses already compose, but be safe)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(shapes)):
-            extra = set()
-            for j in below[i]:
-                extra |= below[j] - below[i]
-            if extra:
-                below[i] |= extra
-                changed = True
     return ShapePoset(shapes, below)
 
 

@@ -221,7 +221,7 @@ def check_4_unpaired_components(config: RunConfig) -> dict:
 
 def check_5_rank3_isolated(config: RunConfig) -> dict:
     """Six pairwise distinct certified classes forming six isolated points."""
-    fam = rank3_isolated_family(5, oracle_len=10)
+    fam = rank3_isolated_family(5)
     if len(fam) != 6:
         raise CheckFailure(f"family has {len(fam)} classes, expected 6")
     sub = PartialBasisComplex(3, True, {"family": "rank3"}, fam,

@@ -9,12 +9,15 @@ fixed_point(a) and fixed_point(b) are pairwise distinct.
 The path is computed by tiling: the Bass-Serre tree is a union of
 translates g.L of the fundamental domain, adjacent along marked vertices,
 and the tile itinerary of the path is the word g_a^-1 g_b written in the
-marking basis.  The labels are then shape-path labels between consecutive
-slot vertices.  Tests check this route against the lazy bs_path search.
+marking basis.  Each step between consecutive slots crosses the shape path
+between their vertices, an edge bitmask in TreeShape.segment_masks, and
+the labels are distinct iff those masks are pairwise disjoint.  Tests
+check this route against the lazy bs_path search.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .words import Word, conjugate, identity, involution_core, reduce
@@ -37,22 +40,22 @@ def _slot_walk(tree: MarkedTree, f: W2Factor) -> list[int]:
     return [ja, *h.letters, jb]
 
 
-def path_labels(tree: MarkedTree, f: W2Factor) -> list[int]:
-    """Edge-orbit labels along the path between the fixed points of a and b."""
-    walk = _slot_walk(tree, f)
-    labels: list[int] = []
-    for a, b in zip(walk, walk[1:]):
-        if a != b:
-            labels.extend(tree.labels_between(tree.vertex_of_slot(a), tree.vertex_of_slot(b)))
-    return labels
-
-
 def is_visible(tree: MarkedTree, f: W2Factor | CanonicalClass) -> bool:
-    """True iff the fixed-point path meets each edge orbit at most once."""
+    """True iff the fixed-point path meets each edge orbit at most once.
+
+    Each step of the slot walk is a simple shape path, so no label repeats
+    iff the segment masks of the steps are pairwise disjoint.
+    """
     if isinstance(f, CanonicalClass):
         f = W2Factor(f.a, f.b)
-    labels = path_labels(tree, f)
-    return len(labels) == len(set(labels))
+    masks = tree.shape.segment_masks
+    walk = _slot_walk(tree, f)
+    used = 0
+    for a, b in zip(walk, walk[1:]):
+        if used & masks[a][b]:
+            return False
+        used |= masks[a][b]
+    return True
 
 
 def segment_conjugators(tree: MarkedTree, x: int, y: int) -> list[Word]:
@@ -116,35 +119,20 @@ def visible_classes(tree: MarkedTree, i: int) -> VisibleFamily:
     return VisibleFamily(tree, i, classes)
 
 
-def segment_masks(tree: MarkedTree) -> list[list[int]]:
-    """Edge bitmask of the shape path between the vertices of slots a and b.
-
-    Indexed [a][b] for slots 1..n; row and column 0 and the diagonal are 0.
-    """
-    n = tree.n
-    masks = [[0] * (n + 1) for _ in range(n + 1)]
-    for a in range(1, n + 1):
-        for b in range(1, n + 1):
-            if a != b:
-                for e in tree.labels_between(tree.vertex_of_slot(a), tree.vertex_of_slot(b)):
-                    masks[a][b] |= 1 << e
-    return masks
-
-
-def visible_words(masks: list[list[int]], r: int, s: int,
+def visible_words(masks: Sequence[Sequence[int]], r: int, s: int,
                   max_len: int | None = None) -> tuple[list[tuple[int, ...]], int]:
-    """Reduced words g whose slot walk r, g_1, ..., g_k, s has disjoint segments.
+    """Reduced words h whose slot walk r, h_1, ..., h_k, s has disjoint segments.
 
     masks[a][b] is the edge bitmask of the segment from slot a to slot b
-    (see segment_masks).  Returns the visible words and the number of
-    search nodes, the prefixes whose segments are still disjoint.
+    (see TreeShape.segment_masks).  Returns the visible words and the
+    number of search nodes, the prefixes whose segments are still disjoint.
 
     The search extends a prefix only while its segments stay disjoint:
     the union of a prefix's segments only grows as letters are added, so
     an overlapping prefix has no visible extension and pruning it is
     exact.  Every letter after the first joins two distinct slots, so when
     those masks are nonzero each step adds at least one new edge and the
-    search ends without a length bound; max_len, if given, bounds |g|.
+    search ends without a length bound; max_len, if given, bounds |h|.
     """
     n = len(masks) - 1
     if max_len is None and any(not masks[a][b] for a in range(1, n + 1)
@@ -173,38 +161,24 @@ def visible_classes_brute(tree: MarkedTree, i: int,
     """Independent enumeration: every conjugator g whose walk is visible.
 
     This is the oracle side of the finiteness statement for visible paired
-    factors.  In the standard marking it runs the pruned search of
-    visible_words, exhaustive unless max_len bounds |g|; in any other
-    marking a plain walk over every g with |g| <= max_len runs, and
-    max_len is required.
+    factors.  The pruned search of visible_words gives the words h in
+    marking letters, and g = b_{h_1} ... b_{h_k} is the product of the
+    marking involutions.  The marking is a basis, so every g arises from
+    exactly one reduced h, and the search is exhaustive in any marking
+    unless max_len bounds |h|.
     """
     n = tree.n
     if 2 * i > n or i < 1:
         raise ValueError(f"pair index {i} out of range for rank {n}")
     a = tree.marking_word(2 * i - 1)
     y = tree.marking_word(2 * i)
+    words, _ = visible_words(tree.shape.segment_masks, 2 * i - 1, 2 * i, max_len)
     out: set[CanonicalClass] = set()
-    if tree.standard:
-        words, _ = visible_words(segment_masks(tree), 2 * i - 1, 2 * i, max_len)
-        for letters in words:
-            b = conjugate(y, Word(letters, n))
-            if b == a:
-                continue
-            out.add(canonical_class(W2Factor(a, b)).with_certificate(VisibleIn(tree)))
-        return out
-    if max_len is None:
-        raise ValueError("a tree outside the standard marking needs a length bound")
-    stack: list[tuple[int, ...]] = [()]
-    while stack:
-        letters = stack.pop()
-        g = Word(letters, n)
+    for h in words:
+        g = reduce([x for k in h for x in tree.marking_word(k).letters], n)
         b = conjugate(y, g)
-        if b != a and is_visible(tree, W2Factor(a, b)):
+        if b != a:
             out.add(canonical_class(W2Factor(a, b)).with_certificate(VisibleIn(tree)))
-        if len(letters) < max_len:
-            for k in range(1, n + 1):
-                if not letters or letters[-1] != k:
-                    stack.append(letters + (k,))
     return out
 
 

@@ -145,6 +145,8 @@ MALFORMED = [
     (["bp", "report", "--in", "{f}"], {k: v for k, v in BP.items() if k != "ambient"},
      "$.ambient: missing key"),
     (["bp", "build", "--n", "2", "--trees", "{tree},{f}"], NO_MARKING, "$.marking"),
+    (["visible", "--tree", "{f}", "--pair", "1"], _with(TREE, "marking", {"1": "x1", "2": "x9"}),
+     "$.marking.2: letter 9 out of range"),
 ]
 
 

@@ -180,10 +180,11 @@ def test_shape_poset_chains():
 
 
 def test_poset_relation_is_transitive_by_construction():
-    sp = shape_poset(4)
-    for i in range(len(sp.shapes)):
-        for j in sp.below[i]:
-            assert sp.below[j] <= sp.below[i]
+    for n in (3, 4, 5):
+        sp = shape_poset(n)
+        for i in range(len(sp.shapes)):
+            for j in sp.below[i]:
+                assert sp.below[j] <= sp.below[i]
 
 
 def test_adapted_order():

@@ -25,9 +25,7 @@ from grushko.visibility import (
     bp_fiber,
     certify_partial_basis,
     is_visible,
-    path_labels,
     segment_conjugators,
-    segment_masks,
     visible_classes,
     visible_classes_brute,
     visible_words,
@@ -46,7 +44,9 @@ def test_visibility_examples():
     assert is_visible(t, W2Factor(W("x1", 3), W("x2", 3)))
     f = W2Factor(W("x1", 3), W("x3.x2.x3", 3))
     assert not is_visible(t, f)
-    assert path_labels(t, f) == [0, 1, 1]
+    # slot walk 1, 3, 2: edge 1 is met on both segments
+    masks = t.shape.segment_masks
+    assert masks[1][3] & masks[3][2] == 0b10
     # conjugator inside the subgroup: same factor, still visible
     assert is_visible(t, W2Factor(W("x1", 3), conjugate(W("x2", 3), W("x2", 3))))
 
@@ -79,9 +79,10 @@ def test_visibility_matches_tree_search_on_branched_shapes():
 
 def test_visibility_conjugation_invariant():
     rng = random.Random(32)
+    shapes = {n: enumerate_shapes(n) for n in (3, 4, 5)}
     for _ in range(150):
         n = rng.choice([3, 4, 5])
-        shape = enumerate_shapes(n)[rng.randrange(len(enumerate_shapes(n)))]
+        shape = shapes[n][rng.randrange(len(shapes[n]))]
         tree = MarkedTree(shape, standard_marking(n))
         i, j = rng.sample(range(1, n + 1), 2)
         f = W2Factor(conjugate(generator(i, n), random_reduced_word(rng, n, 2)),
@@ -164,7 +165,7 @@ def test_pruned_search_equals_full_enumeration_on_fuzzed_tables():
 def test_unbounded_search_equals_bound_8_on_fixtures():
     for n in range(2, 5):
         for shape in enumerate_shapes(n):
-            masks = segment_masks(MarkedTree(shape, standard_marking(n)))
+            masks = shape.segment_masks
             for i in range(1, n // 2 + 1):
                 words, _ = visible_words(masks, 2 * i - 1, 2 * i)
                 assert sorted(words) == sorted(visible_words(masks, 2 * i - 1, 2 * i, 8)[0])
@@ -187,8 +188,45 @@ def test_nonstandard_marking_route():
     brute = visible_classes_brute(tree, 1, 3)
     fam = set(visible_classes(tree, 1).classes)
     assert brute <= fam
-    with pytest.raises(ValueError):
-        visible_classes_brute(tree, 1)
+    assert visible_classes_brute(tree, 1) == fam
+
+
+def test_segment_masks_match_shape_paths():
+    for n in range(2, 6):
+        for shape in enumerate_shapes(n):
+            masks = shape.segment_masks
+            assert masks[0] == (0,) * (n + 1)
+            for a in range(1, n + 1):
+                assert masks[a][0] == masks[a][a] == 0
+                for b in range(1, n + 1):
+                    if a != b:
+                        path = shape.path(shape.vertex_of_slot(a), shape.vertex_of_slot(b))
+                        assert masks[a][b] == sum(1 << e for e, _ in path)
+
+
+def _random_marking(rng, n):
+    """The standard marking moved by random automorphisms x_j -> x_k x_j x_k."""
+    marking = list(standard_marking(n))
+    for _ in range(rng.randrange(1, 4)):
+        j, k = rng.sample(range(1, n + 1), 2)
+        marking[j - 1] = conjugate(marking[j - 1], marking[k - 1])
+    return tuple(marking)
+
+
+def test_unbounded_oracle_equals_segment_family_in_random_markings():
+    rng = random.Random(36)
+    shapes = {n: enumerate_shapes(n) for n in (3, 4, 5)}
+    sweeps = 0
+    while sweeps < 30:
+        n = rng.choice([3, 4, 5])
+        tree = MarkedTree(shapes[n][rng.randrange(len(shapes[n]))], _random_marking(rng, n))
+        if tree.standard:
+            continue
+        for i in range(1, n // 2 + 1):
+            fam = set(visible_classes(tree, i).classes)
+            assert visible_classes_brute(tree, i) == fam
+            assert visible_classes_brute(tree, i, 2) <= fam
+            sweeps += 1
 
 
 def test_certify_empty_returns_adapted_basis():
