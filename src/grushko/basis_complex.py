@@ -14,7 +14,7 @@ import itertools
 import json
 from dataclasses import dataclass
 
-from .words import Word, conjugate, generator, generators, identity, reduce
+from .words import Word, conjugate, generator, generators, identity, involution_core, reduce
 from .factors import (
     CanonicalClass,
     CompletingBasis,
@@ -221,7 +221,7 @@ def rank3_isolated_family(m_max: int) -> list[CanonicalClass]:
 
     At rank 3 every partial basis is a single class, so these are isolated
     vertices; the classes are pairwise distinct (checked both by canonical
-    form and by the independent oracle at bound 10) and each is certified
+    form and by the independent exact oracle) and each is certified
     visible in a marked tree found by searching shapes and bounded markings.
     """
     out = []
@@ -235,7 +235,7 @@ def rank3_isolated_family(m_max: int) -> list[CanonicalClass]:
         factors.append(f)
     for i in range(len(out)):
         for j in range(i + 1, len(out)):
-            if out[i] == out[j] or same_class_oracle(factors[i], factors[j], 10):
+            if out[i] == out[j] or same_class_oracle(factors[i], factors[j]):
                 raise CertificationError(
                     f"family members m={i} and m={j} are not distinct classes")
     return out
@@ -246,7 +246,6 @@ def _certifying_tree(cls: CanonicalClass) -> MarkedTree:
     n = 3
     pool = {identity(n)}
     for w in (cls.a, cls.b):
-        from .words import involution_core
         pool.add(involution_core(w)[1])
     pool.update(generators(n))
     pool = sorted(pool, key=lambda w: w.key())

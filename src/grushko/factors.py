@@ -15,13 +15,15 @@ canonical representative pair computed from the cyclic word of t:
     even shifts only when m is even);
   * the canonical pair is the length-lexicographic minimum over that set.
 
-The same_class_oracle is an independent bounded search kept as test-time
-ground truth: if it ever disagrees with the canonical form, the canonical
-form is unsound and the build fails.
+canonical_pair is pure and its values are immutable, so it is memoized in
+a bounded LRU cache.  The same_class_oracle is an independent exact decision
+kept as test-time ground truth: if it ever disagrees with the canonical form,
+the canonical form is unsound and the build fails.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 from .words import (
@@ -160,6 +162,7 @@ def _candidate_pairs(a: Word, b: Word):
                     yield (sneg, sneg * crot)
 
 
+@functools.lru_cache(maxsize=4096)
 def canonical_pair(a: Word, b: Word) -> tuple[Word, Word]:
     """Canonical representative pair for the conjugacy class of <a, b>."""
     best = None
@@ -237,99 +240,31 @@ def pair_index(f: W2Factor, n: int) -> int | None:
     return None
 
 
-def same_class_oracle(f: W2Factor, g: W2Factor, max_len: int) -> bool:
-    """Independent bounded test for conjugacy of two dihedral factors.
+def same_class_oracle(f: W2Factor, g: W2Factor) -> bool:
+    """Exact test for conjugacy of two dihedral factors.
 
-    Enumerates the adjacent-reflection pair orbits of both factors out to
-    index |k| <= max_len and looks for a conjugator w with |w| <= max_len
-    carrying one pair onto the other.  For each source/target pair the
-    conjugator candidates are cut down with the free-product fact that the
-    centralizer of a generator x_j is <x_j>: any w with w p w^-1 = q lies in
-    q_prefix {1, x_j} p_prefix^-1.  This path shares no code with
-    canonical_pair.
+    In <c, d>, with reflections r_k = (cd)^k c, the generating pairs are the
+    adjacent pairs (r_k, r_{k-1}) and (r_k, r_{k+1}).  Conjugation by cd
+    shifts k by 2 and conjugation by c sends k to -k, so every generating
+    pair of <c, d> is conjugate within <c, d> to (c, d) or (d, c).  Hence
+    <a, b> is conjugate to <c, d> iff some w carries (a, b) onto (c, d) or
+    onto (d, c).  Write a = u x_j u^-1 and, for the target q1 in {c, d}
+    with core j, q1 = v x_j v^-1.  The centralizer of x_j in W_n is <x_j>,
+    so w a w^-1 = q1 forces w = v mid u^-1 with mid in {1, x_j}: at most
+    four candidates in all.  This path shares no code with canonical_pair
+    beyond the word primitives.
     """
     if f.rank != g.rank:
         raise ValueError("rank mismatch")
-
-    def pair_orbit(h: W2Factor) -> list[tuple[Word, Word]]:
-        # reflections t^k a for |k| <= max_len + 1; the base pair (a, b)
-        # is (r_0, r_{-1}), so it is present at every window size
-        t = h.a * h.b
-        refl = [h.a]
-        cur = h.a
-        for _ in range(max_len + 1):
-            cur = t * cur
-            refl.append(cur)
-        cur = h.a
-        ti = ~t
-        back = []
-        for _ in range(max_len + 1):
-            cur = ti * cur
-            back.append(cur)
-        refl = list(reversed(back)) + refl
-        pairs = []
-        for p, q in zip(refl, refl[1:]):
-            pairs.append((p, q))
-            pairs.append((q, p))
-        return pairs
-
-    targets = pair_orbit(g)
-    gp = {(q1.letters, q2.letters) for q1, q2 in targets}
-    # target conjugators v (q1 = v x_k v^-1) grouped by the core letter k
-    by_core: dict[int, set[Word]] = {}
-    for q1, _ in targets:
+    j, u = involution_core(f.a)
+    ui = ~u
+    mids = (identity(f.rank), Word((j,), f.rank))
+    for q1, q2 in ((g.a, g.b), (g.b, g.a)):
         k, v = involution_core(q1)
-        by_core.setdefault(k, set()).add(v)
-    for p1, p2 in pair_orbit(f):
-        j, u = involution_core(p1)
-        mids = (identity(f.rank), Word((j,), f.rank))
-        for v in by_core.get(j, ()):
-            for mid in mids:
-                w = v * mid * ~u
-                if len(w) > max_len:
-                    continue
-                if (conjugate(p1, w).letters, conjugate(p2, w).letters) in gp:
-                    return True
+        if k != j:
+            continue
+        for mid in mids:
+            w = v * mid * ui
+            if conjugate(f.a, w) == q1 and conjugate(f.b, w) == q2:
+                return True
     return False
-
-
-# ---------------------------------------------------------------------------
-# partial bases
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class PartialBasis:
-    """A set of X*-paired classes with pairwise distinct pair indices."""
-
-    classes: frozenset[CanonicalClass]
-
-    @property
-    def rank(self) -> int:
-        return next(iter(self.classes)).rank
-
-    def sorted_classes(self) -> list[CanonicalClass]:
-        return sorted(self.classes, key=lambda c: (c.pair_index, c.a.key(), c.b.key()))
-
-    def __len__(self) -> int:
-        return len(self.classes)
-
-
-def make_partial_basis(classes) -> PartialBasis:
-    classes = frozenset(classes)
-    if not classes:
-        raise ValueError("a partial basis is nonempty")
-    n = next(iter(classes)).rank
-    seen: set[int] = set()
-    for cls in classes:
-        if cls.rank != n:
-            raise ValueError("classes of mixed rank")
-        if cls.pair_index is None:
-            raise ValueError(f"class {cls} is not paired")
-        if cls.pair_index in seen:
-            raise ValueError(f"duplicate pair index {cls.pair_index}")
-        if isinstance(cls.certificate, Axiomatic):
-            raise ValueError(f"class {cls} carries no certificate")
-        seen.add(cls.pair_index)
-    if len(classes) > n // 2:
-        raise ValueError("too many classes for the ambient rank")
-    return PartialBasis(classes)

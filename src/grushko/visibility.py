@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from .words import Word, conjugate, identity, involution_core, reduce
 from .factors import CanonicalClass, VisibleIn, W2Factor, canonical_class
 from .trees import MarkedTree, adapted_order, convex_hull_vertices
+from . import membership
 
 
 class CertificationError(RuntimeError):
@@ -196,8 +197,6 @@ def certify_partial_basis(tree: MarkedTree, classes) -> tuple[Word, ...]:
     cores form a partial basis; it raises CertificationError when a class
     is not visible here and on core collisions.
     """
-    from . import membership
-
     order = adapted_order(tree)
     pos = {slot: i for i, slot in enumerate(order)}
     n = tree.n
@@ -268,8 +267,6 @@ def _strip(g: Word, a: Word, y: Word) -> Word:
 
 def prefix_property_holds(tree: MarkedTree, basis: tuple[Word, ...]) -> bool:
     """Check x-prefix generation: marking slot of position i lies in <y_1..y_i>."""
-    from . import membership
-
     order = adapted_order(tree)
     for i in range(1, len(basis) + 1):
         core = membership.fold(list(basis[:i]))

@@ -55,10 +55,10 @@ class Word:
         _check_rank(self, other)
         stack = list(self.letters)
         _reduce_into(stack, other.letters)
-        return Word(tuple(stack), self.rank)
+        return _trusted(tuple(stack), self.rank)
 
     def __invert__(self) -> "Word":
-        return Word(tuple(reversed(self.letters)), self.rank)
+        return _trusted(self.letters[::-1], self.rank)
 
     def inverse(self) -> "Word":
         """Each generator is its own inverse, so inversion is reversal."""
@@ -98,6 +98,22 @@ class Word:
         return f"Word({self})"
 
 
+_set_letters = Word.letters.__set__
+_set_rank = Word.rank.__set__
+
+
+def _trusted(letters: tuple[int, ...], rank: int) -> Word:
+    """A Word whose letters are reduced and in range by construction.
+
+    Skips the checks of ``__post_init__``.  Only this module's operations
+    call it, each on letters reduced from valid words of the same rank.
+    """
+    w = object.__new__(Word)
+    _set_letters(w, letters)
+    _set_rank(w, rank)
+    return w
+
+
 def _check_rank(a: Word, b: Word) -> None:
     if a.rank != b.rank:
         raise RankMismatchError(f"rank mismatch: {a.rank} vs {b.rank}")
@@ -120,15 +136,7 @@ def reduce(letters: Sequence[int], rank: int) -> Word:
     for a in letters:
         if not 1 <= a <= rank:
             raise ValueError(f"letter {a} out of range for rank {rank}")
-    return Word(tuple(_reduce_into([], letters)), rank)
-
-
-def multiply(a: Word, b: Word) -> Word:
-    return a * b
-
-
-def invert(a: Word) -> Word:
-    return ~a
+    return _trusted(tuple(_reduce_into([], letters)), rank)
 
 
 def conjugate(a: Word, g: Word) -> Word:
@@ -137,7 +145,7 @@ def conjugate(a: Word, g: Word) -> Word:
     stack = list(g.letters)
     _reduce_into(stack, a.letters)
     _reduce_into(stack, reversed(g.letters))
-    return Word(tuple(stack), a.rank)
+    return _trusted(tuple(stack), a.rank)
 
 
 def involution(j: int, conjugator: Word) -> Word:
@@ -157,7 +165,7 @@ def involution_core(a: Word) -> tuple[int, Word]:
     if not a.is_involution:
         raise NotInvolutionError(f"{a} is not an involution")
     half = len(a.letters) // 2
-    return a.letters[half], Word(a.letters[:half], a.rank)
+    return a.letters[half], _trusted(a.letters[:half], a.rank)
 
 
 def cyclic_reduce(a: Word) -> tuple[Word, Word]:
@@ -171,7 +179,7 @@ def cyclic_reduce(a: Word) -> tuple[Word, Word]:
     while hi - lo >= 2 and letters[lo] == letters[hi - 1]:
         lo += 1
         hi -= 1
-    return Word(letters[lo:hi], a.rank), Word(letters[:lo], a.rank)
+    return _trusted(letters[lo:hi], a.rank), _trusted(letters[:lo], a.rank)
 
 
 def parse(text: str, rank: int) -> Word:

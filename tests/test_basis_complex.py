@@ -70,7 +70,7 @@ def test_rank3_family_distinct_and_certified():
         assert isinstance(cls.certificate, VisibleIn)
     for c1, c2 in itertools.combinations(fam, 2):
         assert c1 != c2
-        assert not same_class_oracle(c1.representative(), c2.representative(), 10)
+        assert not same_class_oracle(c1.representative(), c2.representative())
     sub = PartialBasisComplex(3, True, {}, list(fam), [frozenset([c]) for c in fam])
     assert connectivity_report(sub).num_components == 4
 

@@ -5,6 +5,7 @@ import pytest
 
 from grushko.words import Word, conjugate, generator, generators, parse, random_reduced_word
 from grushko.factors import (
+    Axiomatic,
     CertificateError,
     CompletingBasis,
     VisibleIn,
@@ -12,7 +13,6 @@ from grushko.factors import (
     canonical_class,
     canonical_pair,
     make_factor,
-    make_partial_basis,
     pair_index,
     parse_class,
     same_class_oracle,
@@ -76,9 +76,9 @@ def _involutions(n, max_conj):
 def test_canonical_agrees_with_oracle_exhaustively():
     """Each canonical class is one oracle class, distinct classes separate.
 
-    Exhaustive over factors with |a| + |b| <= 6 at rank 4 against the
-    bounded search at length 8; a single disagreement here means the
-    canonical form is unsound and the build must fail.
+    Exhaustive over factors with |a| + |b| <= 6 at rank 4 against the exact
+    oracle; a single disagreement here means the canonical form is unsound
+    and the build must fail.
     """
     n = 4
     invs = _involutions(n, 2)
@@ -90,10 +90,10 @@ def test_canonical_agrees_with_oracle_exhaustively():
     for cls, members in byclass.items():
         rep = members[0]
         for other in members[1:]:
-            assert same_class_oracle(rep, other, 8), (rep, other)
+            assert same_class_oracle(rep, other), (rep, other)
     reps = [ms[0] for ms in byclass.values()]
     for f, g in itertools.combinations(reps, 2):
-        assert not same_class_oracle(f, g, 8), (f, g)
+        assert not same_class_oracle(f, g), (f, g)
 
 
 def test_canonical_pair_invariances():
@@ -113,6 +113,25 @@ def test_canonical_pair_invariances():
         assert canonical_pair(a, conjugate(b, a)) == pair
         assert canonical_pair(conjugate(a, b), b) == pair
         assert canonical_pair(*pair) == pair
+
+
+def test_canonical_pair_is_memoized():
+    a, b = W("x1", 4), W("x3.x2.x3", 4)
+    pair = canonical_pair(a, b)
+    hits = canonical_pair.cache_info().hits
+    assert canonical_pair(a, b) == pair
+    assert canonical_pair.cache_info().hits == hits + 1
+
+
+def test_canonical_class_keeps_each_certificate():
+    tree = caterpillar(3)
+    a, b = W("x1", 3), W("x2", 3)
+    plain = canonical_class(W2Factor(a, b))
+    visible = canonical_class(W2Factor(a, b, VisibleIn(tree)))
+    again = canonical_class(W2Factor(a, b))
+    assert plain == visible == again
+    assert visible.certificate == VisibleIn(tree)
+    assert plain.certificate == again.certificate == Axiomatic()
 
 
 def test_pair_index():
@@ -140,10 +159,11 @@ def test_pair_index_conjugation_invariant():
 def test_same_class_oracle_examples():
     f = make_factor(W("x1", 3), W("x2", 3))
     g = make_factor(W("x1", 3), W("x1.x2.x1", 3))
-    assert same_class_oracle(f, g, 2)
-    assert same_class_oracle(f, f, 0)  # reflexive at any window
-    assert same_class_oracle(f, f, 1)
-    assert not same_class_oracle(f, make_factor(W("x1", 3), W("x3", 3)), 6)
+    assert same_class_oracle(f, g)
+    assert same_class_oracle(f, f)
+    assert same_class_oracle(f, W2Factor(f.b, f.a))
+    assert same_class_oracle(f, f.conjugated_by(W("x3.x1", 3)))
+    assert not same_class_oracle(f, make_factor(W("x1", 3), W("x3", 3)))
 
 
 def test_class_text_roundtrip():
@@ -151,21 +171,3 @@ def test_class_text_roundtrip():
     assert str(cls) == "W2[a=x1;b=x3*x2*x3;pair=1]"
     back = parse_class(str(cls), 4)
     assert back == cls and back.pair_index == cls.pair_index
-
-
-def test_make_partial_basis_validation():
-    cert = CompletingBasis(tuple(generators(4)))
-    cA = canonical_class(make_factor(W("x1", 4), W("x2", 4), cert))
-    cB = canonical_class(make_factor(W("x3", 4), W("x4", 4), cert))
-    pb = make_partial_basis([cA, cB])
-    assert len(pb) == 2 and pb.rank == 4
-    with pytest.raises(ValueError):
-        make_partial_basis([])
-    with pytest.raises(ValueError):  # duplicate pair index
-        cert2 = CompletingBasis((W("x1", 4), W("x3.x2.x3", 4), W("x3", 4), W("x4", 4)))
-        dup = canonical_class(make_factor(W("x1", 4), W("x3.x2.x3", 4), cert2))
-        make_partial_basis([cA, dup])
-    with pytest.raises(ValueError):  # not paired
-        make_partial_basis([canonical_class(make_factor(W("x1", 4), W("x3", 4), cert))])
-    with pytest.raises(ValueError):  # missing certificate
-        make_partial_basis([canonical_class(make_factor(W("x1", 4), W("x2", 4)))])

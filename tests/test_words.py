@@ -12,10 +12,8 @@ from grushko.words import (
     generator,
     generators,
     identity,
-    invert,
     involution_core,
     is_involution,
-    multiply,
     parse,
     random_reduced_word,
     reduce,
@@ -44,6 +42,42 @@ def test_reduce_examples():
         reduce([5], 4)
 
 
+def test_public_constructor_validates():
+    with pytest.raises(ValueError):
+        Word((1, 1), 2)
+    with pytest.raises(ValueError):
+        Word((3,), 2)
+
+
+def _assert_trusted(w, rank, letters):
+    """w is reduced, in range, equal to the validated Word and to naive_reduce."""
+    validated = Word(w.letters, w.rank)
+    assert w.rank == rank
+    assert w == validated and hash(w) == hash(validated)
+    assert w == naive_reduce(letters, rank)
+
+
+@given(st.data())
+def test_word_operations_return_valid_words(data):
+    n = data.draw(st.integers(2, 5))
+    letters = st.lists(st.integers(1, n), max_size=12)
+    a, g = (reduce(data.draw(letters), n) for _ in range(2))
+    _assert_trusted(a * g, n, a.letters + g.letters)
+    _assert_trusted(~a, n, a.letters[::-1])
+    _assert_trusted(conjugate(a, g), n, g.letters + a.letters + g.letters[::-1])
+    raw = data.draw(letters)
+    _assert_trusted(reduce(raw, n), n, raw)
+    core, conj = cyclic_reduce(a)
+    _assert_trusted(core, n, core.letters)
+    _assert_trusted(conj, n, conj.letters)
+    assert naive_reduce(conj.letters + core.letters + conj.letters[::-1], n) == a
+    j = data.draw(st.integers(1, n))
+    inv = conjugate(generator(j, n), g)
+    k, u = involution_core(inv)
+    _assert_trusted(u, n, u.letters)
+    assert naive_reduce(u.letters + (k,) + u.letters[::-1], n) == inv
+
+
 def test_reduce_matches_stack_oracle():
     rng = random.Random(0)
     for _ in range(1000):
@@ -53,10 +87,10 @@ def test_reduce_matches_stack_oracle():
 
 
 def test_multiply_examples():
-    assert multiply(parse("x1.x2", 3), parse("x2.x1", 3)) == identity(3)
-    assert multiply(parse("x1.x2", 3), parse("x3", 3)) == parse("x1.x2.x3", 3)
+    assert parse("x1.x2", 3) * parse("x2.x1", 3) == identity(3)
+    assert parse("x1.x2", 3) * parse("x3", 3) == parse("x1.x2.x3", 3)
     with pytest.raises(RankMismatchError):
-        multiply(parse("x1", 2), parse("x1", 3))
+        parse("x1", 2) * parse("x1", 3)
 
 
 letters_strategy = st.lists(st.integers(1, 4), max_size=12)
@@ -73,13 +107,13 @@ def test_multiply_associative(a, b, c):
 @given(letters_strategy)
 def test_inverse_property(a):
     w = reduce(a, 4)
-    assert w * invert(w) == identity(4)
-    assert invert(invert(w)) == w
+    assert w * ~w == identity(4)
+    assert ~~w == w
 
 
 def test_invert_examples():
-    assert invert(parse("x1.x2.x3", 3)) == parse("x3.x2.x1", 3)
-    assert invert(identity(3)) == identity(3)
+    assert ~parse("x1.x2.x3", 3) == parse("x3.x2.x1", 3)
+    assert ~identity(3) == identity(3)
 
 
 def test_conjugate_examples():
@@ -91,7 +125,7 @@ def test_conjugate_examples():
 @given(letters_strategy, letters_strategy)
 def test_conjugate_inverts(a, g):
     wa, wg = reduce(a, 4), reduce(g, 4)
-    assert conjugate(conjugate(wa, wg), invert(wg)) == wa
+    assert conjugate(conjugate(wa, wg), ~wg) == wa
 
 
 def test_involution_criteria():
