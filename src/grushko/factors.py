@@ -15,15 +15,17 @@ canonical representative pair computed from the cyclic word of t:
     even shifts only when m is even);
   * the canonical pair is the length-lexicographic minimum over that set.
 
-canonical_pair is pure and its values are immutable, so it is memoized in
-a bounded LRU cache.  The same_class_oracle is an independent exact decision
-kept as test-time ground truth: if it ever disagrees with the canonical form,
-the canonical form is unsound and the build fails.
+canonical_pair is pure and its values are immutable, so a caller may pass
+a memo dict that it reads and fills.  There is no process-wide cache: each
+marked tree carries a memo (MarkedTree.canonical_memo), its own unless the
+caller shares one across a sweep, so analysing one tree costs the same
+whatever was analysed before it.  The same_class_oracle is an independent
+exact decision kept as test-time ground truth: if it ever disagrees with
+the canonical form, the canonical form is unsound and the build fails.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 from .words import (
@@ -162,14 +164,22 @@ def _candidate_pairs(a: Word, b: Word):
                     yield (sneg, sneg * crot)
 
 
-@functools.lru_cache(maxsize=4096)
-def canonical_pair(a: Word, b: Word) -> tuple[Word, Word]:
-    """Canonical representative pair for the conjugacy class of <a, b>."""
+def canonical_pair(a: Word, b: Word, memo: dict | None = None) -> tuple[Word, Word]:
+    """Canonical representative pair for the conjugacy class of <a, b>.
+
+    With a memo, the pair is looked up in it by (a, b) and stored there.
+    """
+    if memo is not None:
+        hit = memo.get((a, b))
+        if hit is not None:
+            return hit
     best = None
     for cand in _candidate_pairs(a, b):
         if best is None or _pair_key(cand) < _pair_key(best):
             best = cand
     assert best is not None
+    if memo is not None:
+        memo[a, b] = best
     return best
 
 
@@ -220,8 +230,9 @@ def parse_class(text: str, rank: int) -> CanonicalClass:
     return cls
 
 
-def canonical_class(f: W2Factor) -> CanonicalClass:
-    a0, b0 = canonical_pair(f.a, f.b)
+def canonical_class(f: W2Factor, memo: dict | None = None) -> CanonicalClass:
+    """The class of f, carrying f's certificate; memo as in canonical_pair."""
+    a0, b0 = canonical_pair(f.a, f.b, memo)
     idx = pair_index(f, f.rank)
     return CanonicalClass(a0, b0, idx, f.certificate)
 

@@ -114,7 +114,7 @@ def visible_classes(tree: MarkedTree, i: int) -> VisibleFamily:
         f = W2Factor(a, b)
         if not is_visible(tree, f):
             continue
-        cls = canonical_class(f).with_certificate(VisibleIn(tree))
+        cls = canonical_class(f, tree.canonical_memo).with_certificate(VisibleIn(tree))
         seen.setdefault(cls, cls)
     classes = tuple(sorted(seen.values(), key=lambda c: (c.a.key(), c.b.key())))
     return VisibleFamily(tree, i, classes)
@@ -179,7 +179,8 @@ def visible_classes_brute(tree: MarkedTree, i: int,
         g = reduce([x for k in h for x in tree.marking_word(k).letters], n)
         b = conjugate(y, g)
         if b != a:
-            out.add(canonical_class(W2Factor(a, b)).with_certificate(VisibleIn(tree)))
+            cls = canonical_class(W2Factor(a, b), tree.canonical_memo)
+            out.add(cls.with_certificate(VisibleIn(tree)))
     return out
 
 
@@ -245,7 +246,7 @@ def _segment_conjugator_for(tree: MarkedTree, cls: CanonicalClass,
         b = conjugate(y, g)
         if b == a:
             continue
-        if canonical_class(W2Factor(a, b)) == cls:
+        if canonical_class(W2Factor(a, b), tree.canonical_memo) == cls:
             return g
     raise CertificationError(
         f"no segment conjugator recovers {cls}; finiteness of visible classes violated")

@@ -6,6 +6,7 @@ import pytest
 from grushko.words import Word, conjugate, generator, generators, parse, random_reduced_word
 from grushko.factors import (
     Axiomatic,
+    CanonicalClass,
     CertificateError,
     CompletingBasis,
     VisibleIn,
@@ -115,12 +116,19 @@ def test_canonical_pair_invariances():
         assert canonical_pair(*pair) == pair
 
 
-def test_canonical_pair_is_memoized():
+def test_canonical_pair_memo():
     a, b = W("x1", 4), W("x3.x2.x3", 4)
-    pair = canonical_pair(a, b)
-    hits = canonical_pair.cache_info().hits
+    memo = {}
+    pair = canonical_pair(a, b, memo)
+    assert pair == canonical_pair(a, b)
+    assert memo == {(a, b): pair}
+    assert canonical_pair(a, b, memo) is pair
+    # a stored pair is returned as stored, not recomputed
+    memo[a, b] = (b, a)
+    assert canonical_pair(a, b, memo) == (b, a)
+    assert canonical_class(W2Factor(a, b), memo) == CanonicalClass(b, a)
+    # without a memo nothing is kept between calls
     assert canonical_pair(a, b) == pair
-    assert canonical_pair.cache_info().hits == hits + 1
 
 
 def test_canonical_class_keeps_each_certificate():

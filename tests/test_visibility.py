@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from grushko.words import conjugate, generator, generators, parse, random_reduced_word
-from grushko.factors import W2Factor, canonical_class
+from grushko.factors import W2Factor, canonical_class, canonical_pair
 from grushko.membership import is_basis
 from grushko.trees import (
     MarkedTree,
@@ -119,6 +119,27 @@ def test_visible_classes_match_brute_force():
             assert visible_classes_brute(t, i) == fam
     # the (1,3,2,4) ordering separates the pair (x1, x2) by three stabilizers
     assert len(segment_conjugators(caterpillar(4, (1, 3, 2, 4)), 1, 2)) == 8
+
+
+def test_canonical_memo_is_per_tree():
+    t, other = caterpillar(4), caterpillar(4, (1, 3, 2, 4))
+    fam = visible_classes(t, 1)
+    memo = dict(t.canonical_memo)
+    assert memo and not other.canonical_memo
+    assert all(canonical_pair(a, b) == pair for (a, b), pair in memo.items())
+    # the brute-force oracle meets the same factors and adds no entry
+    assert visible_classes_brute(t, 1) == set(fam.classes)
+    assert t.canonical_memo == memo
+    # an equal tree built anew starts with an empty memo and the same classes
+    again = caterpillar(4)
+    assert again == t and not again.canonical_memo
+    assert visible_classes(again, 1) == fam
+    # trees built with one memo share it
+    shared = {}
+    first = MarkedTree(t.shape, t.marking, shared)
+    second = MarkedTree(other.shape, other.marking, shared)
+    visible_classes(first, 1)
+    assert second.canonical_memo is shared and shared == memo
 
 
 def test_brute_force_length_zero():
