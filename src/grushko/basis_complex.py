@@ -120,17 +120,42 @@ def _reduced_words_upto(n: int, max_len: int) -> list[Word]:
 
 def _complete_to_basis(fixed: list[Word], cores_left: list[int],
                        pool: list[Word]) -> tuple[Word, ...] | None:
-    """Fill the remaining cores with pool conjugates until is_basis passes."""
-    n = fixed[0].rank
+    """Fill the remaining cores with pool conjugates until is_basis passes.
+
+    Pool words are tried in order and the first basis found is returned.  At
+    the last core k, the fixed n-1 involutions generate H, folded once; a
+    candidate p x_k p^-1 (p from involution_core) is read as p in that core,
+    and is_basis is not run where its answer is already known:
+    (a) Same vertex, same answer: <H, p x_k p^-1> = W_n depends only on the
+        coset Hp, since p = hq with h in H makes it h <H, q x_k q^-1> h^-1,
+        and a reading that stays in the core ends at the vertex of Hp.
+    (b) A reading that leaves the core never completes a basis: the unread
+        tail hangs off the core as a folded path (reduced letters, ending in
+        a mirror k that differs from its last letter), so the basepoint
+        keeps the mirrors of H, and n-1 involutions give at most n-1 of the
+        n dimensions of the abelianization (Z/2)^n.
+    Only failing candidates are skipped, so the plain search's basis is found.
+    """
     if not cores_left:
-        tup = tuple(fixed)
-        return tup if membership.is_basis(list(tup)) else None
-    k, rest = cores_left[0], cores_left[1:]
+        return tuple(fixed) if membership.is_basis(fixed) else None
+    n = fixed[0].rank
+    x_k, rest = generator(cores_left[0], n), cores_left[1:]
+    if rest:
+        for w in pool:
+            got = _complete_to_basis(fixed + [conjugate(x_k, w)], rest, pool)
+            if got is not None:
+                return got
+        return None
+    core = membership.fold(fixed)
+    rejected: set[int] = set()
     for w in pool:
-        cand = conjugate(generator(k, n), w)
-        got = _complete_to_basis(fixed + [cand], rest, pool)
-        if got is not None:
-            return got
+        cand = conjugate(x_k, w)
+        end = membership.read(core, involution_core(cand)[1])
+        if end is None or end in rejected:
+            continue
+        if membership.is_basis(fixed + [cand]):
+            return tuple(fixed) + (cand,)
+        rejected.add(end)
     return None
 
 
@@ -141,6 +166,10 @@ def build_unpaired_radius(n: int, radius: int) -> PartialBasisComplex:
     element carries a completing-basis certificate found by bounded search
     (conjugator pool of length radius + 2).  Search misses are reported,
     never silently dropped.
+
+    (c) The class depends only on v = g^-1 h: conjugating by g^-1 gives
+    <x_i, v x_j v^-1>, and x_i v or v x_j give the same class.  So it is
+    computed once per v with a leading x_i and a trailing x_j stripped.
     """
     if n > 5 or radius > 8:
         raise ValueError("budgeted construction: n <= 5 and radius <= 8")
@@ -148,9 +177,16 @@ def build_unpaired_radius(n: int, radius: int) -> PartialBasisComplex:
     pool = _reduced_words_upto(n, radius + 2)
     classes: dict[CanonicalClass, tuple[int, int]] = {}
     for i, j in itertools.combinations(range(1, n + 1), 2):
+        seen: set[tuple[int, ...]] = set()
         for g in conjs:
             a = conjugate(generator(i, n), g)
             for h in conjs:
+                v = (~g * h).letters
+                v = v[1:] if v[:1] == (i,) else v
+                v = v[:-1] if v[-1:] == (j,) else v
+                if v in seen:
+                    continue
+                seen.add(v)
                 b = conjugate(generator(j, n), h)
                 cls = canonical_class(W2Factor(a, b))
                 classes.setdefault(cls, (i, j))

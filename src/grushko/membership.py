@@ -333,19 +333,24 @@ def fold(gens: list[Word], track_witnesses: bool = False) -> CoreGraph:
     return CoreGraph(rank, adj, mirrors, witnesses)
 
 
-def contains(core: CoreGraph, w: Word) -> bool:
-    """Subgroup membership by reading w from the basepoint (bouncing at mirrors)."""
-    if w.rank != core.rank:
-        raise RankMismatchError("word rank does not match core rank")
+def read(core: CoreGraph, w: Word) -> int | None:
+    """Vertex of the coset Hw, reached by reading w from the basepoint and
+    bouncing at mirrors; None when the reading leaves the core."""
     u = core.basepoint
     for j in w.letters:
         if j in core.mirrors[u]:
             continue
-        v = core.adj[u].get(j)
-        if v is None:
-            return False
-        u = v
-    return u == core.basepoint
+        u = core.adj[u].get(j)
+        if u is None:
+            return None
+    return u
+
+
+def contains(core: CoreGraph, w: Word) -> bool:
+    """Subgroup membership: reading w from the basepoint returns to it."""
+    if w.rank != core.rank:
+        raise RankMismatchError("word rank does not match core rank")
+    return read(core, w) == core.basepoint
 
 
 def generates(gens: list[Word]) -> bool:
@@ -436,17 +441,6 @@ def make_automorphism(images: list[Word] | tuple[Word, ...]) -> Automorphism:
         if phi(phi.inverse_images[j - 1]) != x:
             raise AssertionError("fold witness produced an invalid inverse")
     return phi
-
-
-def identity_automorphism(rank: int) -> Automorphism:
-    gens = generators(rank)
-    return Automorphism(gens, gens)
-
-
-def apply(phi: Automorphism, w: Word) -> Word:
-    if w.rank != phi.rank:
-        raise RankMismatchError("word rank does not match automorphism rank")
-    return phi(w)
 
 
 def compose(phi: Automorphism, psi: Automorphism) -> Automorphism:

@@ -58,29 +58,6 @@ class Poset:
                  for a in elements]
         return cls(elements, above)
 
-    @classmethod
-    def from_covers(cls, elements, covers) -> "Poset":
-        """covers: iterable of (smaller, larger); closure computed here."""
-        elements = list(elements)
-        index = {e: i for i, e in enumerate(elements)}
-        above = [set() for _ in elements]
-        for small, large in covers:
-            above[index[small]].add(index[large])
-        changed = True
-        while changed:
-            changed = False
-            for i in range(len(elements)):
-                extra = set()
-                for j in above[i]:
-                    extra |= above[j] - above[i]
-                if extra:
-                    above[i] |= extra
-                    changed = True
-        for i in range(len(elements)):
-            if i in above[i]:
-                raise ValueError("cover relation has a cycle")
-        return cls(elements, above)
-
     def __len__(self) -> int:
         return len(self.elements)
 
@@ -106,15 +83,6 @@ class Poset:
     def order_complex(self) -> "SimplicialComplex":
         """Simplices are the chains (geometric realization of the poset)."""
         return SimplicialComplex(frozenset(self.chains()), len(self.elements))
-
-    def height(self) -> int:
-        """Length of the longest chain (number of elements in it)."""
-        best = [1] * len(self.elements)
-        # elements with nothing above are finished first
-        for i in sorted(range(len(self.elements)), key=lambda i: len(self.above[i])):
-            for j in self.above[i]:
-                best[i] = max(best[i], best[j] + 1)
-        return max(best, default=0)
 
     def isomorphic_via(self, other: "Poset", mapping: dict) -> bool:
         """Verify that an explicit element bijection is an order isomorphism."""

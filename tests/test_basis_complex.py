@@ -1,14 +1,16 @@
+import functools
 import itertools
 
 import pytest
 
-from grushko.words import generator, parse
+from grushko.words import conjugate, generator, identity, parse
 from grushko.factors import W2Factor, canonical_class, same_class_oracle
 from grushko.membership import is_basis
 from grushko.trees import MarkedTree, caterpillar, collapse, enumerate_shapes, standard_marking
 
 from grushko.basis_complex import (
     PartialBasisComplex,
+    _reduced_words_upto,
     build_from_trees,
     build_unpaired_radius,
     connectivity_report,
@@ -17,6 +19,78 @@ from grushko.basis_complex import (
 from grushko.factors import CompletingBasis, VisibleIn
 
 W = parse
+
+
+@functools.cache
+def _unpaired(n, radius):
+    return build_unpaired_radius(n, radius)
+
+
+def _plain_unpaired(n, radius):
+    """The unpaired build as a plain search, with no shortcut.
+
+    Every (g, h) pair is classified, and every pool conjugator is tried at
+    every core that is left.
+    """
+    conjs = _reduced_words_upto(n, radius)
+    pool = _reduced_words_upto(n, radius + 2)
+
+    def complete(fixed, cores):
+        if not cores:
+            return tuple(fixed) if is_basis(list(fixed)) else None
+        for w in pool:
+            got = complete(fixed + [conjugate(generator(cores[0], n), w)], cores[1:])
+            if got is not None:
+                return got
+        return None
+
+    def cores_left(pairs):
+        return [k for k in range(1, n + 1) if not any(k in p for p in pairs)]
+
+    def joint(combo, fixed):
+        if len(fixed) == 2 * len(combo):
+            return complete(fixed, cores_left([core_of[c] for c in combo]))
+        cls = combo[len(fixed) // 2]
+        for w in pool if fixed else [identity(n)]:
+            got = joint(combo, fixed + [conjugate(cls.a, w), conjugate(cls.b, w)])
+            if got is not None:
+                return got
+        return None
+
+    core_of = {}
+    for i, j in itertools.combinations(range(1, n + 1), 2):
+        for g in conjs:
+            for h in conjs:
+                f = W2Factor(conjugate(generator(i, n), g), conjugate(generator(j, n), h))
+                core_of.setdefault(canonical_class(f), (i, j))
+    certified, uncertified = [], []
+    for cls, pair in core_of.items():
+        basis = complete([cls.a, cls.b], cores_left([pair]))
+        if basis is None:
+            uncertified.append(str(cls))
+        else:
+            certified.append(cls.with_certificate(CompletingBasis(basis)))
+    elements = {frozenset([c]) for c in certified}
+    for size in range(2, n // 2 + 1):
+        for combo in itertools.combinations(certified, size):
+            if len(cores_left([core_of[c] for c in combo])) == n - 2 * size \
+                    and joint(combo, []) is not None:
+                elements.update(frozenset(sub) for k in range(2, size + 1)
+                                for sub in itertools.combinations(combo, k))
+    params = {"radius": radius, "pool_len": radius + 2, "uncertified": sorted(uncertified)}
+    key = lambda c: (c.a.key(), c.b.key())
+    return PartialBasisComplex(
+        n, False, params, sorted(certified, key=key),
+        sorted(elements, key=lambda e: sorted(key(c) for c in e)))
+
+
+@pytest.mark.parametrize("n,radius", [(3, 2), (4, 1)])
+def test_unpaired_build_matches_plain_search(n, radius):
+    sub, ref = _unpaired(n, radius), _plain_unpaired(n, radius)
+    assert sub.to_json() == ref.to_json()
+    assert sub.params["uncertified"] == ref.params["uncertified"]
+    assert [(c, c.certificate.basis) for c in sub.classes] == \
+        [(c, c.certificate.basis) for c in ref.classes]
 
 
 def test_radius_zero_rank4():
@@ -42,8 +116,11 @@ def test_radius_zero_rank3():
 
 
 def test_radius_one_components():
-    sub = build_unpaired_radius(4, 1)
+    sub = _unpaired(4, 1)
     rep = connectivity_report(sub)
+    assert len(sub.elements) == 273
+    # the non-factor deep dihedral classes were excluded, not certified
+    assert len(sub.params["uncertified"]) == 6
     assert rep.num_components == 3
     # every certified class carries a verified completing basis
     for cls in sub.classes:
@@ -51,8 +128,14 @@ def test_radius_one_components():
         assert isinstance(cert, CompletingBasis)
         assert is_basis(list(cert.basis))
         assert cls.a in cert.basis and cls.b in cert.basis
-    # the non-factor deep dihedral classes were excluded, not certified
-    assert sub.params["uncertified"]
+
+
+def test_radius_two_rank3():
+    sub = _unpaired(3, 2)
+    rep = connectivity_report(sub)
+    assert len(sub.elements) == 30
+    assert len(sub.params["uncertified"]) == 33
+    assert rep.num_components == 30 and rep.dimension == 0
 
 
 def test_budget_guard():

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -6,19 +7,19 @@ from grushko.words import (
     conjugate,
     generators,
     identity,
+    involution_core,
     parse,
     random_reduced_word,
     reduce,
 )
 from grushko.membership import (
     NotBasisError,
-    apply,
     compose,
     contains,
     fold,
-    identity_automorphism,
     is_basis,
     make_automorphism,
+    read,
     semidirect_embed,
 )
 
@@ -52,6 +53,61 @@ def test_contains_products():
     assert contains(core, W("x1.x2.x1", 3))
     assert not contains(core, W("x3", 3))
     assert not contains(core, W("x1.x3.x1", 3))
+
+
+def test_read_agrees_with_contains():
+    core = fold([W("x1.x2.x1", 2)])
+    assert read(core, W("x1.x2.x1", 2)) == core.basepoint
+    assert read(core, W("x1", 2)) == 1
+    assert read(core, W("x1.x2", 2)) == 1  # bounces at the mirror
+    assert read(core, W("x2", 2)) is None
+    core = fold([W("x1", 3), W("x2", 3)])
+    for text in ("x1.x2.x1", "x3", "x1.x3.x1", "x2.x1"):
+        w = W(text, 3)
+        assert contains(core, w) == (read(core, w) == core.basepoint)
+    assert read(core, W("x3", 3)) is None
+    assert read(core, W("x1.x2.x3", 3)) is None
+    assert read(core, identity(3)) == core.basepoint
+
+
+def _reduced_words(n, max_len):
+    return [reduce(t, n) for length in range(max_len + 1)
+            for t in itertools.product(range(1, n + 1), repeat=length)
+            if all(a != b for a, b in zip(t, t[1:]))]
+
+
+def test_last_core_shortcut_is_exact():
+    """The completing-basis search skips the last candidate by its coset.
+
+    With n-1 conjugates of distinct generators fixed and x_k the missing
+    one, a candidate p x_k p^-1 whose reading of p leaves the core never
+    completes a basis, and two candidates whose readings end at one vertex
+    give the same answer.
+    """
+    rng = random.Random(11)
+    left, shared = 0, {True: 0, False: 0}
+    for n, max_len, trials in ((3, 5, 40), (4, 4, 15), (5, 3, 12)):
+        pool = _reduced_words(n, max_len)
+        for _ in range(trials):
+            x_k = rng.choice(generators(n))
+            fixed = [conjugate(x, random_reduced_word(rng, n, rng.randrange(0, 4)))
+                     for x in generators(n) if x != x_k]
+            core = fold(fixed)
+            answer_at = {}
+            for w in pool:
+                cand = conjugate(x_k, w)
+                end = read(core, involution_core(cand)[1])
+                ok = is_basis(fixed + [cand])
+                if end is None:
+                    assert not ok
+                    left += 1
+                elif end in answer_at:
+                    assert answer_at[end] == ok, f"vertex {end} gives both answers"
+                    shared[ok] += 1
+                else:
+                    answer_at[end] = ok
+    # both facts are exercised, and shared vertices give both answers
+    assert left > 1000 and min(shared.values()) > 100
 
 
 def test_contains_matches_enumeration():
@@ -107,10 +163,10 @@ def test_is_basis_conjugation_invariant():
 def test_make_automorphism_inverse():
     phi = make_automorphism([W("x1", 4), W("x1.x2.x1", 4), W("x3", 4), W("x4", 4)])
     assert phi.inverse_images[1] == W("x1.x2.x1", 4)
-    ident = identity_automorphism(4)
-    assert apply(ident, W("x1.x3", 4)) == W("x1.x3", 4)
+    ident = make_automorphism(generators(4))
+    assert ident(W("x1.x3", 4)) == W("x1.x3", 4)
     swap = make_automorphism([W("x2", 4), W("x1", 4), W("x3", 4), W("x4", 4)])
-    assert apply(swap, W("x1.x3", 4)) == W("x2.x3", 4)
+    assert swap(W("x1.x3", 4)) == W("x2.x3", 4)
     assert compose(swap, swap).images == ident.images
     with pytest.raises(NotBasisError):
         make_automorphism([W("x1", 3), W("x1", 3), W("x3", 3)])
@@ -133,12 +189,12 @@ def test_random_automorphism_roundtrips():
         n = rng.choice([3, 4, 5])
         phi = _random_automorphism(rng, n)
         w = random_reduced_word(rng, n, rng.randrange(0, 8))
-        assert apply(compose(phi, phi.inverse()), w) == w
-        assert apply(phi.inverse(), apply(phi, w)) == w
+        assert compose(phi, phi.inverse())(w) == w
+        assert phi.inverse()(phi(w)) == w
 
 
 def test_semidirect_embed_examples():
-    ident3 = identity_automorphism(3)
+    ident3 = make_automorphism(generators(3))
     phi = semidirect_embed((reduce((1, 2), 4),), ident3)
     assert phi.images[3] == W("x2.x1.x4.x1.x2", 4)
     trivial = semidirect_embed((identity(4),), ident3)
