@@ -135,6 +135,9 @@ def _complete_to_basis(fixed: list[Word], cores_left: list[int],
         keeps the mirrors of H, and n-1 involutions give at most n-1 of the
         n dimensions of the abelianization (Z/2)^n.
     Only failing candidates are skipped, so the plain search's basis is found.
+    A survivor is decided by folding only its segment onto the core
+    (membership.generates_with, facts (d) and (d')); this is is_basis, since
+    (d'') its count and involution checks hold by construction.
     """
     if not cores_left:
         return tuple(fixed) if membership.is_basis(fixed) else None
@@ -153,7 +156,7 @@ def _complete_to_basis(fixed: list[Word], cores_left: list[int],
         end = membership.read(core, involution_core(cand)[1])
         if end is None or end in rejected:
             continue
-        if membership.is_basis(fixed + [cand]):
+        if membership.generates_with(core, [cand]):
             return tuple(fixed) + (cand,)
         rejected.add(end)
     return None
@@ -228,7 +231,10 @@ def _joint_certificate(combo: list[CanonicalClass], core_of, pool: list[Word]):
     """Basis containing representative pairs of every class, or None.
 
     The first class is pinned to its canonical pair (legitimate up to global
-    conjugation); the others get conjugated over the pool.
+    conjugation); the others get conjugated over the pool.  A last pair that
+    completes the n involutions is folded onto the core of the pairs before
+    it, folded once; by (d), (d') and (d'') of _complete_to_basis this
+    decides is_basis.
     """
     n = combo[0].rank
     used_cores = {k for c in combo for k in core_of[c]}
@@ -238,8 +244,14 @@ def _joint_certificate(combo: list[CanonicalClass], core_of, pool: list[Word]):
         if idx == len(combo):
             return _complete_to_basis(fixed, cores_left, pool)
         cls = combo[idx]
+        last = idx == len(combo) - 1 and not cores_left
+        core = membership.fold(fixed) if last else None
         for w in pool if idx else [identity(n)]:
             a, b = conjugate(cls.a, w), conjugate(cls.b, w)
+            if last:
+                if membership.generates_with(core, [a, b]):
+                    return tuple(fixed) + (a, b)
+                continue
             got = place(idx + 1, fixed + [a, b])
             if got is not None:
                 return got

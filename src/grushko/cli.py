@@ -17,7 +17,7 @@ from .jsoncheck import check
 from .membership import contains, fold, make_automorphism, semidirect_embed
 from .factors import parse_class
 from .trees import BudgetExceededError, MarkedTree, enumerate_shapes, shape_poset
-from .visibility import certify_partial_basis, visible_classes, visible_classes_brute, visible_words
+from .visibility import certify_partial_basis, visible_classes, visible_classes_brute
 from .topology import SimplicialComplex, betti, homology_report_json
 from .basis_complex import PartialBasisComplex, build_from_trees, build_unpaired_radius, connectivity_report
 from .verify import RunConfig, run_all
@@ -63,8 +63,16 @@ def _load_tree(path: str) -> MarkedTree:
     return _load(path, MarkedTree.from_json)
 
 
+def _rank(text: str) -> int:
+    """argparse type of --n: a rank is at least 1, else exit 2 with a message."""
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"rank must be >= 1, got {n}")
+    return n
+
+
 def _infer_rank(texts: list[str], flag: int | None) -> int:
-    if flag:
+    if flag is not None:
         return flag
     best = 1
     for t in texts:
@@ -168,10 +176,13 @@ def cmd_shapes(args) -> int:
 
 def cmd_homology(args) -> int:
     cx = _load(args.infile, SimplicialComplex.from_json)
-    _emit(homology_report_json(cx))
+    # betti runs first, so that a bad --field exits 2 before any output
+    ranks = None
     if args.field:
-        field = "Q" if args.field == "Q" else int(args.field)
-        _note(f"reduced betti over {args.field}: {betti(cx, field)}")
+        ranks = betti(cx, "Q" if args.field == "Q" else int(args.field))
+    _emit(homology_report_json(cx))
+    if ranks is not None:
+        _note(f"reduced betti over {args.field}: {ranks}")
     return 0
 
 
@@ -230,26 +241,6 @@ def cmd_verify_all(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    if args.n < 2 or args.repeat < 1:
-        _note("error: bench needs --n >= 2 and --repeat >= 1")
-        raise SystemExit(2)
-    sweeps = [(shape.segment_masks, i)
-              for shape in enumerate_shapes(args.n) for i in range(1, args.n // 2 + 1)]
-    best = float("inf")
-    for _ in range(args.repeat):
-        t0 = time.perf_counter()
-        results = [visible_words(masks, 2 * i - 1, 2 * i) for masks, i in sweeps]
-        best = min(best, time.perf_counter() - t0)
-    nodes = sum(count for _, count in results)
-    visible = sum(len(words) for words, _ in results)
-    _emit({"n": args.n, "sweeps": len(sweeps), "nodes": nodes, "visible": visible,
-           "seconds": round(best, 6)})
-    _note(f"{len(sweeps)} sweeps, {nodes} search nodes, {visible} visible words: "
-          f"{best * 1e3:.2f} ms (best of {args.repeat})")
-    return 0
-
-
 # ---------------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
@@ -261,12 +252,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("words", help="reduce or multiply words")
     p.add_argument("op", choices=["reduce", "multiply"])
     p.add_argument("words", nargs="+")
-    p.add_argument("--n", type=int, default=None)
+    p.add_argument("--n", type=_rank, default=None)
     p.set_defaults(fn=cmd_words)
 
     p = sub.add_parser("fold", help="fold subgroup generators into a core graph")
     p.add_argument("--words", required=True, help="comma-separated generator words")
-    p.add_argument("--n", type=int, default=None)
+    p.add_argument("--n", type=_rank, default=None)
     p.add_argument("--member", default=None, help="also test membership of this word")
     p.add_argument("--dot", action="store_true", help="emit graphviz instead of JSON")
     p.set_defaults(fn=cmd_fold)
@@ -285,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_certify)
 
     p = sub.add_parser("shapes", help="enumerate reduced shapes / the spine poset")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_rank, required=True)
     p.add_argument("--poset", action="store_true")
     p.add_argument("--up-to-relabeling", action="store_true")
     p.set_defaults(fn=cmd_shapes)
@@ -298,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bp", help="build/report partial-basis complexes")
     bp_sub = p.add_subparsers(dest="bp_op", required=True)
     b = bp_sub.add_parser("build")
-    b.add_argument("--n", type=int, required=True)
+    b.add_argument("--n", type=_rank, required=True)
     b.add_argument("--trees", default=None, help="comma-separated tree JSON paths")
     b.add_argument("--unpaired", action="store_true")
     b.add_argument("--radius", type=int, default=0)
@@ -308,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     r.set_defaults(fn=cmd_bp)
 
     p = sub.add_parser("gn-embed", help="extend a rank-3 automorphism by conjugations")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_rank, required=True)
     p.add_argument("--words", default="", help="comma-separated w_4..w_n")
     p.add_argument("--phi3", default='["x1","x2","x3"]',
                    help="JSON list of three image words")
@@ -317,17 +308,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_gn_embed)
 
     p = sub.add_parser("verify-all", help="run the acceptance criteria")
-    p.add_argument("--n", type=int, default=5)
+    p.add_argument("--n", type=_rank, default=5)
     p.add_argument("--radius", type=int, default=1)
     p.add_argument("--vertex-cap", type=int, default=10 ** 6)
     p.add_argument("--seed", type=int, default=20240601)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_verify_all)
-
-    p = sub.add_parser("bench", help="time the visibility search over the rank-n fixture trees")
-    p.add_argument("--n", type=int, default=5)
-    p.add_argument("--repeat", type=int, default=5)
-    p.set_defaults(fn=cmd_bench)
 
     return ap
 

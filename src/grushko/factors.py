@@ -26,6 +26,7 @@ the canonical form, the canonical form is unsound and the build fails.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .words import (
@@ -132,12 +133,20 @@ def _pair_key(pair: tuple[Word, Word]) -> tuple:
     return (len(a) + len(b), len(a), a.letters, b.letters)
 
 
-def _candidate_pairs(a: Word, b: Word):
-    """All canonical-form candidates for the conjugacy class of <a, b>.
+def _candidate_pairs(a: Word, b: Word, bound: list | tuple = (math.inf,)):
+    """Canonical-form candidates for the conjugacy class of <a, b>.
 
     Swapping the pair covers rotations of c^-1; the window bound comes from
     |z^j s| >= |j| |z| - |s|, so any candidate beating the j = 0 one in its
     own rotation family has |j| inside the window.
+
+    (e) bound[0] is read at every shift, so a caller may lower it to the
+    least |a| + |b| seen (the default yields the whole window).  z^j is
+    reduced (crot is cyclically reduced, z its prefix root), so
+    s = reduce(z^(+-j) ar) has |s| >= j|z| - |ar|, and |s crot| >= |s| - |crot|.
+    This bound 2(j|z| - |ar|) - |crot| on the sum, which _pair_key compares
+    first, grows with j, so a family stops once it strictly exceeds bound[0]
+    (equal sums are decided later in the key).
     """
     for base_a, base_b in ((a, b), (b, a)):
         t = base_a * base_b
@@ -157,6 +166,8 @@ def _candidate_pairs(a: Word, b: Word):
             ar = conjugate(a1, ~p)
             window = (3 * len(ar) + len(crot)) // zlen + 2
             for j in range(0, window + 1, step):
+                if 2 * (j * zlen - len(ar)) - len(crot) > bound[0]:
+                    break
                 s = reduce(zrot.letters * j + ar.letters, c.rank)
                 yield (s, s * crot)
                 if j:
@@ -168,15 +179,19 @@ def canonical_pair(a: Word, b: Word, memo: dict | None = None) -> tuple[Word, Wo
     """Canonical representative pair for the conjugacy class of <a, b>.
 
     With a memo, the pair is looked up in it by (a, b) and stored there.
+    The window search stops at the least sum found (_candidate_pairs (e)).
     """
     if memo is not None:
         hit = memo.get((a, b))
         if hit is not None:
             return hit
-    best = None
-    for cand in _candidate_pairs(a, b):
-        if best is None or _pair_key(cand) < _pair_key(best):
-            best = cand
+    best = best_key = None
+    bound = [math.inf]
+    for cand in _candidate_pairs(a, b, bound):
+        key = _pair_key(cand)
+        if best is None or key < best_key:
+            best, best_key = cand, key
+            bound[0] = key[0]
     assert best is not None
     if memo is not None:
         memo[a, b] = best

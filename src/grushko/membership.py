@@ -110,16 +110,18 @@ class _Folder:
     through a stale far-endpoint id are rebased via the potentials.
     """
 
-    def __init__(self, rank: int, track: bool, nwit: int):
+    def __init__(self, rank: int, track: bool, nwit: int, core: CoreGraph | None = None):
+        """Start from the basepoint alone, or, untracked, from a copy of core."""
         self.rank = rank
         self.track = track
         self.wident = identity(nwit) if track else None
-        self.parent = [0]
-        self.pot: list = [self.wident]
-        self.adj: list[dict[int, int]] = [{}]
-        self.mirrors: list[set[int]] = [set()]
-        self.ewit: list[dict[int, Word]] = [{}]
-        self.mwit: list[dict[int, Word]] = [{}]
+        adj = core.adj if core else [{}]
+        self.parent = list(range(len(adj)))
+        self.pot: list = [self.wident] * len(adj)
+        self.adj: list[dict[int, int]] = [dict(nbrs) for nbrs in adj]
+        self.mirrors: list[set[int]] = [set(ms) for ms in core.mirrors] if core else [set()]
+        self.ewit: list[dict[int, Word]] = [{} for _ in adj]
+        self.mwit: list[dict[int, Word]] = [{} for _ in adj]
         self.queue: deque = deque()
 
     # -- union-find with potentials --------------------------------------
@@ -160,6 +162,16 @@ class _Folder:
 
     def add_mirror(self, u: int, j: int, wit: Word | None):
         self.queue.append(("mirror", u, j, wit))
+
+    def add_involution(self, g: Word, wit: Word | None):
+        """Queue g = p x_j p^-1 as a segment spelling p with a mirror j at its end."""
+        j, prefix = involution_core(g)
+        u = 0
+        for a in prefix.letters:
+            v = self.new_vertex()
+            self.add_edge(u, a, v, self.wident)
+            u = v
+        self.add_mirror(u, j, wit)
 
     # -- merging ----------------------------------------------------------
     def _merge(self, a: int, b: int, m: Word | None):
@@ -288,13 +300,7 @@ def fold(gens: list[Word], track_witnesses: bool = False) -> CoreGraph:
             continue
         ygen = Word((k + 1,), nwit) if track_witnesses else None
         if g.is_involution:
-            j, prefix = involution_core(g)
-            u = 0
-            for a in prefix.letters:
-                v = f.new_vertex()
-                f.add_edge(u, a, v, wident)
-                u = v
-            f.add_mirror(u, j, ygen)
+            f.add_involution(g, ygen)
         else:
             u = 0
             for i, a in enumerate(g.letters):
@@ -376,6 +382,24 @@ def is_basis(candidates: list[Word]) -> bool:
     if not all(c.is_involution for c in candidates):
         return False
     return generates(candidates)
+
+
+def generates_with(core: CoreGraph, extra: list[Word]) -> bool:
+    """True iff <H, extra> = W_n, for H folded as core and extra involutions.
+
+    (d) Folding is confluent, so the segments of extra folded onto a copy
+        of the core give the core of <H, extra>.
+    (d') x_j lies in a subgroup iff j is a mirror at the basepoint (run()
+        turns a j-loop into a mirror), so the subgroup is W_n iff the
+        basepoint carries all n mirrors: what generates checks via contains.
+    """
+    if any(g.rank != core.rank for g in extra):
+        raise RankMismatchError("word rank does not match core rank")
+    f = _Folder(core.rank, False, 1, core)
+    for g in extra:
+        f.add_involution(g, None)
+    f.run()
+    return len(f.mirrors[f.find(0)]) == core.rank
 
 
 # ---------------------------------------------------------------------------

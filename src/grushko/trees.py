@@ -274,7 +274,9 @@ class MarkedTree:
         data = json.loads(text)
         check(data, {"vertices": list})
         ids = range(len(data["vertices"]))
-        check(data, {"vertices": [{"id": ids, "label": ("trivial", {"slot": int})}],
+        # a slot names a distinct vertex, so n <= len(ids) bounds the marking keys
+        slots = range(1, len(ids) + 1)
+        check(data, {"vertices": [{"id": ids, "label": ("trivial", {"slot": slots})}],
                      "edges": [[ids, ids]], "marking": dict})
         slot_of = [0] * len(ids)
         for item in data["vertices"]:
@@ -515,10 +517,13 @@ def enumerate_shapes(n: int, up_to_relabeling: bool = False) -> list[TreeShape]:
     """All reduced shapes for rank n up to label-preserving isomorphism.
 
     With up_to_relabeling=True, shapes are quotiented by slot permutations
-    instead (one labeled representative per unlabeled shape).
+    instead (one labeled representative per unlabeled shape).  Rank 6 has
+    6,692 shapes and rank 7 already 143,816, so n is capped at 6.
     """
     if n < 2:
         raise ValueError("need n >= 2")
+    if n > 6:
+        raise ValueError("desk scale exceeded: n <= 6")
     out = {}
     for slot_of, edges in _anonymous_shapes(n):
         marked = [v for v, s in enumerate(slot_of) if s]

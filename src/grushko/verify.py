@@ -71,6 +71,8 @@ class RunConfig:
     def __post_init__(self):
         if self.n_max < 2 or self.radius < 0 or self.vertex_cap < 1:
             raise ValueError("budgets must be positive and n >= 2")
+        if self.n_max > 6:
+            raise ValueError("desk scale exceeded: n <= 6")
 
 
 @dataclass

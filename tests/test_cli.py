@@ -100,12 +100,42 @@ def test_gn_embed(capsys):
     assert data["images"][3] == "x2*x1*x4*x1*x2"
 
 
-def test_bench_tiny(capsys):
-    code, out, _ = run_cli(capsys, "bench", "--n", "3", "--repeat", "1")
-    assert code == 0
-    data = json.loads(out)
-    assert (data["sweeps"], data["nodes"], data["visible"]) == (4, 28, 20)
-    assert data["seconds"] >= 0
+def exit_code(capsys, *argv):
+    """Exit code of the CLI, whether main returns it or argparse raises it."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", [["shapes", "--n", "99"], ["shapes", "--n", "7", "--poset"],
+                                  ["verify-all", "--n", "9"]])
+def test_rank_above_desk_scale_exits_2_at_once(capsys, argv):
+    code, out, err = exit_code(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "desk scale exceeded: n <= 6" in err
+
+
+@pytest.mark.parametrize("argv", [["words", "reduce", "12", "--n", "0"],
+                                  ["fold", "--words", "x1", "--n", "-1"],
+                                  ["bp", "build", "--n", "0", "--unpaired"]])
+def test_rank_flag_below_one_exits_2(capsys, argv):
+    code, out, err = exit_code(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "rank must be >= 1" in err
+
+
+def test_bad_field_exits_2_before_any_output(tmp_path, capsys):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(COMPLEX))
+    code, out, err = exit_code(capsys, "homology", "--in", str(path), "--field", "4")
+    assert code == 2 and out == ""
+    assert "4 is not prime" in err
+    code, out, err = exit_code(capsys, "homology", "--in", str(path), "--field", "3")
+    assert code == 0 and json.loads(out)
+    assert "reduced betti over 3" in err
 
 
 TREE = json.loads(caterpillar(2).to_json())
@@ -193,3 +223,5 @@ def test_run_config_validation():
         RunConfig(n_max=1)
     with pytest.raises(ValueError):
         RunConfig(vertex_cap=0)
+    with pytest.raises(ValueError, match="desk scale"):
+        RunConfig(n_max=7)

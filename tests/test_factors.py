@@ -4,6 +4,7 @@ import random
 import pytest
 
 from grushko.words import Word, conjugate, generator, generators, parse, random_reduced_word
+from grushko import factors as factors_module
 from grushko.factors import (
     Axiomatic,
     CanonicalClass,
@@ -11,6 +12,8 @@ from grushko.factors import (
     CompletingBasis,
     VisibleIn,
     W2Factor,
+    _candidate_pairs,
+    _pair_key,
     canonical_class,
     canonical_pair,
     make_factor,
@@ -74,6 +77,13 @@ def _involutions(n, max_conj):
     return sorted(set(words), key=lambda w: w.key())
 
 
+def _oracle_factors():
+    """Factors with |a| + |b| <= 6 at rank 4."""
+    invs = _involutions(4, 2)
+    return [W2Factor(a, b) for a, b in itertools.combinations(invs, 2)
+            if len(a) + len(b) <= 6]
+
+
 def test_canonical_agrees_with_oracle_exhaustively():
     """Each canonical class is one oracle class, distinct classes separate.
 
@@ -81,12 +91,8 @@ def test_canonical_agrees_with_oracle_exhaustively():
     oracle; a single disagreement here means the canonical form is unsound
     and the build must fail.
     """
-    n = 4
-    invs = _involutions(n, 2)
-    factors = [W2Factor(a, b) for a, b in itertools.combinations(invs, 2)
-               if len(a) + len(b) <= 6]
     byclass = {}
-    for f in factors:
+    for f in _oracle_factors():
         byclass.setdefault(canonical_class(f), []).append(f)
     for cls, members in byclass.items():
         rep = members[0]
@@ -95,6 +101,27 @@ def test_canonical_agrees_with_oracle_exhaustively():
     reps = [ms[0] for ms in byclass.values()]
     for f, g in itertools.combinations(reps, 2):
         assert not same_class_oracle(f, g), (f, g)
+
+
+def test_length_bound_keeps_the_full_scan_minimum(monkeypatch):
+    """canonical_pair stops each window at the least sum seen so far; on the
+    oracle test's factor set it still returns the full scan's minimum, in
+    both orders, and the bound does drop candidates."""
+    compared = 0
+
+    def counting_key(pair):
+        nonlocal compared
+        compared += 1
+        return _pair_key(pair)
+
+    monkeypatch.setattr(factors_module, "_pair_key", counting_key)
+    scanned = 0
+    for f in _oracle_factors():
+        for a, b in ((f.a, f.b), (f.b, f.a)):
+            full_scan = list(_candidate_pairs(a, b))  # the reference: no bound
+            scanned += len(full_scan)
+            assert canonical_pair(a, b) == min(full_scan, key=_pair_key), (a, b)
+    assert 0 < compared < scanned
 
 
 def test_canonical_pair_invariances():

@@ -17,6 +17,7 @@ from grushko.membership import (
     compose,
     contains,
     fold,
+    generates_with,
     is_basis,
     make_automorphism,
     read,
@@ -108,6 +109,35 @@ def test_last_core_shortcut_is_exact():
                     answer_at[end] = ok
     # both facts are exercised, and shared vertices give both answers
     assert left > 1000 and min(shared.values()) > 100
+
+
+def test_generates_with_agrees_with_is_basis():
+    """Folding new involutions onto a folded core decides is_basis.
+
+    n-1 fixed conjugates of distinct generators get one more involution,
+    n-2 get two, from conjugators of length <= 3; the new cores are the
+    missing ones or random ones.
+    """
+    rng = random.Random(17)
+    answers = {True: 0, False: 0}
+    for n, trials in ((3, 90), (4, 60), (5, 40)):
+        pool = _reduced_words(n, 3)
+        for _ in range(trials):
+            extra_count = rng.choice((1, 2))
+            missing = rng.sample(generators(n), extra_count)
+            fixed = [conjugate(x, rng.choice(pool)) for x in generators(n) if x not in missing]
+            core = fold(fixed)
+            cores = missing if rng.random() < 0.8 else rng.choices(generators(n), k=extra_count)
+            for _ in range(12):
+                if extra_count == 1 or rng.random() < 0.5:
+                    extra = [conjugate(x, rng.choice(pool)) for x in cores]
+                else:  # one conjugator for the pair, as a joint certificate places it
+                    w = rng.choice(pool)
+                    extra = [conjugate(x, w) for x in cores]
+                ok = generates_with(core, extra)
+                assert ok == is_basis(fixed + extra), (fixed, extra)
+                answers[ok] += 1
+    assert answers[True] >= 100 and answers[False] >= 1000, answers
 
 
 def test_contains_matches_enumeration():

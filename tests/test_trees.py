@@ -146,6 +146,15 @@ def test_enumerate_shapes_counts():
     assert len(enumerate_shapes(4, up_to_relabeling=True)) == 5
 
 
+def test_enumerate_shapes_rank_bound():
+    # rank 7 has 143,816 shapes; the enumeration refuses it before any work
+    for n in (7, 99):
+        with pytest.raises(ValueError, match="desk scale exceeded"):
+            enumerate_shapes(n)
+        with pytest.raises(ValueError, match="desk scale exceeded"):
+            shape_poset(n)
+
+
 def test_canonical_key_relabeling_invariant():
     rng = random.Random(23)
     for shape in enumerate_shapes(4)[::3]:
