@@ -43,7 +43,7 @@ class PartialBasisComplex:
     elements: list[frozenset[CanonicalClass]]
 
     def poset(self) -> Poset:
-        return Poset.from_leq(self.elements, lambda a, b: a <= b)
+        return Poset.by_inclusion(self.elements)
 
     def order_complex(self) -> SimplicialComplex:
         if not self.elements:

@@ -71,8 +71,8 @@ class RunConfig:
     def __post_init__(self):
         if self.n_max < 2 or self.radius < 0 or self.vertex_cap < 1:
             raise ValueError("budgets must be positive and n >= 2")
-        if self.n_max > 6:
-            raise ValueError("desk scale exceeded: n <= 6")
+        if self.n_max > 5:  # the budgets are stated for n <= 5
+            raise ValueError("desk scale exceeded: n <= 5")
 
 
 @dataclass
@@ -163,7 +163,7 @@ def check_2_fiber_structure(config: RunConfig) -> dict:
                 for fam_i, fam in enumerate(fiber.families)
                 if cls in fam.classes)
             mapping[element] = key
-        poset = Poset.from_leq(fiber.elements, lambda a, b: a <= b)
+        poset = Poset.by_inclusion(fiber.elements)
         if not poset.isomorphic_via(target, mapping):
             raise CheckFailure(f"fiber of {tree!r} is not the selection poset {sizes}")
         cx = poset.order_complex()

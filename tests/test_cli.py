@@ -1,5 +1,9 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -111,11 +115,13 @@ def exit_code(capsys, *argv):
 
 
 @pytest.mark.parametrize("argv", [["shapes", "--n", "99"], ["shapes", "--n", "7", "--poset"],
-                                  ["verify-all", "--n", "9"]])
+                                  ["verify-all", "--n", "9"], ["verify-all", "--n", "6"]])
 def test_rank_above_desk_scale_exits_2_at_once(capsys, argv):
     code, out, err = exit_code(capsys, *argv)
     assert code == 2 and out == ""
-    assert "desk scale exceeded: n <= 6" in err
+    # verify-all's budgets are stated for n <= 5
+    bound = 5 if argv[0] == "verify-all" else 6
+    assert f"desk scale exceeded: n <= {bound}" in err
 
 
 @pytest.mark.parametrize("argv", [["words", "reduce", "12", "--n", "0"],
@@ -225,3 +231,20 @@ def test_run_config_validation():
         RunConfig(vertex_cap=0)
     with pytest.raises(ValueError, match="desk scale"):
         RunConfig(n_max=7)
+    with pytest.raises(ValueError, match="desk scale"):
+        RunConfig(n_max=6)
+
+
+def test_python_dash_m_runs_the_cli_from_a_checkout():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "grushko", *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+
+    done = run("words", "reduce", "x1.x2.x2")
+    assert done.returncode == 0 and json.loads(done.stdout)["word"] == "x1"
+    done = run("verify-all", "--n", "6")
+    assert done.returncode == 2 and done.stdout == ""
+    assert "desk scale exceeded: n <= 5" in done.stderr

@@ -62,6 +62,8 @@ def height(poset: Poset) -> int:
 def test_face_closure_enforced():
     with pytest.raises(ValueError):
         SimplicialComplex(frozenset([(0, 1, 2)]))
+    with pytest.raises(ValueError, match="degenerate"):
+        SimplicialComplex(frozenset([(0,), ()]))
 
 
 def test_boundary_squared_zero():
@@ -285,7 +287,7 @@ def test_cleared_snf_equals_uncleared():
         cc = cx.chain_complex
         assert cc.invariant_factors() == [matrix_snf(b) for b in cc.boundaries]
     assert integral_homology(RP2)[1] == (0, (2,))
-    assert RP2.chain_complex.invariant_factors()[2] == [1] * 9 + [2]
+    assert matrix_snf(_full_boundaries(RP2)[2]) == [1] * 9 + [2]
 
 
 def _random_sparse(rng, m, n, values):
@@ -332,9 +334,9 @@ def test_one_chain_complex_per_complex(monkeypatch):
     builds = []
     init = ChainComplex.__init__
 
-    def counting_init(self, complex_):
+    def counting_init(self, complex_, *args, **kwargs):
         builds.append(complex_)
-        init(self, complex_)
+        init(self, complex_, *args, **kwargs)
 
     monkeypatch.setattr(ChainComplex, "__init__", counting_init)
     for sizes in [(2, 2), (3, 2, 2), (1, 4)]:
@@ -345,3 +347,114 @@ def test_one_chain_complex_per_complex(monkeypatch):
     cx = join_poset([2, 3]).order_complex()
     betti(cx, "Q"), betti(cx, 2), integral_homology(cx), homology_report_json(cx)
     assert builds == [cx]
+
+
+# ---------------------------------------------------------------------------
+# the inclusion builder, the trusted order complex, and coreduction
+# ---------------------------------------------------------------------------
+
+def _random_inclusion_family(rng, ground, count):
+    """Distinct subsets of range(ground), in random order (not a linear extension)."""
+    family = {frozenset(rng.sample(range(ground), rng.randrange(0, ground + 1)))
+              for _ in range(count)}
+    family = list(family)
+    rng.shuffle(family)
+    return family
+
+
+def _chains_along_above(poset):
+    """Every chain, grown along `above` from its least element, then sorted."""
+    out = []
+
+    def grow(chain):
+        out.append(tuple(sorted(chain)))
+        for j in poset.above[chain[-1]]:
+            grow(chain + [j])
+
+    for i in range(len(poset)):
+        grow([i])
+    return out
+
+
+def _inclusion_posets():
+    wedges = [join_poset(list(s)) for k in range(1, 5)
+              for s in itertools.combinations_with_replacement(range(1, 5), k)]
+    rng = random.Random(20241018)
+    families = [_random_inclusion_family(rng, rng.randrange(1, 6), rng.randrange(1, 14))
+                for _ in range(60)]
+    return wedges + [Poset.by_inclusion(f) for f in families]
+
+
+def test_inclusion_builder_and_trusted_order_complex():
+    for poset in _inclusion_posets():
+        assert poset.above == Poset.from_leq(poset.elements, lambda a, b: a <= b).above
+        chains = list(itertools.chain.from_iterable(poset.chains()))
+        assert sorted(chains) == sorted(_chains_along_above(poset))
+        cx = poset.order_complex()
+        checked = SimplicialComplex(frozenset(chains), len(poset))
+        assert cx.simplices == checked.simplices and cx.grades == checked.grades
+        assert cx.vertices == checked.vertices and cx.num_vertices == len(poset)
+    assert Poset.by_inclusion([]).order_complex().simplices == frozenset()
+
+
+def test_bad_above_relation_raises():
+    reflexive = Poset("ab", [{0, 1}, set()])
+    with pytest.raises(ValueError, match="above itself"):
+        reflexive.order_complex()
+    # 0 < 1 < 2 without 0 < 2
+    intransitive = Poset("abc", [{1}, {2}, set()])
+    with pytest.raises(ValueError, match="not transitive"):
+        intransitive.order_complex()
+    cyclic = Poset("ab", [{1}, {0}])
+    with pytest.raises(ValueError):
+        cyclic.order_complex()
+
+
+def _full_boundaries(cx):
+    """The augmented boundary matrices of every simplex, with no coreduction."""
+    grades = cx.grades
+    out = [{c: {0: 1} for c in range(len(grades[0]))}] if grades else []
+    for k in range(1, len(grades)):
+        row = {s: i for i, s in enumerate(grades[k - 1])}
+        out.append({c: {row[s[:i] + s[i + 1:]]: (-1) ** i for i in range(k + 1)}
+                    for c, s in enumerate(grades[k])})
+    return out
+
+
+def _reference_homology(cx):
+    """Betti numbers over Q, F2, F3 and integral homology, from the full boundaries."""
+    full = _full_boundaries(cx)
+    sizes = [len(g) for g in cx.grades]
+    bettis = {}
+    for field in ("Q", 2, 3):
+        ranks = [_dense_rank(list(b.values()), None if field == "Q" else field) for b in full]
+        assert ranks == [matrix_rank(b, field) for b in full]
+        ranks.append(0)
+        bettis[field] = {k: n - ranks[k] - ranks[k + 1] for k, n in enumerate(sizes)}
+    snfs = [matrix_snf(b) for b in full] + [[]]
+    hom = {k: (n - len(snfs[k]) - len(snfs[k + 1]), tuple(sorted(d for d in snfs[k + 1] if d > 1)))
+           for k, n in enumerate(sizes)}
+    return bettis, hom
+
+
+def _barycentric(cx):
+    """Order complex of the face poset: the barycentric subdivision of cx."""
+    return Poset.by_inclusion(frozenset(s) for s in cx.simplices).order_complex()
+
+
+def test_coreduced_homology_equals_full_boundary_reference():
+    rng = random.Random(20241019)
+    randoms = [_random_complex(rng, rng.randrange(4, 8)) for _ in range(200)]
+    posets = [Poset.by_inclusion(_random_inclusion_family(rng, 4, rng.randrange(1, 10)))
+              for _ in range(30)]
+    subdivided_rp2 = _barycentric(RP2)
+    complexes = [*_fixture_complexes(), *randoms, *(p.order_complex() for p in posets),
+                 subdivided_rp2]
+    for cx in complexes:
+        bettis, hom = _reference_homology(cx)
+        for field, want in bettis.items():
+            assert betti(cx, field) == want, (field, sorted(cx.simplices))
+        assert integral_homology(cx) == hom, sorted(cx.simplices)
+        assert cx.chain_complex.boundary_squared_is_zero()
+    assert integral_homology(subdivided_rp2) == {0: (0, ()), 1: (0, (2,)), 2: (0, ())}
+    assert subdivided_rp2.f_vector() == [31, 90, 60]
