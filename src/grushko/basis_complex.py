@@ -104,6 +104,9 @@ def _element_key(e: frozenset) -> tuple:
 # unpaired radius construction
 # ---------------------------------------------------------------------------
 
+# conjugator radius budget of build_unpaired_radius (the pool adds 2 letters)
+MAX_RADIUS = 8
+
 def _reduced_words_upto(n: int, max_len: int) -> list[Word]:
     out = [identity(n)]
     frontier = [()]
@@ -153,13 +156,27 @@ def _complete_to_basis(fixed: list[Word], cores_left: list[int],
     rejected: set[int] = set()
     for w in pool:
         cand = conjugate(x_k, w)
-        end = membership.read(core, involution_core(cand)[1])
-        if end is None or end in rejected:
+        end, tail = membership.read(core, involution_core(cand)[1])
+        if tail or end in rejected:
             continue
         if membership.generates_with(core, [cand]):
             return tuple(fixed) + (cand,)
         rejected.add(end)
     return None
+
+
+def _retraction_generates(a: Word, b: Word, i: int, j: int) -> bool:
+    """(f) False when no basis of W_n contains a (core i) and b (core j).
+
+    Deleting every letter other than x_i and x_j is a homomorphism rho onto
+    <x_i, x_j>, the infinite dihedral group, since W_n is a free product.
+    The cores of a basis are a permutation of 1..n (its image in (Z/2)^n is
+    a basis), so rho sends every other member to 1, and rho(a), rho(b) must
+    generate.  Two reflections of the infinite dihedral group generate it
+    only when they are adjacent: their product has length 2.
+    """
+    kept = [x for x in a.letters + b.letters if x == i or x == j]
+    return len(reduce(kept, a.rank)) == 2
 
 
 def build_unpaired_radius(n: int, radius: int) -> PartialBasisComplex:
@@ -173,9 +190,12 @@ def build_unpaired_radius(n: int, radius: int) -> PartialBasisComplex:
     (c) The class depends only on v = g^-1 h: conjugating by g^-1 gives
     <x_i, v x_j v^-1>, and x_i v or v x_j give the same class.  So it is
     computed once per v with a leading x_i and a trailing x_j stripped.
+    A class that fails (f) gets no completing-basis search.
     """
-    if n > 5 or radius > 8:
-        raise ValueError("budgeted construction: n <= 5 and radius <= 8")
+    if radius < 0:
+        raise ValueError(f"radius must be >= 0, got {radius}")
+    if n > 5 or radius > MAX_RADIUS:
+        raise ValueError(f"budgeted construction: n <= 5 and radius <= {MAX_RADIUS}")
     conjs = _reduced_words_upto(n, radius)
     pool = _reduced_words_upto(n, radius + 2)
     classes: dict[CanonicalClass, tuple[int, int]] = {}
@@ -201,7 +221,8 @@ def build_unpaired_radius(n: int, radius: int) -> PartialBasisComplex:
     uncertified: list[str] = []
     for cls, (i, j) in classes.items():
         cores_left = [k for k in range(1, n + 1) if k not in (i, j)]
-        basis = _complete_to_basis([cls.a, cls.b], cores_left, pool)
+        basis = _complete_to_basis([cls.a, cls.b], cores_left, pool) \
+            if _retraction_generates(cls.a, cls.b, i, j) else None
         if basis is None:
             uncertified.append(str(cls))
             continue
@@ -235,6 +256,12 @@ def _joint_certificate(combo: list[CanonicalClass], core_of, pool: list[Word]):
     completes the n involutions is folded onto the core of the pairs before
     it, folded once; by (d), (d') and (d'') of _complete_to_basis this
     decides is_basis.
+
+    (g) With H generated by the pairs before it, w = hw' for h in H gives
+    <H, w<a,b>w^-1> = <H, w'<a,b>w'^-1>, so the answer depends only on the
+    coset Hw, which membership.read names by (vertex, tail).  A rejected
+    (vertex, tail) is never folded again; unlike (b), a reading that leaves
+    the core is a key, not a rejection.
     """
     n = combo[0].rank
     used_cores = {k for c in combo for k in core_of[c]}
@@ -244,17 +271,23 @@ def _joint_certificate(combo: list[CanonicalClass], core_of, pool: list[Word]):
         if idx == len(combo):
             return _complete_to_basis(fixed, cores_left, pool)
         cls = combo[idx]
-        last = idx == len(combo) - 1 and not cores_left
-        core = membership.fold(fixed) if last else None
-        for w in pool if idx else [identity(n)]:
-            a, b = conjugate(cls.a, w), conjugate(cls.b, w)
-            if last:
-                if membership.generates_with(core, [a, b]):
-                    return tuple(fixed) + (a, b)
+        conjugators = pool if idx else [identity(n)]
+        if idx < len(combo) - 1 or cores_left:
+            for w in conjugators:
+                got = place(idx + 1, fixed + [conjugate(cls.a, w), conjugate(cls.b, w)])
+                if got is not None:
+                    return got
+            return None
+        core = membership.fold(fixed)
+        rejected: set[tuple[int, tuple[int, ...]]] = set()
+        for w in conjugators:
+            key = membership.read(core, w)
+            if key in rejected:
                 continue
-            got = place(idx + 1, fixed + [a, b])
-            if got is not None:
-                return got
+            a, b = conjugate(cls.a, w), conjugate(cls.b, w)
+            if membership.generates_with(core, [a, b]):
+                return tuple(fixed) + (a, b)
+            rejected.add(key)
         return None
 
     return place(0, [])

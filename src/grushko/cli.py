@@ -19,7 +19,13 @@ from .factors import parse_class
 from .trees import BudgetExceededError, MarkedTree, enumerate_shapes, shape_poset
 from .visibility import certify_partial_basis, visible_classes, visible_classes_brute
 from .topology import SimplicialComplex, betti, homology_report_json
-from .basis_complex import PartialBasisComplex, build_from_trees, build_unpaired_radius, connectivity_report
+from .basis_complex import (
+    MAX_RADIUS,
+    PartialBasisComplex,
+    build_from_trees,
+    build_unpaired_radius,
+    connectivity_report,
+)
 from .verify import RunConfig, run_all
 
 
@@ -69,6 +75,14 @@ def _rank(text: str) -> int:
     if n < 1:
         raise argparse.ArgumentTypeError(f"rank must be >= 1, got {n}")
     return n
+
+
+def _radius(text: str) -> int:
+    """argparse type of --radius: the unpaired builds' budget, else exit 2."""
+    r = int(text)
+    if not 0 <= r <= MAX_RADIUS:
+        raise argparse.ArgumentTypeError(f"radius must be in 0..{MAX_RADIUS}, got {r}")
+    return r
 
 
 def _infer_rank(texts: list[str], flag: int | None) -> int:
@@ -292,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--n", type=_rank, required=True)
     b.add_argument("--trees", default=None, help="comma-separated tree JSON paths")
     b.add_argument("--unpaired", action="store_true")
-    b.add_argument("--radius", type=int, default=0)
+    b.add_argument("--radius", type=_radius, default=0)
     b.set_defaults(fn=cmd_bp)
     r = bp_sub.add_parser("report")
     r.add_argument("--in", dest="infile", default="-")
@@ -309,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-all", help="run the acceptance criteria")
     p.add_argument("--n", type=_rank, default=5)
-    p.add_argument("--radius", type=int, default=1)
+    p.add_argument("--radius", type=_radius, default=1)
     p.add_argument("--vertex-cap", type=int, default=10 ** 6)
     p.add_argument("--seed", type=int, default=20240601)
     p.add_argument("--out", default=None)

@@ -339,24 +339,32 @@ def fold(gens: list[Word], track_witnesses: bool = False) -> CoreGraph:
     return CoreGraph(rank, adj, mirrors, witnesses)
 
 
-def read(core: CoreGraph, w: Word) -> int | None:
-    """Vertex of the coset Hw, reached by reading w from the basepoint and
-    bouncing at mirrors; None when the reading leaves the core."""
+def read(core: CoreGraph, w: Word) -> tuple[int, tuple[int, ...]]:
+    """Read w from the basepoint, bouncing at mirrors: the vertex reached
+    and the unread tail of letters.
+
+    The tail is empty when the reading stays in the core, and the vertex is
+    then that of the coset Hw.  Otherwise the reading stops at the first
+    letter with neither an edge nor a mirror, and Hw = Hp t for p the read
+    prefix and t the tail, so the pair names the coset Hw either way.
+    """
     u = core.basepoint
-    for j in w.letters:
+    letters = w.letters
+    for k, j in enumerate(letters):
         if j in core.mirrors[u]:
             continue
-        u = core.adj[u].get(j)
-        if u is None:
-            return None
-    return u
+        v = core.adj[u].get(j)
+        if v is None:
+            return u, letters[k:]
+        u = v
+    return u, ()
 
 
 def contains(core: CoreGraph, w: Word) -> bool:
     """Subgroup membership: reading w from the basepoint returns to it."""
     if w.rank != core.rank:
         raise RankMismatchError("word rank does not match core rank")
-    return read(core, w) == core.basepoint
+    return read(core, w) == (core.basepoint, ())
 
 
 def generates(gens: list[Word]) -> bool:

@@ -48,6 +48,7 @@ from .topology import (
     verify_wedge,
 )
 from .basis_complex import (
+    MAX_RADIUS,
     PartialBasisComplex,
     build_unpaired_radius,
     connectivity_report,
@@ -69,10 +70,12 @@ class RunConfig:
     seed: int = 20240601
 
     def __post_init__(self):
-        if self.n_max < 2 or self.radius < 0 or self.vertex_cap < 1:
+        if self.n_max < 2 or self.vertex_cap < 1:
             raise ValueError("budgets must be positive and n >= 2")
         if self.n_max > 5:  # the budgets are stated for n <= 5
             raise ValueError("desk scale exceeded: n <= 5")
+        if not 0 <= self.radius <= MAX_RADIUS:
+            raise ValueError(f"radius must be in 0..{MAX_RADIUS}, got {self.radius}")
 
 
 @dataclass

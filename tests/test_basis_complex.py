@@ -8,6 +8,7 @@ from grushko.factors import W2Factor, canonical_class, same_class_oracle
 from grushko.membership import is_basis
 from grushko.trees import MarkedTree, caterpillar, collapse, enumerate_shapes, standard_marking
 
+from grushko import basis_complex
 from grushko.basis_complex import (
     PartialBasisComplex,
     _reduced_words_upto,
@@ -93,6 +94,26 @@ def test_unpaired_build_matches_plain_search(n, radius):
         [(c, c.certificate.basis) for c in ref.classes]
 
 
+@pytest.mark.parametrize("n,radius,uncertified,skipped", [(4, 1, 6, 6), (3, 2, 33, 30)])
+def test_retraction_test_skips_uncertified_classes(monkeypatch, n, radius, uncertified,
+                                                   skipped):
+    """(f) spares the completing-basis search of most uncertified classes,
+    and of no certified one."""
+    searched = []
+    search = basis_complex._complete_to_basis
+
+    def record(fixed, cores_left, pool):
+        if len(fixed) == 2:
+            searched.append(tuple(fixed))
+        return search(fixed, cores_left, pool)
+
+    monkeypatch.setattr(basis_complex, "_complete_to_basis", record)
+    sub = build_unpaired_radius(n, radius)
+    assert len(sub.params["uncertified"]) == uncertified
+    assert {(c.a, c.b) for c in sub.classes} <= set(searched)
+    assert len(searched) == len(sub.classes) + uncertified - skipped
+
+
 def test_radius_zero_rank4():
     sub = build_unpaired_radius(4, 0)
     assert len(sub.classes) == 6
@@ -143,6 +164,8 @@ def test_budget_guard():
         build_unpaired_radius(6, 0)
     with pytest.raises(ValueError):
         build_unpaired_radius(4, 9)
+    with pytest.raises(ValueError, match="radius must be >= 0"):
+        build_unpaired_radius(4, -1)
 
 
 def test_rank3_family_distinct_and_certified():

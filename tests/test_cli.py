@@ -133,6 +133,17 @@ def test_rank_flag_below_one_exits_2(capsys, argv):
     assert "rank must be >= 1" in err
 
 
+@pytest.mark.parametrize("argv", [["bp", "build", "--n", "4", "--unpaired", "--radius", "-1"],
+                                  ["bp", "build", "--n", "4", "--unpaired", "--radius", "9"],
+                                  ["verify-all", "--n", "3", "--radius", "9"],
+                                  ["verify-all", "--n", "3", "--radius", "-1"]])
+def test_radius_out_of_budget_exits_2_at_once(capsys, argv):
+    code, out, err = exit_code(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "radius must be in 0..8" in err
+    assert "[ 1]" not in err  # no criterion ran
+
+
 def test_bad_field_exits_2_before_any_output(tmp_path, capsys):
     path = tmp_path / "c.json"
     path.write_text(json.dumps(COMPLEX))
@@ -233,6 +244,10 @@ def test_run_config_validation():
         RunConfig(n_max=7)
     with pytest.raises(ValueError, match="desk scale"):
         RunConfig(n_max=6)
+    with pytest.raises(ValueError, match="radius must be in 0..8"):
+        RunConfig(radius=9)
+    with pytest.raises(ValueError, match="radius must be in 0..8"):
+        RunConfig(radius=-1)
 
 
 def test_python_dash_m_runs_the_cli_from_a_checkout():

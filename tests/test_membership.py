@@ -23,6 +23,7 @@ from grushko.membership import (
     read,
     semidirect_embed,
 )
+from grushko.basis_complex import _retraction_generates
 
 W = parse
 
@@ -58,17 +59,19 @@ def test_contains_products():
 
 def test_read_agrees_with_contains():
     core = fold([W("x1.x2.x1", 2)])
-    assert read(core, W("x1.x2.x1", 2)) == core.basepoint
-    assert read(core, W("x1", 2)) == 1
-    assert read(core, W("x1.x2", 2)) == 1  # bounces at the mirror
-    assert read(core, W("x2", 2)) is None
+    assert read(core, W("x1.x2.x1", 2)) == (core.basepoint, ())
+    assert read(core, W("x1", 2)) == (1, ())
+    assert read(core, W("x1.x2", 2)) == (1, ())  # bounces at the mirror
+    assert read(core, W("x2", 2)) == (0, (2,))
+    assert read(core, W("x1.x2.x1.x2", 2)) == (0, (2,))
     core = fold([W("x1", 3), W("x2", 3)])
-    for text in ("x1.x2.x1", "x3", "x1.x3.x1", "x2.x1"):
+    for text in ("x1.x2.x1", "x3", "x1.x3.x1", "x2.x1", "x3.x1"):
         w = W(text, 3)
-        assert contains(core, w) == (read(core, w) == core.basepoint)
-    assert read(core, W("x3", 3)) is None
-    assert read(core, W("x1.x2.x3", 3)) is None
-    assert read(core, identity(3)) == core.basepoint
+        assert contains(core, w) == (read(core, w) == (core.basepoint, ()))
+    assert read(core, W("x3", 3)) == (0, (3,))
+    assert read(core, W("x1.x2.x3", 3)) == (0, (3,))
+    assert read(core, W("x3.x1", 3)) == (0, (3, 1))
+    assert read(core, identity(3)) == (core.basepoint, ())
 
 
 def _reduced_words(n, max_len):
@@ -97,9 +100,9 @@ def test_last_core_shortcut_is_exact():
             answer_at = {}
             for w in pool:
                 cand = conjugate(x_k, w)
-                end = read(core, involution_core(cand)[1])
+                end, tail = read(core, involution_core(cand)[1])
                 ok = is_basis(fixed + [cand])
-                if end is None:
+                if tail:
                     assert not ok
                     left += 1
                 elif end in answer_at:
@@ -109,6 +112,52 @@ def test_last_core_shortcut_is_exact():
                     answer_at[end] = ok
     # both facts are exercised, and shared vertices give both answers
     assert left > 1000 and min(shared.values()) > 100
+
+
+def test_pair_coset_key_is_exact():
+    """The joint-certificate search skips a pair placement by its coset.
+
+    With H folded from fixed conjugates of distinct generators and a class
+    <a, b> on two other cores, <H, w a w^-1, w b w^-1> = W_n depends only
+    on the coset Hw, named by the (vertex, tail) that read gives for w,
+    whether or not the reading leaves the core.
+    """
+    rng = random.Random(23)
+    shared = dict.fromkeys(itertools.product((True, False), repeat=2), 0)
+    for n, fixed_count, trials in ((3, 1, 60), (4, 2, 40)):
+        pool = _reduced_words(n, 3)
+        for _ in range(trials):
+            cores = rng.sample(generators(n), fixed_count + 2)
+            fixed = [conjugate(x, random_reduced_word(rng, n, rng.randrange(0, 4)))
+                     for x in cores[:fixed_count]]
+            a, b = (conjugate(x, random_reduced_word(rng, n, rng.randrange(0, 3)))
+                    for x in cores[fixed_count:])
+            core = fold(fixed)
+            answer_at = {}
+            for w in pool:
+                key = read(core, w)
+                ok = generates_with(core, [conjugate(a, w), conjugate(b, w)])
+                if key in answer_at:
+                    assert answer_at[key] == ok, f"key {key} gives both answers"
+                    shared[ok, bool(key[1])] += 1
+                else:
+                    answer_at[key] = ok
+    # shared keys give both answers, on the core and off it
+    assert min(shared.values()) > 50, shared
+
+
+def test_basis_pairs_pass_the_retraction_test():
+    """(f): any two members of a basis map onto <x_i, x_j> as adjacent
+    reflections when every other letter is deleted."""
+    rng = random.Random(41)
+    pairs = 0
+    for _ in range(400):
+        phi = _random_automorphism(rng, rng.choice([3, 4, 5]))
+        cores = [involution_core(x)[0] for x in phi.images]
+        for (a, i), (b, j) in itertools.combinations(zip(phi.images, cores), 2):
+            assert _retraction_generates(a, b, i, j), (a, b)
+            pairs += 1
+    assert pairs >= 2000, pairs
 
 
 def test_generates_with_agrees_with_is_basis():
