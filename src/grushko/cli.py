@@ -77,6 +77,23 @@ def _rank(text: str) -> int:
     return n
 
 
+def _gn_rank(text: str) -> int:
+    """argparse type of gn-embed's --n: x_4..x_n are the conjugated generators."""
+    n = int(text)
+    if n < 4:
+        raise argparse.ArgumentTypeError(
+            f"rank must be >= 4 (the words w_4..w_n conjugate x_4..x_n), got {n}")
+    return n
+
+
+def _brute_bound(text: str) -> int:
+    """argparse type of visible's --brute: a word length, so at least 0."""
+    length = int(text)
+    if length < 0:
+        raise argparse.ArgumentTypeError(f"brute-force bound must be >= 0, got {length}")
+    return length
+
+
 def _radius(text: str) -> int:
     """argparse type of --radius: the unpaired builds' budget, else exit 2."""
     r = int(text)
@@ -279,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("visible", help="visible classes of a pair index in a tree")
     p.add_argument("--tree", required=True)
     p.add_argument("--pair", type=int, required=True)
-    p.add_argument("--brute", type=int, default=None, metavar="L",
+    p.add_argument("--brute", type=_brute_bound, default=None, metavar="L",
                    help="cross-check against brute force, conjugators of at most "
                         "L marking letters")
     p.set_defaults(fn=cmd_visible)
@@ -313,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     r.set_defaults(fn=cmd_bp)
 
     p = sub.add_parser("gn-embed", help="extend a rank-3 automorphism by conjugations")
-    p.add_argument("--n", type=_rank, required=True)
+    p.add_argument("--n", type=_gn_rank, required=True)
     p.add_argument("--words", default="", help="comma-separated w_4..w_n")
     p.add_argument("--phi3", default='["x1","x2","x3"]',
                    help="JSON list of three image words")

@@ -169,7 +169,9 @@ def check_2_fiber_structure(config: RunConfig) -> dict:
         poset = Poset.by_inclusion(fiber.elements)
         if not poset.isomorphic_via(target, mapping):
             raise CheckFailure(f"fiber of {tree!r} is not the selection poset {sizes}")
-        cx = poset.order_complex()
+        # the fiber is downward-closed: take homology on the complex it is
+        # the face poset of, not on its barycentric subdivision
+        cx = SimplicialComplex.from_face_poset(fiber.elements)
         k = len(sizes)
         rank = 1
         for s in sizes:

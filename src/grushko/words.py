@@ -196,10 +196,10 @@ def parse(text: str, rank: int) -> Word:
     letters = []
     for tok in tokens:
         body = tok[1:] if tok[0] in "xX" else tok
-        try:
-            letters.append(int(body))
-        except ValueError:
-            raise ValueError(f"bad generator token {tok!r} in {text!r}") from None
+        # a letter is a positive decimal; only its range depends on the rank
+        if not (body.isascii() and body.isdigit()) or int(body) == 0:
+            raise ValueError(f"bad generator token {tok!r} in {text!r}")
+        letters.append(int(body))
     return reduce(letters, rank)
 
 

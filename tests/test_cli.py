@@ -133,6 +133,36 @@ def test_rank_flag_below_one_exits_2(capsys, argv):
     assert "rank must be >= 1" in err
 
 
+@pytest.mark.parametrize("n", ["2", "3"])
+def test_gn_embed_rank_below_four_exits_2(capsys, n):
+    code, out, err = exit_code(capsys, "gn-embed", "--n", n, "--words", "x1")
+    assert code == 2 and out == ""
+    assert "rank must be >= 4" in err
+
+
+@pytest.mark.parametrize("argv, token", [(["words", "reduce", "x1 x-2"], "x-2"),
+                                         (["words", "reduce", "x1 x-2", "--n", "3"], "x-2"),
+                                         (["words", "reduce", "x0"], "x0"),
+                                         (["fold", "--words", "x1,x-1"], "x-1"),
+                                         (["fold", "--words", "x1,x0", "--n", "3"], "x0")])
+def test_bad_letter_token_is_named(capsys, argv, token):
+    code, out, err = exit_code(capsys, *argv)
+    assert code == 2 and out == ""
+    assert f"bad generator token '{token}'" in err and "out of range" not in err
+
+
+def test_negative_brute_bound_exits_2(tmp_path, capsys):
+    tree_path = tmp_path / "t4.json"
+    tree_path.write_text(caterpillar(4).to_json())
+    code, out, err = exit_code(capsys, "visible", "--tree", str(tree_path), "--pair", "1",
+                               "--brute", "-1")
+    assert code == 2 and out == ""
+    assert "brute-force bound must be >= 0" in err
+    code, out, _ = exit_code(capsys, "visible", "--tree", str(tree_path), "--pair", "1",
+                             "--brute", "0")
+    assert code == 0 and "brute_matches" in json.loads(out)
+
+
 @pytest.mark.parametrize("argv", [["bp", "build", "--n", "4", "--unpaired", "--radius", "-1"],
                                   ["bp", "build", "--n", "4", "--unpaired", "--radius", "9"],
                                   ["verify-all", "--n", "3", "--radius", "9"],

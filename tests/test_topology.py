@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import pytest
 
+from grushko.trees import MarkedTree, enumerate_shapes, standard_marking
+from grushko.visibility import bp_fiber
 from grushko.topology import (
     ChainComplex,
     Poset,
@@ -18,6 +20,7 @@ from grushko.topology import (
     matrix_snf,
     verify_wedge,
 )
+from grushko.topology import _dense_snf
 
 TRIANGLE = SimplicialComplex.from_maximal([(0, 1), (1, 2), (0, 2)])
 DISK = SimplicialComplex.from_maximal([(0, 1, 2)])
@@ -234,7 +237,7 @@ def test_empty_and_point():
 
 
 # ---------------------------------------------------------------------------
-# clearing, the F2 bitset path, and one chain complex per complex
+# per-boundary elimination, field ranks, and one chain complex per complex
 # ---------------------------------------------------------------------------
 
 def _dense_rank(cols, p):
@@ -270,22 +273,23 @@ def _fixture_complexes():
 
 
 @pytest.mark.parametrize("field", ["Q", 2, 3])
-def test_cleared_ranks_equal_uncleared(field):
+def test_chain_complex_ranks_against_dense(field):
     for cx in _fixture_complexes():
         cc = cx.chain_complex
-        want = [matrix_rank(b, field) for b in cc.boundaries]
-        assert cc.ranks(field) == want
-        assert want == [_dense_rank(list(b.values()), None if field == "Q" else field)
-                        for b in cc.boundaries]
-        ranks = want + [0]
+        ranks = cc.ranks(field)
+        assert ranks == [_dense_rank(list(b.values()), None if field == "Q" else field)
+                         for b in cc.boundaries]
+        ranks.append(0)
         assert betti(cx, field) == {k: len(g) - ranks[k] - ranks[k + 1]
                                     for k, g in enumerate(cc.grades)}
 
 
-def test_cleared_snf_equals_uncleared():
+def test_chain_complex_invariant_factors_against_dense():
     for cx in _fixture_complexes():
         cc = cx.chain_complex
-        assert cc.invariant_factors() == [matrix_snf(b) for b in cc.boundaries]
+        for factors, b in zip(cc.invariant_factors(), cc.boundaries):
+            assert sorted(factors) == sorted(_dense_snf(list(b.values())))
+            assert len(factors) == _dense_rank(list(b.values()), None)
     assert integral_homology(RP2)[1] == (0, (2,))
     assert matrix_snf(_full_boundaries(RP2)[2]) == [1] * 9 + [2]
 
@@ -303,31 +307,16 @@ def _random_sparse(rng, m, n, values):
     return cols
 
 
-def test_pivot_rows_complement_the_column_space():
-    """The pivot rows clearing relies on: the columns restricted to them have full rank."""
-    rng = random.Random(43)
-    for field in ("Q", 2, 3, 5):
-        for _ in range(40):
-            cols = _random_sparse(rng, rng.randrange(1, 9), rng.randrange(1, 9), [-2, -1, 1, 2, 3])
-            pivot_rows = set()
-            rank = matrix_rank(cols, field, pivot_rows=pivot_rows)
-            assert len(pivot_rows) == rank
-            on_pivots = [{r: v for r, v in col.items() if r in pivot_rows} for col in cols.values()]
-            assert _dense_rank(on_pivots, None if field == "Q" else field) == rank
-    # over Z only unit pivots may clear: 2 is no unit
-    pivot_rows = set()
-    assert matrix_snf({0: {0: 2}}, pivot_rows=pivot_rows) == [2] and not pivot_rows
-
-
-def test_f2_bitset_rank_against_dense():
+@pytest.mark.parametrize("p", [2, 3])
+def test_prime_field_rank_against_dense(p):
     rng = random.Random(44)
     for _ in range(200):
         cols = _random_sparse(rng, rng.randrange(1, 12), rng.randrange(1, 12),
                               [-4, -3, -2, -1, 1, 2, 3, 4, 6])
-        assert matrix_rank(cols, 2) == _dense_rank(list(cols.values()), 2), cols
-    assert matrix_rank({}, 2) == 0
-    assert matrix_rank({0: {5: 2, 7: -4}, 1: {}}, 2) == 0
-    assert matrix_rank({0: {-3: 1, 2: 1}, 1: {2: 3}, 2: {-3: 1}}, 2) == 2
+        assert matrix_rank(cols, p) == _dense_rank(list(cols.values()), p), cols
+    assert matrix_rank({}, p) == 0
+    assert matrix_rank({0: {5: 6, 7: -12}, 1: {}}, p) == 0
+    assert matrix_rank({0: {-3: 1, 2: 1}, 1: {2: 7}, 2: {-3: 1}}, p) == 2
 
 
 def test_one_chain_complex_per_complex(monkeypatch):
@@ -458,3 +447,42 @@ def test_coreduced_homology_equals_full_boundary_reference():
         assert cx.chain_complex.boundary_squared_is_zero()
     assert integral_homology(subdivided_rp2) == {0: (0, ()), 1: (0, (2,)), 2: (0, ())}
     assert subdivided_rp2.f_vector() == [31, 90, 60]
+
+
+# ---------------------------------------------------------------------------
+# homology on the face complex K against its barycentric subdivision
+# ---------------------------------------------------------------------------
+
+def _invariants(cx):
+    """Every homology figure the criteria read off a complex."""
+    return ({field: betti(cx, field) for field in ("Q", 2, 3)}, integral_homology(cx),
+            cx.dimension, len(components(cx)))
+
+
+def _face_posets():
+    """The selections of every c03 size multiset with product <= 36, and the
+    fibers of the fixture trees of rank <= 4."""
+    families = [join_poset(list(s)).elements for k in range(1, 5)
+                for s in itertools.combinations_with_replacement(range(1, 5), k)
+                if math.prod(s) <= 36]
+    for n in range(2, 5):
+        for shape in enumerate_shapes(n):
+            families.append(bp_fiber(MarkedTree(shape, standard_marking(n)), certify=False).elements)
+    return families
+
+
+def test_face_complex_matches_order_complex():
+    for elements in _face_posets():
+        cx = SimplicialComplex.from_face_poset(elements)
+        assert cx.f_vector()[0] == len({m for e in elements for m in e})
+        assert sum(cx.f_vector()) == len(elements)
+        assert _invariants(cx) == _invariants(Poset.by_inclusion(elements).order_complex())
+
+
+def test_face_complex_refuses_families_that_are_not_downward_closed():
+    with pytest.raises(ValueError, match="missing face"):
+        SimplicialComplex.from_face_poset([{1, 2}])
+    with pytest.raises(ValueError, match="missing face"):
+        SimplicialComplex.from_face_poset([{1}, {1, 2}])
+    with pytest.raises(ValueError, match="degenerate"):
+        SimplicialComplex.from_face_poset([set()])

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -170,6 +171,17 @@ def test_parse_print_roundtrip():
     assert parse("1 2 1", 4) == parse("x1.x2.x1", 4) == parse("x1*x2*x1", 4)
     assert str(identity(4)) == "ε"
     assert parse("ε", 4) == identity(4)
+
+
+@pytest.mark.parametrize("text, token", [("x1 x-2", "x-2"), ("x0.x1", "x0"), ("-1", "-1"),
+                                         ("x1*x+2", "x+2")])
+def test_parse_blames_the_token_not_the_rank(text, token):
+    for rank in (1, 3):
+        with pytest.raises(ValueError, match=re.escape(f"bad generator token '{token}' in '{text}'")):
+            parse(text, rank)
+    # a well-formed letter above the rank keeps the range message
+    with pytest.raises(ValueError, match="letter 4 out of range for rank 3"):
+        parse("x1 x4", 3)
 
 
 def test_length_parity_is_additive_mod_2():
