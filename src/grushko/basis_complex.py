@@ -46,8 +46,6 @@ class PartialBasisComplex:
         return Poset.by_inclusion(self.elements)
 
     def order_complex(self) -> SimplicialComplex:
-        if not self.elements:
-            return SimplicialComplex(frozenset())
         return self.poset().order_complex()
 
     def to_json(self) -> str:
@@ -188,31 +186,25 @@ def build_unpaired_radius(n: int, radius: int) -> PartialBasisComplex:
     never silently dropped.
 
     (c) The class depends only on v = g^-1 h: conjugating by g^-1 gives
-    <x_i, v x_j v^-1>, and x_i v or v x_j give the same class.  So it is
-    computed once per v with a leading x_i and a trailing x_j stripped.
-    A class that fails (f) gets no completing-basis search.
+    <x_i, v x_j v^-1>, and x_i v or v x_j give the same class.  The words
+    g^-1 h are exactly the reduced words of length <= 2 radius, and with a
+    leading x_i and a trailing x_j stripped they are exactly those that
+    neither start with x_i nor end with x_j.  So the classes are computed
+    once per such v.  A class that fails (f) gets no completing-basis search.
     """
     if radius < 0:
         raise ValueError(f"radius must be >= 0, got {radius}")
     if n > 5 or radius > MAX_RADIUS:
         raise ValueError(f"budgeted construction: n <= 5 and radius <= {MAX_RADIUS}")
-    conjs = _reduced_words_upto(n, radius)
+    relative = _reduced_words_upto(n, 2 * radius)
     pool = _reduced_words_upto(n, radius + 2)
     classes: dict[CanonicalClass, tuple[int, int]] = {}
     for i, j in itertools.combinations(range(1, n + 1), 2):
-        seen: set[tuple[int, ...]] = set()
-        for g in conjs:
-            a = conjugate(generator(i, n), g)
-            for h in conjs:
-                v = (~g * h).letters
-                v = v[1:] if v[:1] == (i,) else v
-                v = v[:-1] if v[-1:] == (j,) else v
-                if v in seen:
-                    continue
-                seen.add(v)
-                b = conjugate(generator(j, n), h)
-                cls = canonical_class(W2Factor(a, b))
-                classes.setdefault(cls, (i, j))
+        for v in relative:
+            if v.letters[:1] == (i,) or v.letters[-1:] == (j,):
+                continue
+            cls = canonical_class(W2Factor(generator(i, n), conjugate(generator(j, n), v)))
+            classes.setdefault(cls, (i, j))
 
     # classes admitting no completing basis within the pool are not partial
     # bases (e.g. proper-index dihedral subgroups of <x_i, x_j>); they are
@@ -231,13 +223,12 @@ def build_unpaired_radius(n: int, radius: int) -> PartialBasisComplex:
     elements: set[frozenset[CanonicalClass]] = set()
     for cls in certified.values():
         elements.add(frozenset([cls]))
-    core_of = {certified[c]: pair for c, pair in classes.items() if c in certified}
     for size in range(2, n // 2 + 1):
         for combo in itertools.combinations(certified.values(), size):
-            used = [core_of[c] for c in combo]
+            used = [classes[c] for c in combo]
             if len({k for pair in used for k in pair}) != 2 * size:
                 continue
-            joint = _joint_certificate(list(combo), core_of, pool)
+            joint = _joint_certificate(list(combo), classes, pool)
             if joint is not None:
                 for sub in range(2, size + 1):
                     for picked in itertools.combinations(combo, sub):
@@ -381,13 +372,7 @@ def connectivity_report(sub: PartialBasisComplex) -> ConnectivityReport:
     complex, hence the exploratory flag.
     """
     cx = sub.order_complex()
-    if cx.simplices:
-        bq = betti(cx, "Q")
-        b2 = betti(cx, 2)
-        comp = len(components(cx))
-        dim = cx.dimension
-        top = bq.get(dim, 0)
-    else:
-        bq, b2, comp, dim, top = {}, {}, 0, -1, 0
-    return ConnectivityReport(sub.n, sub.paired, sub.paired, sub.params,
-                              len(sub.elements), comp, dim, bq, b2, top)
+    bq = betti(cx, "Q")
+    return ConnectivityReport(sub.n, sub.paired, sub.paired, sub.params, len(sub.elements),
+                              len(components(cx)), cx.dimension, bq, betti(cx, 2),
+                              bq.get(cx.dimension, 0))

@@ -136,6 +136,8 @@ def cmd_fold(args) -> int:
     texts = [t for t in args.words.split(",") if t.strip()]
     n = _infer_rank(texts, args.n)
     gens = [parse(t, n) for t in texts]
+    # parsed before any output, so that a bad --member exits 2 with nothing emitted
+    member = parse(args.member, n) if args.member else None
     core = fold(gens)
     if args.dot:
         _emit(core.to_dot())
@@ -146,9 +148,8 @@ def cmd_fold(args) -> int:
             "adjacency": [{str(j): v for j, v in sorted(adj.items())} for adj in core.adj],
             "mirrors": [sorted(m) for m in core.mirrors],
         })
-    if args.member:
-        w = parse(args.member, n)
-        _note(f"membership of {w}: {contains(core, w)}")
+    if member is not None:
+        _note(f"membership of {member}: {contains(core, member)}")
     return 0
 
 
@@ -237,8 +238,12 @@ def cmd_bp(args) -> int:
 
 def cmd_gn_embed(args) -> int:
     n = args.n
-    images3 = [parse(t, 3) for t in json.loads(args.phi3)]
-    phi3 = make_automorphism(images3)
+    try:
+        texts = json.loads(args.phi3)
+        check(texts, [str, str, str])
+        phi3 = make_automorphism([parse(t, 3) for t in texts])
+    except ValueError as exc:
+        raise ValueError(f"--phi3: {exc}") from None
     wtexts = [t for t in args.words.split(",")] if args.words else []
     wtuple = tuple(parse(t, n) for t in wtexts)
     phi = semidirect_embed(wtuple, phi3, restrict_to_first_three=not args.free)

@@ -1,18 +1,18 @@
 """Posets, simplicial complexes, and simplicial homology over Q, F_p, and Z.
 
-A complex keeps its simplices grouped by degree and sorted (`grades`).  The
-constructor checks simplices that come from outside (sorted, distinct
-vertices, face-closed).  A downward-closed family of nonempty sets is the
-face poset of the simplicial complex K whose simplices are its members
-(`SimplicialComplex.from_face_poset`); the criteria take homology on K
-rather than on the poset's order complex.  The order complex is the
+A complex keeps its simplices grouped by degree and sorted (`grades`).  Every
+complex is built through the one constructor, which checks its simplices
+(distinct vertices, face-closed).  A downward-closed family of nonempty
+sets is the face poset of the simplicial complex K whose simplices are its
+members (`SimplicialComplex.from_face_poset`); the criteria take homology
+on K rather than on the poset's order complex.  The order complex is the
 barycentric subdivision of K, so the two are homeomorphic and have the
 same homology (Björner, "Topological methods", Handbook of Combinatorics,
 1995, section 9), and K is far smaller: for c03, 41,030 faces against
-1,006,830 chains.  Order complexes (`Poset.order_complex`, built straight
-from the poset's chains) remain for c10, for the partial-basis complexes
-of c04, c05 and `bp report`, and as the independent oracle the tests
-compare K against.
+1,006,830 chains.  Order complexes (`Poset.order_complex`, the constructor
+applied to the poset's chains) remain for c10, for the partial-basis
+complexes of c04, c05 and `bp report`, and as the independent oracle the
+tests compare K against.
 
 Each complex builds its chain complex once (`SimplicialComplex.chain_complex`)
 and every homology call on it shares that build.  Boundary matrices are kept
@@ -92,51 +92,31 @@ class Poset:
     def less(self, a, b) -> bool:
         return self.index[b] in self.above[self.index[a]]
 
-    def chains(self) -> list[list[tuple[int, ...]]]:
-        """All nonempty chains as sorted tuples of element indices, by length.
+    def chains(self) -> list[tuple[int, ...]]:
+        """All nonempty chains, each a tuple of element indices listed upward.
 
-        Entry k lists the chains of k + 1 elements in lexicographic order.
         `above` must be irreflexive and transitive (ValueError otherwise):
-        one subset test per relation.  A chain is then a set of pairwise
-        comparable elements, so it grows by any later index comparable with
-        every element in it -- a bitset intersection per step.
+        one subset test per relation.  Each chain is then walked up `above`
+        once from its least element.
         """
         above = self.above
-        later = [0] * len(above)  # bit j of later[i]: j > i and comparable with i
         for i, up in enumerate(above):
             if i in up:
                 raise ValueError(f"poset element {i} lies above itself")
             for j in up:
                 if not above[j] <= up:
                     raise ValueError(f"poset order is not transitive above {i} < {j}")
-                if j > i:
-                    later[i] |= 1 << j
-                else:
-                    later[j] |= 1 << i
-        grades: list[list[tuple]] = []
-        # depth first with the lowest index popped first: lexicographic order
-        stack = [((), (1 << len(above)) - 1)]
+        chains = []
+        stack = [(i,) for i in range(len(above))]
         while stack:
-            chain, cands = stack.pop()
-            rest = cands
-            while rest:
-                j = rest.bit_length() - 1
-                rest ^= 1 << j
-                stack.append((chain + (j,), cands & later[j]))
-            if chain:
-                if len(chain) > len(grades):
-                    grades.append([])
-                grades[len(chain) - 1].append(chain)
-        return grades
+            chain = stack.pop()
+            chains.append(chain)
+            stack.extend(chain + (j,) for j in above[chain[-1]])
+        return chains
 
     def order_complex(self) -> "SimplicialComplex":
-        """Simplices are the chains (geometric realization of the poset).
-
-        The chains come sorted, each length in lexicographic order, and
-        face-closed (a subset of a chain is a chain), so the complex is
-        built from them without the constructor's re-sort and face check.
-        """
-        return SimplicialComplex._trusted(self.chains(), len(self.elements))
+        """Simplices are the chains (geometric realization of the poset)."""
+        return SimplicialComplex(self.chains())
 
     def isomorphic_via(self, other: "Poset", mapping: dict) -> bool:
         """Verify that an explicit element bijection is an order isomorphism."""
@@ -163,7 +143,7 @@ class SimplicialComplex:
     `grades[k]` lists the k-simplices in sorted order, each a sorted tuple.
     """
 
-    def __init__(self, simplices: frozenset, num_vertices: int | None = None):
+    def __init__(self, simplices):
         simplices = frozenset(tuple(sorted(s)) for s in simplices)
         for s in simplices:
             if not s or len(set(s)) != len(s):
@@ -177,20 +157,9 @@ class SimplicialComplex:
             grades[len(s) - 1].append(s)
         for grade in grades:
             grade.sort()
-        self._adopt(simplices, grades, num_vertices)
-
-    @classmethod
-    def _trusted(cls, grades: list[list[tuple]], num_vertices: int) -> "SimplicialComplex":
-        """The complex of face-closed, sorted grades, taken as they are."""
-        self = cls.__new__(cls)
-        self._adopt(frozenset(itertools.chain.from_iterable(grades)), grades, num_vertices)
-        return self
-
-    def _adopt(self, simplices: frozenset, grades: list[list[tuple]], num_vertices: int | None):
         self.simplices = simplices
         self.grades = grades
         self.vertices = [s[0] for s in grades[0]] if grades else []
-        self.num_vertices = num_vertices if num_vertices is not None else len(self.vertices)
 
     @classmethod
     def from_face_poset(cls, elements) -> "SimplicialComplex":
@@ -507,8 +476,6 @@ def matrix_snf(cols: dict[int, dict[int, int]]) -> list[int]:
 
 def betti(complex_: SimplicialComplex, field) -> dict[int, int]:
     """Reduced Betti numbers by field rank of the augmented boundaries."""
-    if not complex_.simplices:
-        return {}
     cc = complex_.chain_complex
     ranks = cc.ranks(field)
     ranks.append(0)
@@ -520,8 +487,6 @@ def betti(complex_: SimplicialComplex, field) -> dict[int, int]:
 
 def integral_homology(complex_: SimplicialComplex) -> dict[int, tuple[int, tuple[int, ...]]]:
     """Per-degree (free rank, torsion divisors) via Smith normal form."""
-    if not complex_.simplices:
-        return {}
     cc = complex_.chain_complex
     snfs = cc.invariant_factors()
     snfs.append([])

@@ -60,10 +60,6 @@ class Word:
     def __invert__(self) -> "Word":
         return _trusted(self.letters[::-1], self.rank)
 
-    def inverse(self) -> "Word":
-        """Each generator is its own inverse, so inversion is reversal."""
-        return ~self
-
     def key(self) -> tuple:
         """Sort key: length first, then letters."""
         return (len(self.letters), self.letters)
@@ -146,15 +142,6 @@ def conjugate(a: Word, g: Word) -> Word:
     _reduce_into(stack, a.letters)
     _reduce_into(stack, reversed(g.letters))
     return _trusted(tuple(stack), a.rank)
-
-
-def involution(j: int, conjugator: Word) -> Word:
-    """The involution conjugator x_j conjugator^-1 in reduced form."""
-    return conjugate(generator(j, conjugator.rank), conjugator)
-
-
-def is_involution(a: Word) -> bool:
-    return a.is_involution
 
 
 def involution_core(a: Word) -> tuple[int, Word]:

@@ -159,6 +159,18 @@ def test_radius_two_rank3():
     assert rep.num_components == 30 and rep.dimension == 0
 
 
+def test_empty_complex_report():
+    """The general path gives an empty complex no components and dimension -1."""
+    sub = PartialBasisComplex(4, False, {"radius": 0}, [], [])
+    rep = connectivity_report(sub)
+    assert (rep.num_components, rep.dimension, rep.betti_q, rep.betti_f2,
+            rep.top_degree_rank) == (0, -1, {}, {}, 0)
+    assert rep.to_json() == (
+        '{"n": 4, "ambient": "unpaired", "exploratory": false, "params": {"radius": 0}, '
+        '"elements": 0, "components": 0, "dimension": -1, "betti_q": {}, "betti_f2": {}, '
+        '"top_degree_rank": 0}')
+
+
 def test_budget_guard():
     with pytest.raises(ValueError):
         build_unpaired_radius(6, 0)

@@ -104,6 +104,19 @@ def test_gn_embed(capsys):
     assert data["images"][3] == "x2*x1*x4*x1*x2"
 
 
+@pytest.mark.parametrize("phi3", ["[1,2,3]", '{"a":1}', '"x1"', "[x1", "[]"])
+def test_gn_embed_bad_phi3_exits_2(capsys, phi3):
+    code, out, err = exit_code(capsys, "gn-embed", "--n", "4", "--phi3", phi3)
+    assert code == 2 and out == ""
+    assert "--phi3" in err and "Traceback" not in err
+
+
+def test_fold_bad_member_exits_2_before_output(capsys):
+    code, out, err = exit_code(capsys, "fold", "--words", "x1", "--member", "x2")
+    assert code == 2 and out == ""
+    assert "out of range for rank 1" in err
+
+
 def exit_code(capsys, *argv):
     """Exit code of the CLI, whether main returns it or argparse raises it."""
     try:

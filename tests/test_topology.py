@@ -231,6 +231,7 @@ def test_complex_json_roundtrip():
 
 def test_empty_and_point():
     assert betti(SimplicialComplex(frozenset()), "Q") == {}
+    assert integral_homology(SimplicialComplex(frozenset())) == {}
     point = SimplicialComplex.from_maximal([(0,)])
     assert betti(point, "Q") == {0: 0}
     assert integral_homology(point) == {0: (0, ())}
@@ -339,7 +340,7 @@ def test_one_chain_complex_per_complex(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the inclusion builder, the trusted order complex, and coreduction
+# the inclusion builder, the order complex's chains, and coreduction
 # ---------------------------------------------------------------------------
 
 def _random_inclusion_family(rng, ground, count):
@@ -351,38 +352,46 @@ def _random_inclusion_family(rng, ground, count):
     return family
 
 
-def _chains_along_above(poset):
-    """Every chain, grown along `above` from its least element, then sorted."""
+def _chains_by_inclusion(poset):
+    """Every chain as a sorted index tuple, read off the sets, not off `above`.
+
+    A chain grows by any larger index whose set is comparable, by strict
+    inclusion, with the set of every member.
+    """
+    sets = poset.elements
     out = []
-
-    def grow(chain):
-        out.append(tuple(sorted(chain)))
-        for j in poset.above[chain[-1]]:
-            grow(chain + [j])
-
-    for i in range(len(poset)):
-        grow([i])
+    frontier = [(i,) for i in range(len(sets))]
+    while frontier:
+        out.extend(frontier)
+        frontier = [c + (j,) for c in frontier for j in range(c[-1] + 1, len(sets))
+                    if all(sets[i] < sets[j] or sets[j] < sets[i] for i in c)]
     return out
 
 
-def _inclusion_posets():
-    wedges = [join_poset(list(s)) for k in range(1, 5)
-              for s in itertools.combinations_with_replacement(range(1, 5), k)]
+WEDGE_SIZES = [s for k in range(1, 5)
+               for s in itertools.combinations_with_replacement(range(1, 5), k)]
+
+
+def _random_inclusion_posets():
     rng = random.Random(20241018)
     families = [_random_inclusion_family(rng, rng.randrange(1, 6), rng.randrange(1, 14))
                 for _ in range(60)]
-    return wedges + [Poset.by_inclusion(f) for f in families]
+    return [Poset.by_inclusion(f) for f in families]
 
 
-def test_inclusion_builder_and_trusted_order_complex():
-    for poset in _inclusion_posets():
+def test_inclusion_builder_and_order_complex_chains():
+    randoms = _random_inclusion_posets()
+    for poset in [join_poset(list(s)) for s in WEDGE_SIZES] + randoms:
         assert poset.above == Poset.from_leq(poset.elements, lambda a, b: a <= b).above
-        chains = list(itertools.chain.from_iterable(poset.chains()))
-        assert sorted(chains) == sorted(_chains_along_above(poset))
-        cx = poset.order_complex()
-        checked = SimplicialComplex(frozenset(chains), len(poset))
-        assert cx.simplices == checked.simplices and cx.grades == checked.grades
-        assert cx.vertices == checked.vertices and cx.num_vertices == len(poset)
+    small = [join_poset(list(s)) for s in WEDGE_SIZES if math.prod(s) <= 36]
+    for poset in small + randoms:
+        chains = poset.chains()
+        sets = poset.elements
+        # each chain is listed upward, and comes out once
+        assert all(sets[a] < sets[b] for c in chains for a, b in zip(c, c[1:]))
+        expected = _chains_by_inclusion(poset)
+        assert sorted(tuple(sorted(c)) for c in chains) == sorted(expected)
+        assert poset.order_complex() == SimplicialComplex(expected)
     assert Poset.by_inclusion([]).order_complex().simplices == frozenset()
 
 

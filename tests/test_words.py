@@ -14,7 +14,6 @@ from grushko.words import (
     generators,
     identity,
     involution_core,
-    is_involution,
     parse,
     random_reduced_word,
     reduce,
@@ -130,12 +129,12 @@ def test_conjugate_inverts(a, g):
 
 
 def test_involution_criteria():
-    assert is_involution(parse("x1", 3))
+    assert parse("x1", 3).is_involution
     assert involution_core(parse("x1", 3)) == (1, identity(3))
-    assert is_involution(parse("x1.x2.x1", 3))
+    assert parse("x1.x2.x1", 3).is_involution
     assert involution_core(parse("x1.x2.x1", 3)) == (2, parse("x1", 3))
-    assert not is_involution(parse("x1.x2", 3))
-    assert not is_involution(identity(3))
+    assert not parse("x1.x2", 3).is_involution
+    assert not identity(3).is_involution
     with pytest.raises(NotInvolutionError):
         involution_core(parse("x1.x2", 3))
 
@@ -144,7 +143,7 @@ def test_involution_criteria():
 def test_involution_iff_squares_to_identity(a):
     w = reduce(a, 4)
     squared = w * w
-    assert is_involution(w) == (bool(w) and squared == identity(4))
+    assert w.is_involution == (bool(w) and squared == identity(4))
 
 
 def test_cyclic_reduce():
