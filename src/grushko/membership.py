@@ -9,10 +9,16 @@ fixed by right multiplication by x_j (equivalently w x_j w^-1 lies in H);
 reading letter j there bounces instead of moving.
 
 Membership: a reduced word w lies in H iff reading it from the basepoint
-stays inside the core and returns to the basepoint.  Folding additionally
-threads witness words so that each mirror knows an expression of its
-reflection in terms of the original generators; this is what computes
-inverse automorphisms.
+stays inside the core and returns to the basepoint.
+
+(h) Inverse automorphisms need no folding.  Write involutions as
+    y_i = p_i x_{j_i} p_i^-1.  If no p_k begins with p_i x_{j_i}, the
+    prefix trie of the p_i with a mirror j_i at the end of each is already
+    folded, so it is the core of <y>, and that is W_n only when every p_i
+    is empty.  Otherwise p_k = p_i x_{j_i} p' and the Nielsen move
+    y_k <- y_i y_k y_i = p_i p' x_{j_k} p'^-1 p_i^-1 is strictly shorter.
+    So the moves terminate, and they end at a permutation of the generators
+    exactly when the y form a basis.
 """
 
 from __future__ import annotations
@@ -23,8 +29,8 @@ from dataclasses import dataclass
 from .words import (
     Word,
     RankMismatchError,
+    conjugate,
     generators,
-    identity,
     involution_core,
     reduce,
 )
@@ -48,14 +54,11 @@ class CoreGraph:
     taken in label order, so equal subgroup data yields equal graphs.
     """
 
-    def __init__(self, rank: int, adj: list[dict[int, int]],
-                 mirrors: list[set[int]], witnesses: dict[tuple[int, int], Word] | None = None):
+    def __init__(self, rank: int, adj: list[dict[int, int]], mirrors: list[set[int]]):
         self.rank = rank
         self.adj = adj
         self.mirrors = mirrors
         self.basepoint = 0
-        # witness per (vertex, mirror label); present when folding tracked them
-        self.witnesses = witnesses or {}
 
     @property
     def num_vertices(self) -> int:
@@ -95,192 +98,95 @@ class CoreGraph:
 
 
 class _Folder:
-    """Union-find worklist folding with optional witness tracking.
+    """Union-find worklist folding.
 
-    Every vertex v created during construction has a fixed coset
-    representative w(v) (the spelled prefix).  Invariants, all relative to
-    those fixed representatives, with phi sending abstract letter k to the
-    k-th input word:
-
-      stored edge (u, j) -> v with witness e:   w(u) x_j w(v)^-1 = phi(e)
-      stored mirror (u, j) with witness h:      w(u) x_j w(u)^-1 = phi(h)
-      union-find potential pot[v]:              w(parent(v)) w(v)^-1 = phi(pot[v])
-
-    Edges and mirrors are stored only at union-find roots; witnesses read
-    through a stale far-endpoint id are rebased via the potentials.
+    Queued events are edges (u, j, v) and mirrors (u, j, None), named by
+    possibly stale vertex ids.  Edges and mirrors are stored only at
+    union-find roots, each edge at both of its ends.
     """
 
-    def __init__(self, rank: int, track: bool, nwit: int, core: CoreGraph | None = None):
-        """Start from the basepoint alone, or, untracked, from a copy of core."""
-        self.rank = rank
-        self.track = track
-        self.wident = identity(nwit) if track else None
+    def __init__(self, core: CoreGraph | None = None):
+        """Start from the basepoint alone, or from a copy of core."""
         adj = core.adj if core else [{}]
         self.parent = list(range(len(adj)))
-        self.pot: list = [self.wident] * len(adj)
         self.adj: list[dict[int, int]] = [dict(nbrs) for nbrs in adj]
         self.mirrors: list[set[int]] = [set(ms) for ms in core.mirrors] if core else [set()]
-        self.ewit: list[dict[int, Word]] = [{} for _ in adj]
-        self.mwit: list[dict[int, Word]] = [{} for _ in adj]
         self.queue: deque = deque()
 
-    # -- union-find with potentials --------------------------------------
-    def find_w(self, u: int):
-        """Root of u and the rebase word r with phi(r) = w(root) w(u)^-1."""
-        chain = []
-        while self.parent[u] != u:
-            chain.append(u)
-            u = self.parent[u]
-        root = u
-        if self.track:
-            for v in reversed(chain):
-                p = self.parent[v]
-                if p != root:
-                    self.pot[v] = self.pot[p] * self.pot[v]
-                    self.parent[v] = root
-            r = self.pot[chain[0]] if chain else self.wident
-            return root, r
-        for v in chain:
-            self.parent[v] = root
-        return root, None
-
     def find(self, u: int) -> int:
-        return self.find_w(u)[0]
+        root = u
+        while self.parent[root] != root:
+            root = self.parent[root]
+        while u != root:
+            self.parent[u], u = root, self.parent[u]
+        return root
 
     def new_vertex(self) -> int:
         v = len(self.parent)
         self.parent.append(v)
-        self.pot.append(self.wident)
         self.adj.append({})
         self.mirrors.append(set())
-        self.ewit.append({})
-        self.mwit.append({})
         return v
 
-    def add_edge(self, u: int, j: int, v: int, wit: Word | None):
-        self.queue.append(("edge", u, j, v, wit))
-
-    def add_mirror(self, u: int, j: int, wit: Word | None):
-        self.queue.append(("mirror", u, j, wit))
-
-    def add_involution(self, g: Word, wit: Word | None):
+    def add_involution(self, g: Word):
         """Queue g = p x_j p^-1 as a segment spelling p with a mirror j at its end."""
         j, prefix = involution_core(g)
         u = 0
         for a in prefix.letters:
             v = self.new_vertex()
-            self.add_edge(u, a, v, self.wident)
+            self.queue.append((u, a, v))
             u = v
-        self.add_mirror(u, j, wit)
+        self.queue.append((u, j, None))
 
-    # -- merging ----------------------------------------------------------
-    def _merge(self, a: int, b: int, m: Word | None):
-        """Identify roots a and b; phi(m) = w(a) w(b)^-1."""
+    def _detach(self, u: int, j: int) -> int:
+        """Remove the j-edge at root u from both ends; its far root."""
+        v = self.find(self.adj[u].pop(j))
+        back = self.adj[v].get(j)
+        if back is not None and self.find(back) == u:
+            del self.adj[v][j]
+        return v
+
+    def _merge(self, a: int, b: int):
+        """Identify roots a and b, re-queueing what the larger one held."""
         if a == b:
             return
         keep, gone = (a, b) if a < b else (b, a)  # basepoint 0 always survives
-        if self.track and keep != a:
-            m = ~m
-        edges = list(self.adj[gone].items())
-        ewit = dict(self.ewit[gone]) if self.track else {}
-        mirrs = list(self.mirrors[gone])
-        mwit = dict(self.mwit[gone]) if self.track else {}
-        self.adj[gone].clear()
-        self.ewit[gone].clear()
-        self.mirrors[gone].clear()
-        self.mwit[gone].clear()
-        # detach the reverse orientations stored at the far endpoints
-        for j, v in edges:
-            fr = self.find(v)
-            if fr != gone and self.adj[fr].get(j) is not None \
-                    and self.find(self.adj[fr][j]) == gone:
-                del self.adj[fr][j]
-                self.ewit[fr].pop(j, None)
+        labels = list(self.adj[gone])
+        edges = [(gone, j, self._detach(gone, j)) for j in labels]
+        mirrs = [(gone, j, None) for j in self.mirrors[gone]]
+        self.mirrors[gone] = set()
         self.parent[gone] = keep
-        if self.track:
-            self.pot[gone] = m
-        # re-queue; witnesses stay relative to gone and get rebased on processing
-        for j, v in edges:
-            self.add_edge(gone, j, v, ewit.get(j))
-        for j in mirrs:
-            self.add_mirror(gone, j, mwit.get(j))
-
-    # -- event loop ---------------------------------------------------------
-    def _read_edge_witness(self, u: int, j: int):
-        """Witness of the stored edge at root u, rebased to current far root."""
-        v0 = self.adj[u][j]
-        vroot, rv = self.find_w(v0)
-        if not self.track:
-            return vroot, None
-        return vroot, self.ewit[u][j] * ~rv
+        self.queue.extend(edges)
+        self.queue.extend(mirrs)
 
     def run(self):
-        track = self.track
+        adj, mirrors, find = self.adj, self.mirrors, self.find
         while self.queue:
-            kind, *args = self.queue.popleft()
-            if kind == "edge":
-                u0, j, v0, e = args
-                u, ru = self.find_w(u0)
-                v, rv = self.find_w(v0)
-                if track:
-                    e = ru * e * ~rv
-                if u == v:
-                    self.add_mirror(u, j, e)
+            u, j, v = self.queue.popleft()
+            u = find(u)
+            if v is None:
+                if j in mirrors[u]:
                     continue
-                if j in self.mirrors[u]:
-                    m = self.mwit[u][j] * e if track else None
-                    self._merge(u, v, m)
-                    continue
-                if j in self.mirrors[v]:
-                    m = self.mwit[v][j] * ~e if track else None
-                    self._merge(v, u, m)
-                    continue
-                if j in self.adj[u]:
-                    w, e0 = self._read_edge_witness(u, j)
-                    if w == v:
-                        continue
-                    m = ~e0 * e if track else None
-                    self._merge(w, v, m)
-                    continue
-                if j in self.adj[v]:
-                    w2, e0 = self._read_edge_witness(v, j)
-                    if w2 != u:
-                        m = ~e0 * ~e if track else None
-                        self._merge(w2, u, m)
-                    continue
-                self.adj[u][j] = v
-                self.adj[v][j] = u
-                if track:
-                    self.ewit[u][j] = e
-                    self.ewit[v][j] = ~e
-            else:
-                u0, j, h = args
-                u, ru = self.find_w(u0)
-                if track:
-                    h = ru * h * ~ru
-                if j in self.mirrors[u]:
-                    continue
-                if j in self.adj[u]:
+                mirrors[u].add(j)
+                if j in adj[u]:
                     # an edge and a mirror with the same label force a merge
-                    vroot, e0 = self._read_edge_witness(u, j)
-                    del self.adj[u][j]
-                    self.ewit[u].pop(j, None)
-                    if self.adj[vroot].get(j) is not None \
-                            and self.find(self.adj[vroot][j]) == u:
-                        del self.adj[vroot][j]
-                        self.ewit[vroot].pop(j, None)
-                    self.mirrors[u].add(j)
-                    if track:
-                        self.mwit[u][j] = h
-                    m = h * e0 if track else None
-                    self._merge(u, vroot, m)
-                    continue
-                self.mirrors[u].add(j)
-                if track:
-                    self.mwit[u][j] = h
+                    self._merge(u, self._detach(u, j))
+                continue
+            v = find(v)
+            if u == v:
+                self.queue.append((u, j, None))
+            elif j in mirrors[u] or j in mirrors[v]:
+                self._merge(u, v)
+            elif j in adj[u]:
+                self._merge(find(adj[u][j]), v)
+            elif j in adj[v]:
+                self._merge(find(adj[v][j]), u)
+            else:
+                adj[u][j] = v
+                adj[v][j] = u
 
 
-def fold(gens: list[Word], track_witnesses: bool = False) -> CoreGraph:
+def fold(gens: list[Word]) -> CoreGraph:
     """Fold the wedge of paths/loops spelling the generators into the core.
 
     Involution generators g x_j g^-1 contribute a segment spelling g with a
@@ -291,22 +197,17 @@ def fold(gens: list[Word], track_witnesses: bool = False) -> CoreGraph:
     for g in gens:
         if g.rank != rank:
             raise RankMismatchError("generators of mixed rank")
-    nwit = max(len(gens), 1)
-    f = _Folder(rank, track_witnesses, nwit)
-    # witnesses are words in one abstract letter per input generator
-    wident = f.wident
-    for k, g in enumerate(gens):
+    f = _Folder()
+    for g in gens:
         if g.is_identity:
             continue
-        ygen = Word((k + 1,), nwit) if track_witnesses else None
         if g.is_involution:
-            f.add_involution(g, ygen)
+            f.add_involution(g)
         else:
             u = 0
             for i, a in enumerate(g.letters):
-                last = i == len(g.letters) - 1
-                v = 0 if last else f.new_vertex()
-                f.add_edge(u, a, v, ygen if last else wident)
+                v = 0 if i == len(g.letters) - 1 else f.new_vertex()
+                f.queue.append((u, a, v))
                 u = v
     f.run()
 
@@ -315,17 +216,10 @@ def fold(gens: list[Word], track_witnesses: bool = False) -> CoreGraph:
     order = {root: 0}
     adj: list[dict[int, int]] = [{}]
     mirrors: list[set[int]] = [set()]
-    witnesses: dict[tuple[int, int], Word] = {}
     queue = deque([root])
     while queue:
         u = queue.popleft()
-        uu = order[u]
-        mirrors[uu] = set(f.mirrors[u])
-        if track_witnesses:
-            for j in f.mirrors[u]:
-                h = f.mwit[u].get(j)
-                if h is not None:
-                    witnesses[(uu, j)] = h
+        mirrors[order[u]] = set(f.mirrors[u])
         for j in sorted(f.adj[u]):
             v = f.find(f.adj[u][j])
             if v not in order:
@@ -336,7 +230,7 @@ def fold(gens: list[Word], track_witnesses: bool = False) -> CoreGraph:
     for u, uu in order.items():
         for j, v in f.adj[u].items():
             adj[uu][j] = order[f.find(v)]
-    return CoreGraph(rank, adj, mirrors, witnesses)
+    return CoreGraph(rank, adj, mirrors)
 
 
 def read(core: CoreGraph, w: Word) -> tuple[int, tuple[int, ...]]:
@@ -367,16 +261,8 @@ def contains(core: CoreGraph, w: Word) -> bool:
     return read(core, w) == (core.basepoint, ())
 
 
-def generates(gens: list[Word]) -> bool:
-    """True iff the given words generate all of W_n."""
-    if not gens:
-        return False
-    core = fold(gens)
-    return all(contains(core, x) for x in generators(gens[0].rank))
-
-
 def is_basis(candidates: list[Word]) -> bool:
-    """True iff n involutions generate W_n.
+    """True iff n involutions generate W_n, read off one fold by (d').
 
     n involutions that generate W_n always form a free basis (Grushko/Kurosh
     rank count -- a stated dependency of this package, exercised only in this
@@ -389,7 +275,7 @@ def is_basis(candidates: list[Word]) -> bool:
         raise ValueError(f"expected {n} candidates, got {len(candidates)}")
     if not all(c.is_involution for c in candidates):
         return False
-    return generates(candidates)
+    return len(fold(candidates).mirrors[0]) == n
 
 
 def generates_with(core: CoreGraph, extra: list[Word]) -> bool:
@@ -399,13 +285,13 @@ def generates_with(core: CoreGraph, extra: list[Word]) -> bool:
         of the core give the core of <H, extra>.
     (d') x_j lies in a subgroup iff j is a mirror at the basepoint (run()
         turns a j-loop into a mirror), so the subgroup is W_n iff the
-        basepoint carries all n mirrors: what generates checks via contains.
+        basepoint carries all n mirrors.
     """
     if any(g.rank != core.rank for g in extra):
         raise RankMismatchError("word rank does not match core rank")
-    f = _Folder(core.rank, False, 1, core)
+    f = _Folder(core)
     for g in extra:
-        f.add_involution(g, None)
+        f.add_involution(g)
     f.run()
     return len(f.mirrors[f.find(0)]) == core.rank
 
@@ -451,9 +337,10 @@ class Automorphism:
 def make_automorphism(images: list[Word] | tuple[Word, ...]) -> Automorphism:
     """Build an automorphism from n involution images.
 
-    The inverse is recovered from fold witnesses: once the images fold to the
-    one-vertex core with all mirrors, each mirror's witness expresses x_j as
-    a word in the images.  The construction is self-validating.
+    The inverse comes from Nielsen moves (h): each move y_k <- y_i y_k y_i
+    is applied also to the word w_k in the abstract letters with
+    phi(w_k) = y_k, so when the y end at the generators, w_k is the
+    inverse image of y_k.
     """
     images = tuple(images)
     n = images[0].rank
@@ -461,18 +348,24 @@ def make_automorphism(images: list[Word] | tuple[Word, ...]) -> Automorphism:
         raise NotBasisError(f"need {n} images, got {len(images)}")
     if not all(b.is_involution for b in images):
         raise NotBasisError("images must be involutions")
-    core = fold(list(images), track_witnesses=True)
-    if core.num_vertices != 1 or core.mirrors[0] != set(range(1, n + 1)):
+    if any(b.rank != n for b in images):
+        raise RankMismatchError("images of mixed rank")
+    ys = list(images)
+    ws = list(generators(n))
+    moved = True
+    while moved:
+        moved = False
+        for i, yi in enumerate(ys):
+            head = yi.letters[:len(yi) // 2 + 1]  # p_i x_{j_i}
+            for k, yk in enumerate(ys):
+                if len(yk) > len(yi) and yk.letters[:len(head)] == head:
+                    ys[k] = conjugate(yk, yi)
+                    ws[k] = conjugate(ws[k], ws[i])
+                    moved = True
+    if sorted(y.letters for y in ys) != [(j,) for j in range(1, n + 1)]:
         raise NotBasisError("images do not generate W_n")
-    inverse_images = []
-    for j in range(1, n + 1):
-        h = core.witnesses[(0, j)]  # word in abstract generator letters
-        inverse_images.append(reduce(h.letters, n))
-    phi = Automorphism(images, tuple(inverse_images))
-    for j, x in enumerate(generators(n), start=1):
-        if phi(phi.inverse_images[j - 1]) != x:
-            raise AssertionError("fold witness produced an invalid inverse")
-    return phi
+    inverse_images = tuple(w for _, w in sorted(zip(ys, ws), key=lambda yw: yw[0].letters))
+    return Automorphism(images, inverse_images)
 
 
 def compose(phi: Automorphism, psi: Automorphism) -> Automorphism:

@@ -40,6 +40,7 @@ import collections
 import functools
 import itertools
 import json
+import math
 from dataclasses import dataclass
 
 from .jsoncheck import check
@@ -558,6 +559,14 @@ def _selections(sizes: list[int]) -> list[frozenset]:
     return elements
 
 
+def wedge_betti(sizes, dimension: int) -> dict[int, int]:
+    """The predicted reduced Betti numbers of the selections of sizes, in
+    degrees 0..dimension: a wedge of prod(s - 1) spheres of dimension
+    len(sizes) - 1."""
+    rank = math.prod(s - 1 for s in sizes)
+    return {d: (rank if d == len(sizes) - 1 else 0) for d in range(dimension + 1)}
+
+
 @dataclass
 class WedgeReport:
     sizes: tuple[int, ...]
@@ -583,11 +592,8 @@ def verify_wedge(sizes) -> WedgeReport:
     b3 = betti(complex_, 3)
     hom = integral_homology(complex_)
     torsion_free = all(not t for _, t in hom.values())
-    k = len(sizes)
-    rank = 1
-    for s in sizes:
-        rank *= s - 1
-    expected = {d: (rank if (d == k - 1 and rank) else 0) for d in bq}
+    expected = wedge_betti(sizes, complex_.dimension)
     ok = (bq == expected and b2 == expected and b3 == expected and torsion_free
           and all(hom[d][0] == expected[d] for d in expected))
-    return WedgeReport(sizes, bq, b2, b3, torsion_free, k - 1, rank, ok)
+    return WedgeReport(sizes, bq, b2, b3, torsion_free, len(sizes) - 1,
+                       math.prod(s - 1 for s in sizes), ok)

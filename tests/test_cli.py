@@ -3,13 +3,17 @@ import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest.mock import patch
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from grushko.cli import main
-from grushko.trees import caterpillar
+from grushko.trees import MarkedTree, caterpillar, enumerate_shapes
 from grushko.verify import RunConfig, run_criterion
+from grushko.words import conjugate, generator, generators, reduce
 
 
 def run_cli(capsys, *argv):
@@ -306,3 +310,125 @@ def test_python_dash_m_runs_the_cli_from_a_checkout():
     done = run("verify-all", "--n", "6")
     assert done.returncode == 2 and done.stdout == ""
     assert "desk scale exceeded: n <= 5" in done.stderr
+
+
+# ---------------------------------------------------------------------------
+# argv fuzz: every subcommand but verify-all, ranks <= 4, radii <= 1
+# ---------------------------------------------------------------------------
+
+def _twisted_tree():
+    """A rank-3 tree whose marking is not standard, so reading it inverts
+    the marking automorphism."""
+    x1, x2, x3 = generators(3)
+    return MarkedTree(enumerate_shapes(3)[0], (x1, conjugate(x2, x1), conjugate(x3, x2)))
+
+
+FUZZ_FILES = {
+    "tree2": caterpillar(2).to_json(),
+    "tree4": caterpillar(4).to_json(),
+    "twisted": _twisted_tree().to_json(),
+    "classes": json.dumps(["W2[a=x1;b=x2;pair=1]"]),
+    "classes2": json.dumps(["W2[a=x1;b=x2;pair=1]", "W2[a=x3;b=x4;pair=2]"]),
+    "bad_classes": json.dumps(["W2[a=x1;b=x1;pair=1]", "W2[a=x1*x2;b=x3;pair=9]"]),
+    "complex": json.dumps(COMPLEX),
+    "bp": json.dumps(BP),
+    "no_marking": json.dumps(NO_MARKING),
+    "broken": '{"vertices": [,]}',
+    "list": "[1, 2]",
+}
+FILES = st.sampled_from([f"@{name}" for name in FUZZ_FILES] + ["@missing", "@dir", "-"])
+RANKS = st.sampled_from(["1", "2", "3", "4", "0", "-1", "x", ""])
+RADII = st.sampled_from(["0", "1", "-1", "9", "r"])
+WORD_TEXTS = st.text(alphabet="x1234.*, -e", max_size=8)
+W3 = st.lists(st.integers(1, 3), max_size=5).map(lambda letters: reduce(letters, 3))
+
+
+def _opt(flag, values):
+    return st.just([]) | values.map(lambda v: [flag, v])
+
+
+def _flag(flag):
+    return st.sampled_from([[], [flag]])
+
+
+def _argv(*parts):
+    return st.tuples(*parts).map(lambda ps: [a for p in ps for a in p])
+
+
+def _json_words(words):
+    return json.dumps([str(w) for w in words])
+
+
+@st.composite
+def phi3_bases(draw):
+    """Three images reached from x1, x2, x3 by Nielsen moves and a permutation."""
+    imgs = list(generators(3))
+    for i, k in draw(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)), max_size=4)):
+        if i != k:
+            imgs[k] = conjugate(imgs[k], imgs[i])
+    return _json_words(draw(st.permutations(imgs)))
+
+
+PHI3 = st.one_of(
+    phi3_bases(),
+    # involutions or other words that need not form a basis
+    st.lists(st.tuples(st.integers(1, 3), W3), min_size=3, max_size=3).map(
+        lambda pairs: _json_words(conjugate(generator(j, 3), w) for j, w in pairs)),
+    st.lists(W3, min_size=3, max_size=3).map(_json_words),
+    # malformed JSON, or JSON of the wrong shape
+    st.sampled_from(["[", '{"a":1}', '"x1"', "[1,2,3]", "[]", '["x1","x2"]', "null",
+                     '["x1","x2","x3","x1"]', '["x4","x2","x3"]', '["x0","x2","x3"]']),
+    st.text(max_size=6),
+)
+
+ARGVS = st.one_of(
+    _argv(st.just(["words"]), st.sampled_from([["reduce"], ["multiply"], ["divide"]]),
+          st.lists(WORD_TEXTS, min_size=1, max_size=3), _opt("--n", RANKS)),
+    _argv(st.just(["fold", "--words"]), WORD_TEXTS.map(lambda t: [t]), _opt("--n", RANKS),
+          _opt("--member", WORD_TEXTS), _flag("--dot")),
+    _argv(st.just(["visible", "--tree"]), FILES.map(lambda f: [f, "--pair"]),
+          st.sampled_from(["-1", "0", "1", "2", "3", "4", "9", "a"]).map(lambda p: [p]),
+          _opt("--brute", st.sampled_from(["-1", "0", "1", "2", "3", "b"]))),
+    _argv(st.just(["certify", "--tree"]), FILES.map(lambda f: [f, "--classes"]),
+          FILES.map(lambda f: [f])),
+    _argv(st.just(["shapes"]), _opt("--n", RANKS), _flag("--poset"),
+          _flag("--up-to-relabeling")),
+    _argv(st.just(["homology"]), _opt("--in", FILES),
+          _opt("--field", st.sampled_from(["Q", "2", "3", "4", "0", "-3", "q", ""]))),
+    _argv(st.just(["bp", "build"]), _opt("--n", RANKS), _flag("--unpaired"),
+          _opt("--radius", RADII),
+          _opt("--trees", st.lists(FILES, min_size=1, max_size=2).map(",".join))),
+    _argv(st.just(["bp", "report"]), _opt("--in", FILES)),
+    _argv(st.just(["gn-embed", "--n"]), (st.just("4") | RANKS).map(lambda n: [n]),
+          _opt("--phi3", PHI3),
+          _opt("--words", st.lists(W3, max_size=2).map(lambda ws: ",".join(map(str, ws)))
+               | WORD_TEXTS),
+          _flag("--free")),
+    st.lists(st.sampled_from(["bp", "frobnicate", "--n", "4", "-h"]), max_size=3),
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    for name, text in FUZZ_FILES.items():
+        (root / f"{name}.json").write_text(text)
+    return root
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=ARGVS)
+def test_argv_fuzz_exits_by_contract(fuzz_dir, argv):
+    """Any argv ends in exit code 0, 1, 2 or 3 without a traceback: an
+    exception other than SystemExit escapes main and fails the test."""
+    paths = {f"@{name}": str(fuzz_dir / f"{name}.json") for name in [*FUZZ_FILES, "missing"]}
+    paths["@dir"] = str(fuzz_dir)
+    argv = [",".join(paths.get(part, part) for part in a.split(",")) for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with patch("sys.stdin", io.StringIO("")), redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2, 3), (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue(), argv

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from grushko.words import (
+    RankMismatchError,
     conjugate,
     generators,
     identity,
@@ -251,15 +252,57 @@ def test_make_automorphism_inverse():
         make_automorphism([W("x1", 3), W("x1", 3), W("x3", 3)])
 
 
-def _random_automorphism(rng, n):
+def _random_basis(rng, n, moves=8):
     imgs = list(generators(n))
-    for _ in range(8):
+    for _ in range(moves):
         i, j = rng.randrange(n), rng.randrange(n)
         if i != j:
             imgs[i] = conjugate(imgs[i], imgs[j])
         k, l = rng.randrange(n), rng.randrange(n)
         imgs[k], imgs[l] = imgs[l], imgs[k]
-    return make_automorphism(imgs)
+    return imgs
+
+
+def _random_automorphism(rng, n):
+    return make_automorphism(_random_basis(rng, n))
+
+
+def test_nielsen_moves_agree_with_folding():
+    """make_automorphism (Nielsen moves, no folding) and is_basis (folding)
+    decide "is a basis" by separate routes.
+
+    Bases come from random moves and permutations, the other tuples from
+    random cores and conjugators of length <= 3 (a few of them bases too).
+    """
+    rng = random.Random(29)
+    answers = {True: 0, False: 0}
+    for _ in range(1500):
+        n = rng.randint(2, 5)
+        if rng.random() < 0.4:
+            images = _random_basis(rng, n, rng.randrange(0, 6))
+        else:
+            images = [conjugate(x, random_reduced_word(rng, n, rng.randrange(0, 4)))
+                      for x in rng.choices(generators(n), k=n)]
+        ok = is_basis(images)
+        try:
+            phi = make_automorphism(images)
+        except NotBasisError:
+            assert not ok, images
+            answers[False] += 1
+            continue
+        assert ok, images
+        answers[True] += 1
+        for _ in range(3):
+            w = random_reduced_word(rng, n, rng.randrange(0, 8))
+            assert phi.inverse()(phi(w)) == w
+        # an involution of a larger rank after the first image, which sets n
+        k = rng.randrange(1, n)
+        y = images[k].letters
+        mixed = list(images)
+        mixed[k] = reduce((n + 1,) + y + (n + 1,) if rng.random() < 0.5 else y, n + 1)
+        with pytest.raises(RankMismatchError):
+            make_automorphism(mixed)
+    assert min(answers.values()) >= 400, answers
 
 
 def test_random_automorphism_roundtrips():
