@@ -119,48 +119,61 @@ def _reduced_words_upto(n: int, max_len: int) -> list[Word]:
     return out
 
 
-def _complete_to_basis(fixed: list[Word], cores_left: list[int],
-                       pool: list[Word]) -> tuple[Word, ...] | None:
-    """Fill the remaining cores with pool conjugates until is_basis passes.
+def _certificate(groups: list[tuple[Word, ...]], pool: list[Word]) -> tuple[Word, ...] | None:
+    """The first basis of W_n holding conjugates of every group, or None.
 
-    Pool words are tried in order and the first basis found is returned.  At
-    the last core k, the fixed n-1 involutions generate H, folded once; a
-    candidate p x_k p^-1 (p from involution_core) is read as p in that core,
-    and is_basis is not run where its answer is already known:
-    (a) Same vertex, same answer: <H, p x_k p^-1> = W_n depends only on the
-        coset Hp, since p = hq with h in H makes it h <H, q x_k q^-1> h^-1,
-        and a reading that stays in the core ends at the vertex of Hp.
-    (b) A reading that leaves the core never completes a basis: the unread
-        tail hangs off the core as a folded path (reduced letters, ending in
-        a mirror k that differs from its last letter), so the basepoint
-        keeps the mirrors of H, and n-1 involutions give at most n-1 of the
-        n dimensions of the abelianization (Z/2)^n.
-    Only failing candidates are skipped, so the plain search's basis is found.
-    A survivor is decided by folding only its segment onto the core
-    (membership.generates_with, facts (d) and (d')); this is is_basis, since
-    (d'') its count and involution checks hold by construction.
+    groups lists n involutions in groups: class pairs, then one (x_k,) for
+    each core they leave free (_groups).  The first group is pinned, as a
+    basis may be conjugated globally; every later group is conjugated by a
+    pool word w, the pool scanned in order with the last group fastest.  A
+    single group (n = 2) is decided by is_basis.  Otherwise the involutions
+    before the last group, generating H, are folded once per placement of
+    the groups between, and a candidate for the last group is decided by
+    folding only its own segments onto that core (membership.generates_with,
+    facts (d) and (d')); this is is_basis, since (d'') its count and
+    involution checks hold by construction.  is_basis is not run where its
+    answer is already known:
+    (a) A single involution p x_k p^-1 (p from involution_core) is read as
+        p.  <H, p x_k p^-1> = W_n depends only on the coset Hp, since p = hq
+        with h in H makes it h <H, q x_k q^-1> h^-1, and a reading that stays
+        in the core ends at the vertex of Hp.
+    (b) A single involution whose reading leaves the core never completes a
+        basis: the unread tail hangs off the core as a folded path (reduced
+        letters, ending in a mirror k that differs from its last letter), so
+        the basepoint keeps the mirrors of H, and n-1 involutions give at
+        most n-1 of the n dimensions of the abelianization (Z/2)^n.
+    (g) A pair w<a,b>w^-1 is read as w: w = hw' with h in H gives
+        <H, w<a,b>w^-1> = <H, w'<a,b>w'^-1>, so the answer depends only on
+        Hw, which membership.read names by (vertex, tail).  Unlike (b), a
+        reading that leaves the core is a key, not a rejection.
+    A coset is rejected once its candidate fails, and only failing
+    candidates are skipped, so the plain search's basis is found.
     """
-    if not cores_left:
-        return tuple(fixed) if membership.is_basis(fixed) else None
-    n = fixed[0].rank
-    x_k, rest = generator(cores_left[0], n), cores_left[1:]
-    if rest:
+    if len(groups) == 1:
+        return groups[0] if membership.is_basis(list(groups[0])) else None
+    first, *middle, last = groups
+    single = len(last) == 1
+    for ws in itertools.product(pool, repeat=len(middle)):
+        fixed = list(first) + [conjugate(x, w) for g, w in zip(middle, ws) for x in g]
+        core = membership.fold(fixed)
+        rejected: set[tuple[int, tuple[int, ...]]] = set()
         for w in pool:
-            got = _complete_to_basis(fixed + [conjugate(x_k, w)], rest, pool)
-            if got is not None:
-                return got
-        return None
-    core = membership.fold(fixed)
-    rejected: set[int] = set()
-    for w in pool:
-        cand = conjugate(x_k, w)
-        end, tail = membership.read(core, involution_core(cand)[1])
-        if tail or end in rejected:
-            continue
-        if membership.generates_with(core, [cand]):
-            return tuple(fixed) + (cand,)
-        rejected.add(end)
+            placed = [conjugate(x, w) for x in last]
+            key = membership.read(core, involution_core(placed[0])[1] if single else w)
+            if key in rejected or (single and key[1]):
+                continue
+            if membership.generates_with(core, placed):
+                return tuple(fixed + placed)
+            rejected.add(key)
     return None
+
+
+def _groups(combo: tuple[CanonicalClass, ...], core_of: dict) -> list[tuple[Word, ...]]:
+    """The class pairs of combo, then (x_k,) for each core they leave free."""
+    n = combo[0].rank
+    used = {k for c in combo for k in core_of[c]}
+    return [(c.a, c.b) for c in combo] + \
+        [(generator(k, n),) for k in range(1, n + 1) if k not in used]
 
 
 def _retraction_generates(a: Word, b: Word, i: int, j: int) -> bool:
@@ -212,8 +225,7 @@ def build_unpaired_radius(n: int, radius: int) -> PartialBasisComplex:
     certified: dict[CanonicalClass, CanonicalClass] = {}
     uncertified: list[str] = []
     for cls, (i, j) in classes.items():
-        cores_left = [k for k in range(1, n + 1) if k not in (i, j)]
-        basis = _complete_to_basis([cls.a, cls.b], cores_left, pool) \
+        basis = _certificate(_groups((cls,), classes), pool) \
             if _retraction_generates(cls.a, cls.b, i, j) else None
         if basis is None:
             uncertified.append(str(cls))
@@ -228,8 +240,7 @@ def build_unpaired_radius(n: int, radius: int) -> PartialBasisComplex:
             used = [classes[c] for c in combo]
             if len({k for pair in used for k in pair}) != 2 * size:
                 continue
-            joint = _joint_certificate(list(combo), classes, pool)
-            if joint is not None:
+            if _certificate(_groups(combo, classes), pool) is not None:
                 for sub in range(2, size + 1):
                     for picked in itertools.combinations(combo, sub):
                         elements.add(frozenset(picked))
@@ -237,51 +248,6 @@ def build_unpaired_radius(n: int, radius: int) -> PartialBasisComplex:
     return PartialBasisComplex(n, False, params,
                                sorted(certified.values(), key=lambda c: (c.a.key(), c.b.key())),
                                sorted(elements, key=_element_key))
-
-
-def _joint_certificate(combo: list[CanonicalClass], core_of, pool: list[Word]):
-    """Basis containing representative pairs of every class, or None.
-
-    The first class is pinned to its canonical pair (legitimate up to global
-    conjugation); the others get conjugated over the pool.  A last pair that
-    completes the n involutions is folded onto the core of the pairs before
-    it, folded once; by (d), (d') and (d'') of _complete_to_basis this
-    decides is_basis.
-
-    (g) With H generated by the pairs before it, w = hw' for h in H gives
-    <H, w<a,b>w^-1> = <H, w'<a,b>w'^-1>, so the answer depends only on the
-    coset Hw, which membership.read names by (vertex, tail).  A rejected
-    (vertex, tail) is never folded again; unlike (b), a reading that leaves
-    the core is a key, not a rejection.
-    """
-    n = combo[0].rank
-    used_cores = {k for c in combo for k in core_of[c]}
-    cores_left = [k for k in range(1, n + 1) if k not in used_cores]
-
-    def place(idx: int, fixed: list[Word]):
-        if idx == len(combo):
-            return _complete_to_basis(fixed, cores_left, pool)
-        cls = combo[idx]
-        conjugators = pool if idx else [identity(n)]
-        if idx < len(combo) - 1 or cores_left:
-            for w in conjugators:
-                got = place(idx + 1, fixed + [conjugate(cls.a, w), conjugate(cls.b, w)])
-                if got is not None:
-                    return got
-            return None
-        core = membership.fold(fixed)
-        rejected: set[tuple[int, tuple[int, ...]]] = set()
-        for w in conjugators:
-            key = membership.read(core, w)
-            if key in rejected:
-                continue
-            a, b = conjugate(cls.a, w), conjugate(cls.b, w)
-            if membership.generates_with(core, [a, b]):
-                return tuple(fixed) + (a, b)
-            rejected.add(key)
-        return None
-
-    return place(0, [])
 
 
 # ---------------------------------------------------------------------------

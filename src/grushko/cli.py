@@ -69,37 +69,26 @@ def _load_tree(path: str) -> MarkedTree:
     return _load(path, MarkedTree.from_json)
 
 
-def _rank(text: str) -> int:
-    """argparse type of --n: a rank is at least 1, else exit 2 with a message."""
-    n = int(text)
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"rank must be >= 1, got {n}")
-    return n
+def _bounded_int(name: str, lo: int, hi: int | None, message: str):
+    """An argparse type for integers in lo..hi (hi None: no upper bound).
+
+    Out of range it exits 2 with message, its {} filled with the value;
+    name is what argparse calls the type when the text is no integer.
+    """
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < lo or (hi is not None and value > hi):
+            raise argparse.ArgumentTypeError(message.format(value))
+        return value
+    parse.__name__ = name
+    return parse
 
 
-def _gn_rank(text: str) -> int:
-    """argparse type of gn-embed's --n: x_4..x_n are the conjugated generators."""
-    n = int(text)
-    if n < 4:
-        raise argparse.ArgumentTypeError(
-            f"rank must be >= 4 (the words w_4..w_n conjugate x_4..x_n), got {n}")
-    return n
-
-
-def _brute_bound(text: str) -> int:
-    """argparse type of visible's --brute: a word length, so at least 0."""
-    length = int(text)
-    if length < 0:
-        raise argparse.ArgumentTypeError(f"brute-force bound must be >= 0, got {length}")
-    return length
-
-
-def _radius(text: str) -> int:
-    """argparse type of --radius: the unpaired builds' budget, else exit 2."""
-    r = int(text)
-    if not 0 <= r <= MAX_RADIUS:
-        raise argparse.ArgumentTypeError(f"radius must be in 0..{MAX_RADIUS}, got {r}")
-    return r
+_rank = _bounded_int("_rank", 1, None, "rank must be >= 1, got {}")
+_gn_rank = _bounded_int(
+    "_gn_rank", 4, None, "rank must be >= 4 (the words w_4..w_n conjugate x_4..x_n), got {}")
+_brute_bound = _bounded_int("_brute_bound", 0, None, "brute-force bound must be >= 0, got {}")
+_radius = _bounded_int("_radius", 0, MAX_RADIUS, f"radius must be in 0..{MAX_RADIUS}, got {{}}")
 
 
 def _infer_rank(texts: list[str], flag: int | None) -> int:

@@ -227,12 +227,15 @@ class CanonicalClass:
 
 
 def parse_class(text: str, rank: int) -> CanonicalClass:
-    """Parse the stable text form W2[a=...;b=...;pair=...]."""
+    """Parse the stable text form W2[a=...;b=...;pair=...].
+
+    The fields are a, b and an optional pair, each at most once.
+    """
     body = text.strip()
-    if not (body.startswith("W2[") and body.endswith("]")):
-        raise ValueError(f"bad class literal: {text!r}")
-    parts = dict(kv.split("=", 1) for kv in body[3:-1].split(";"))
-    if "a" not in parts or "b" not in parts:
+    fields = [kv.split("=", 1) for kv in body[3:-1].split(";")]
+    parts = dict(f for f in fields if len(f) == 2)
+    if not (body.startswith("W2[") and body.endswith("]")) or len(parts) != len(fields) \
+            or not {"a", "b"} <= parts.keys() <= {"a", "b", "pair"}:
         raise ValueError(f"bad class literal: {text!r}")
     a = parse(parts["a"], rank)
     b = parse(parts["b"], rank)

@@ -85,7 +85,7 @@ def _plain_unpaired(n, radius):
         sorted(elements, key=lambda e: sorted(key(c) for c in e)))
 
 
-@pytest.mark.parametrize("n,radius", [(3, 2), (4, 1)])
+@pytest.mark.parametrize("n,radius", [(3, 2), (4, 1), (5, 0)])
 def test_unpaired_build_matches_plain_search(n, radius):
     sub, ref = _unpaired(n, radius), _plain_unpaired(n, radius)
     assert sub.to_json() == ref.to_json()
@@ -100,14 +100,14 @@ def test_retraction_test_skips_uncertified_classes(monkeypatch, n, radius, uncer
     """(f) spares the completing-basis search of most uncertified classes,
     and of no certified one."""
     searched = []
-    search = basis_complex._complete_to_basis
+    search = basis_complex._certificate
 
-    def record(fixed, cores_left, pool):
-        if len(fixed) == 2:
-            searched.append(tuple(fixed))
-        return search(fixed, cores_left, pool)
+    def record(groups, pool):
+        if all(len(g) == 1 for g in groups[1:]):
+            searched.append(groups[0])
+        return search(groups, pool)
 
-    monkeypatch.setattr(basis_complex, "_complete_to_basis", record)
+    monkeypatch.setattr(basis_complex, "_certificate", record)
     sub = build_unpaired_radius(n, radius)
     assert len(sub.params["uncertified"]) == uncertified
     assert {(c.a, c.b) for c in sub.classes} <= set(searched)

@@ -241,6 +241,11 @@ MALFORMED = [
     (["bp", "build", "--n", "2", "--trees", "{tree},{f}"], NO_MARKING, "$.marking"),
     (["visible", "--tree", "{f}", "--pair", "1"], _with(TREE, "marking", {"1": "x1", "2": "x9"}),
      "$.marking.2: letter 9 out of range"),
+    (["certify", "--tree", "{tree}", "--classes", "{f}"], ["W2[a=x1;b=x2;pair=1;zzz=3]"],
+     "bad class literal"),
+    (["certify", "--tree", "{tree}", "--classes", "{f}"], ["W2[a=x2;a=x1;b=x2;pair=1]"],
+     "bad class literal"),
+    (["certify", "--tree", "{tree}", "--classes", "{f}"], ["W2[x1]"], "bad class literal"),
 ]
 
 

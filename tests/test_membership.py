@@ -116,7 +116,7 @@ def test_last_core_shortcut_is_exact():
 
 
 def test_pair_coset_key_is_exact():
-    """The joint-certificate search skips a pair placement by its coset.
+    """basis_complex._certificate skips a last-pair placement by its coset.
 
     With H folded from fixed conjugates of distinct generators and a class
     <a, b> on two other cores, <H, w a w^-1, w b w^-1> = W_n depends only
