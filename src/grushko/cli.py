@@ -69,26 +69,30 @@ def _load_tree(path: str) -> MarkedTree:
     return _load(path, MarkedTree.from_json)
 
 
-def _bounded_int(name: str, lo: int, hi: int | None, message: str):
+def _bounded_int(lo: int, hi: int | None, message: str):
     """An argparse type for integers in lo..hi (hi None: no upper bound).
 
     Out of range it exits 2 with message, its {} filled with the value;
-    name is what argparse calls the type when the text is no integer.
+    a text that is no integer exits 2 naming the message's subject, the
+    words before " must ".
     """
     def parse(text: str) -> int:
-        value = int(text)
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"{message.partition(' must ')[0]} must be an integer, got {text!r}") from None
         if value < lo or (hi is not None and value > hi):
             raise argparse.ArgumentTypeError(message.format(value))
         return value
-    parse.__name__ = name
     return parse
 
 
-_rank = _bounded_int("_rank", 1, None, "rank must be >= 1, got {}")
+_rank = _bounded_int(1, None, "rank must be >= 1, got {}")
 _gn_rank = _bounded_int(
-    "_gn_rank", 4, None, "rank must be >= 4 (the words w_4..w_n conjugate x_4..x_n), got {}")
-_brute_bound = _bounded_int("_brute_bound", 0, None, "brute-force bound must be >= 0, got {}")
-_radius = _bounded_int("_radius", 0, MAX_RADIUS, f"radius must be in 0..{MAX_RADIUS}, got {{}}")
+    4, None, "rank must be >= 4 (the words w_4..w_n conjugate x_4..x_n), got {}")
+_brute_bound = _bounded_int(0, None, "brute-force bound must be >= 0, got {}")
+_radius = _bounded_int(0, MAX_RADIUS, f"radius must be in 0..{MAX_RADIUS}, got {{}}")
 
 
 def _infer_rank(texts: list[str], flag: int | None) -> int:

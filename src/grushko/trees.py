@@ -207,7 +207,10 @@ class MarkedTree:
     families, the brute-force oracle and the certificates.  Each tree gets
     its own by default, so analysing one tree costs the same whatever was
     analysed before it; a caller sweeping many trees may pass them one
-    `memo` to share the work.
+    `memo` to share the work.  `certificate_memo` keeps the adapted order
+    and, per slot pair (alpha, beta), the first segment conjugator of each
+    class (visibility.certify_partial_basis); its entries depend on the
+    tree, so it is never shared.
     """
 
     def __init__(self, shape: TreeShape, marking: tuple[Word, ...], memo: dict | None = None):
@@ -230,6 +233,7 @@ class MarkedTree:
         self._slot_vertex = tuple(shape.vertex_of_slot(k) for k in range(1, n + 1))
         self._inverse_marking = None
         self.canonical_memo = {} if memo is None else memo
+        self.certificate_memo: dict = {}
 
     def marking_word(self, slot: int) -> Word:
         return self.marking[slot - 1]

@@ -68,22 +68,24 @@ def segment_conjugators(tree: MarkedTree, x: int, y: int) -> list[Word]:
     2^p subproducts b_1^{e_1} ... b_p^{e_p}.  Every factor <b_x, g b_y g^-1>
     visible in the tree has a conjugator of this form.
     """
+    return _subproducts(tree, [x, *_interior_stops(tree, x, y), y])
+
+
+def _interior_stops(tree: MarkedTree, x: int, y: int) -> list[int]:
+    """Slots of the marked vertices strictly between those of x and y, in order."""
     if x == y:
         raise ValueError("need two distinct slots")
     shape = tree.shape
-    u, v = tree.vertex_of_slot(x), tree.vertex_of_slot(y)
-    stops = [x]
-    for _, far in shape.path(u, v):
-        s = shape.slot_of[far]
-        if s:
-            stops.append(s)
-    words = []
-    for bits in range(1 << len(stops)):
-        w = identity(tree.n)
-        for i, slot in enumerate(stops):
-            if bits >> i & 1:
-                w = w * tree.marking_word(slot)
-        words.append(w)
+    path = shape.path(tree.vertex_of_slot(x), tree.vertex_of_slot(y))
+    return [shape.slot_of[far] for _, far in path[:-1] if shape.slot_of[far]]
+
+
+def _subproducts(tree: MarkedTree, slots: list[int]) -> list[Word]:
+    """The 2^k products b_{s_1}^{e_1} ... b_{s_k}^{e_k}, e_1 the fastest bit."""
+    words = [identity(tree.n)]
+    for slot in slots:
+        b = tree.marking_word(slot)
+        words += [w * b for w in words]
     return words
 
 
@@ -100,14 +102,22 @@ class VisibleFamily:
 
 
 def visible_classes(tree: MarkedTree, i: int) -> VisibleFamily:
-    """Visible paired classes <b_{2i-1}, g b_{2i} g^-1> over segment conjugators."""
+    """Visible paired classes <b_{2i-1}, g b_{2i} g^-1> over interior conjugators.
+
+    A segment conjugator is b_x^e g b_y^f with g a product of the interior
+    stops (x = 2i-1, y = 2i), and the endpoint letters add no class: g b_y
+    gives the same subgroup, as (g b_y) b_y (g b_y)^-1 = g b_y g^-1, and
+    b_x g gives its conjugate by b_x = a, whose class and visibility are
+    the same.  So the 2^(p-2) interior subproducts give every class that
+    the 2^p segment conjugators give.
+    """
     n = tree.n
     if 2 * i > n or i < 1:
         raise ValueError(f"pair index {i} out of range for rank {n}")
     a = tree.marking_word(2 * i - 1)
     y = tree.marking_word(2 * i)
     seen: dict[CanonicalClass, CanonicalClass] = {}
-    for g in segment_conjugators(tree, 2 * i - 1, 2 * i):
+    for g in _subproducts(tree, _interior_stops(tree, 2 * i - 1, 2 * i)):
         b = conjugate(y, g)
         if b == a:
             continue
@@ -198,9 +208,11 @@ def certify_partial_basis(tree: MarkedTree, classes) -> tuple[Word, ...]:
     cores form a partial basis; it raises CertificationError when a class
     is not visible here and on core collisions.
     """
-    order = adapted_order(tree)
+    memo = tree.certificate_memo
+    if "order" not in memo:
+        memo["order"] = adapted_order(tree)
+    order = memo["order"]
     pos = {slot: i for i, slot in enumerate(order)}
-    n = tree.n
     used: set[int] = set()
     chosen: dict[int, tuple[Word, CanonicalClass]] = {}
     for cls in classes:
@@ -237,19 +249,25 @@ def _segment_conjugator_for(tree: MarkedTree, cls: CanonicalClass,
     Interior letters of g then involve only earlier marked vertices, which
     is what makes the inductive prefix property hold.  Leading b_alpha and
     trailing b_beta letters never change the subgroup and are dropped.
+    One sorted scan per (alpha, beta) keeps the first g of every class in
+    the tree's certificate_memo.
     """
-    a = tree.marking_word(alpha)
-    y = tree.marking_word(beta)
-    candidates = sorted(segment_conjugators(tree, alpha, beta), key=lambda w: w.key())
-    for g in candidates:
-        g = _strip(g, a, y)
-        b = conjugate(y, g)
-        if b == a:
-            continue
-        if canonical_class(W2Factor(a, b), tree.canonical_memo) == cls:
-            return g
-    raise CertificationError(
-        f"no segment conjugator recovers {cls}; finiteness of visible classes violated")
+    memo = tree.certificate_memo
+    if (alpha, beta) not in memo:
+        a = tree.marking_word(alpha)
+        y = tree.marking_word(beta)
+        first: dict[CanonicalClass, Word] = {}
+        for g in sorted(segment_conjugators(tree, alpha, beta), key=lambda w: w.key()):
+            g = _strip(g, a, y)
+            b = conjugate(y, g)
+            if b != a:
+                first.setdefault(canonical_class(W2Factor(a, b), tree.canonical_memo), g)
+        memo[(alpha, beta)] = first
+    g = memo[(alpha, beta)].get(cls)
+    if g is None:
+        raise CertificationError(
+            f"no segment conjugator recovers {cls}; finiteness of visible classes violated")
+    return g
 
 
 def _strip(g: Word, a: Word, y: Word) -> Word:

@@ -191,6 +191,21 @@ def test_radius_out_of_budget_exits_2_at_once(capsys, argv):
     assert "[ 1]" not in err  # no criterion ran
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["words", "reduce", "x1", "--n", "abc"], "argument --n: rank must be an integer, got 'abc'"),
+    (["gn-embed", "--n", "4.5", "--words", "x1"],
+     "argument --n: rank must be an integer, got '4.5'"),
+    (["visible", "--tree", "t.json", "--pair", "1", "--brute", "b"],
+     "argument --brute: brute-force bound must be an integer, got 'b'"),
+    (["verify-all", "--n", "3", "--radius", "1e3"],
+     "argument --radius: radius must be an integer, got '1e3'")])
+def test_non_integer_flag_exits_2_naming_the_value(capsys, argv, message):
+    code, out, err = exit_code(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.rstrip().endswith(message)
+    assert "invalid" not in err and "_rank" not in err
+
+
 def test_bad_field_exits_2_before_any_output(tmp_path, capsys):
     path = tmp_path / "c.json"
     path.write_text(json.dumps(COMPLEX))

@@ -12,6 +12,7 @@ from grushko.factors import W2Factor, canonical_class, canonical_pair
 from grushko.membership import is_basis
 from grushko.trees import (
     MarkedTree,
+    adapted_order,
     bs_path,
     caterpillar,
     collapse,
@@ -22,6 +23,7 @@ from grushko.trees import (
 )
 from grushko.visibility import (
     CertificationError,
+    _strip,
     bp_fiber,
     certify_partial_basis,
     is_visible,
@@ -127,9 +129,10 @@ def test_canonical_memo_is_per_tree():
     memo = dict(t.canonical_memo)
     assert memo and not other.canonical_memo
     assert all(canonical_pair(a, b) == pair for (a, b), pair in memo.items())
-    # the brute-force oracle meets the same factors and adds no entry
+    # the brute-force oracle finds the same classes; every entry, its own
+    # included, is the pair computed without a memo
     assert visible_classes_brute(t, 1) == set(fam.classes)
-    assert t.canonical_memo == memo
+    assert all(canonical_pair(a, b) == pair for (a, b), pair in t.canonical_memo.items())
     # an equal tree built anew starts with an empty memo and the same classes
     again = caterpillar(4)
     assert again == t and not again.canonical_memo
@@ -248,6 +251,98 @@ def test_unbounded_oracle_equals_segment_family_in_random_markings():
             assert visible_classes_brute(tree, i) == fam
             assert visible_classes_brute(tree, i, 2) <= fam
             sweeps += 1
+
+
+def _segment_route_classes(tree, r, s):
+    """Reference: visible classes <b_r, g b_s g^-1> over all 2^p segment
+    conjugators, canonicalized with a fresh memo."""
+    a, y = tree.marking_word(r), tree.marking_word(s)
+    memo = {}
+    out = set()
+    for g in segment_conjugators(tree, r, s):
+        f = W2Factor(a, conjugate(y, g))
+        if is_visible(tree, f):
+            out.add(canonical_class(f, memo))
+    return out
+
+
+def test_interior_conjugators_give_every_segment_class():
+    trees = [MarkedTree(shape, standard_marking(n))
+             for n in range(2, 6) for shape in enumerate_shapes(n)]
+    rng = random.Random(37)
+    shapes = {n: enumerate_shapes(n) for n in (3, 4, 5)}
+    wanted = len(trees) + 60
+    while len(trees) < wanted:
+        n = rng.choice([3, 4, 5])
+        tree = MarkedTree(shapes[n][rng.randrange(len(shapes[n]))], _random_marking(rng, n))
+        if not tree.standard:
+            trees.append(tree)
+    for tree in trees:
+        for i in range(1, tree.n // 2 + 1):
+            assert set(visible_classes(tree, i).classes) == \
+                _segment_route_classes(tree, 2 * i - 1, 2 * i), (tree, i)
+
+
+def _reference_certificate(tree, classes):
+    """certify_partial_basis without memos: a fresh sorted scan per class."""
+    order = adapted_order(tree)
+    chosen = {}
+    for cls in classes:
+        alpha, beta = sorted(cls.cores(), key=order.index)
+        a, y = tree.marking_word(alpha), tree.marking_word(beta)
+        for g in sorted(segment_conjugators(tree, alpha, beta), key=lambda w: w.key()):
+            g = _strip(g, a, y)
+            b = conjugate(y, g)
+            if b != a and canonical_class(W2Factor(a, b)) == cls:
+                chosen[beta] = g
+                break
+        else:
+            raise AssertionError(f"no segment conjugator recovers {cls}")
+    return tuple(conjugate(tree.marking_word(k), chosen[k]) if k in chosen
+                 else tree.marking_word(k) for k in order)
+
+
+def _fiber_elements(tree):
+    return [sorted(e, key=lambda c: c.pair_index)
+            for e in bp_fiber(tree, certify=False).elements]
+
+
+def test_certificate_memo_matches_fresh_scans():
+    rng = random.Random(38)
+    shapes = {n: enumerate_shapes(n) for n in (4, 5)}
+    checked = 0
+    while checked < 12:
+        n = rng.choice([4, 5])
+        tree = MarkedTree(shapes[n][rng.randrange(len(shapes[n]))], _random_marking(rng, n))
+        if tree.standard:
+            continue
+        for element in _fiber_elements(tree):
+            assert certify_partial_basis(tree, element) == _reference_certificate(tree, element)
+        # single classes on every slot pair: one alpha meets several betas
+        for r, s in itertools.combinations(range(1, n + 1), 2):
+            for cls in sorted(_segment_route_classes(tree, r, s), key=str):
+                assert certify_partial_basis(tree, [cls]) == _reference_certificate(tree, [cls])
+        checked += 1
+
+
+def test_certificate_memo_is_never_shared():
+    """Trees that share a canonical memo, as verify's sweeps build them,
+    each certify against their own scans."""
+    rng = random.Random(39)
+    shape = enumerate_shapes(4)[7]
+    shared = {}
+    trees = [MarkedTree(shape, standard_marking(4), shared),
+             MarkedTree(shape, _random_marking(rng, 4), shared),
+             MarkedTree(path_shape((1, 3, 2, 4)), standard_marking(4), shared)]
+    assert len(set(trees)) == 3 and not trees[1].standard
+    elements = [_fiber_elements(tree) for tree in trees]
+    for _ in range(2):
+        for tree, tree_elements in zip(trees, elements):
+            for element in tree_elements:
+                assert certify_partial_basis(tree, element) == \
+                    _reference_certificate(tree, element)
+    assert all(tree.canonical_memo is shared for tree in trees)
+    assert len({id(tree.certificate_memo) for tree in trees}) == 3
 
 
 def test_certify_empty_returns_adapted_basis():
