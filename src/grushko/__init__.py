@@ -1,6 +1,6 @@
 """Word algebra, Grushko trees, visibility and partial-basis complexes for W_n."""
 
-from .words import Word, conjugate, cyclic_reduce, generators, identity, involution_core, parse, reduce
+from .words import Word, conjugate, generators, identity, involution_core, parse, reduce
 from .membership import Automorphism, CoreGraph, contains, fold, is_basis, make_automorphism, semidirect_embed
 from .factors import CanonicalClass, W2Factor, canonical_class, make_factor, pair_index, same_class_oracle
 from .trees import BSVertex, MarkedTree, TreeShape, bs_path, caterpillar, collapse, enumerate_shapes, fixed_point, shape_poset, adapted_order

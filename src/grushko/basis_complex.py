@@ -195,8 +195,10 @@ def build_unpaired_radius(n: int, radius: int) -> PartialBasisComplex:
 
     Classes are <g x_i g^-1, h x_j h^-1> with |g|, |h| <= radius; every
     element carries a completing-basis certificate found by bounded search
-    (conjugator pool of length radius + 2).  Search misses are reported,
-    never silently dropped.
+    (conjugator pool of length radius + 2).  Single classes the search
+    misses are reported in params["uncertified"].  Joint elements it cannot
+    place are not recorded: at (4, 2) it leaves out 402 two-class partial
+    bases (ROADMAP item 3).
 
     (c) The class depends only on v = g^-1 h: conjugating by g^-1 gives
     <x_i, v x_j v^-1>, and x_i v or v x_j give the same class.  The words

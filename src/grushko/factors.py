@@ -3,41 +3,37 @@
 A subgroup generated by two distinct involutions a, b of W_n is always
 infinite dihedral (W_n has no Klein four subgroup).  Its reflections are
 t^k a for t = ab, and the generating pairs of the subgroup are exactly the
-adjacent-reflection pairs; conjugacy of two such factors is decided by a
-canonical representative pair computed from the cyclic word of t:
+adjacent-reflection pairs.  Conjugacy of two such factors is decided by a
+canonical representative pair read off the core path of the subgroup:
 
-  * cyclically reduce t = u c u^-1 and conjugate the pair by u^-1;
-  * let z be the primitive root of c (c = z^m); reflections with product a
-    rotation of c or c^-1 sit in <z>-orbits, and conjugation by z shifts the
-    reflection index by 2, so each conjugacy class meets a bounded, explicit
-    candidate set: rotations of c and c^-1, times a bounded window of
-    z-shifts within the reachable index parity (every parity when m is odd,
-    even shifts only when m is even);
-  * the canonical pair is the length-lexicographic minimum over that set.
+  * write a = p x_i p^-1 and b = q x_j q^-1 (involution_core).  Conjugating
+    by p^-1 gives <x_i, w x_j w^-1> with w = p^-1 q reduced, and x_i w and
+    w x_j give the same subgroup, so it is <x_i, v x_j v^-1>, where v is w
+    with one leading x_i and one trailing x_j removed;
+  * the folded core graph of this subgroup, without the hair to the
+    basepoint, is the path mirror i, v, mirror j: nothing folds, because v
+    is reduced, does not start with x_i and does not end with x_j.
+    Conjugate subgroups have the same path;
+  * a generating pair (r x_k r^-1, s x_l s^-1) of any conjugate spells two
+    paths of |r| and |s| edges from its basepoint.  Folding them gives the
+    core path plus a hair and never adds edges, so |r| + |s| >= |v| and
+    |a| + |b| >= 2|v| + 2, with equality exactly when the basepoint lies on
+    the path and r, s run from it to opposite ends;
+  * _pair_key compares the sum first and |a| next, and |a| = 1 among those
+    pairs only with the basepoint at an end.  So the canonical pair is the
+    smaller of (x_i, v x_j v^-1) and (x_j, v^-1 x_i v), compared by (i, v)
+    against (j, reversed v), in O(|v|) time.
 
-canonical_pair is pure and its values are immutable, so a caller may pass
-a memo dict that it reads and fills.  There is no process-wide cache: each
-marked tree carries a memo (MarkedTree.canonical_memo), its own unless the
-caller shares one across a sweep, so analysing one tree costs the same
-whatever was analysed before it.  The same_class_oracle is an independent
-exact decision kept as test-time ground truth: if it ever disagrees with
-the canonical form, the canonical form is unsound and the build fails.
+The same_class_oracle is an independent exact decision kept as test-time
+ground truth: if it ever disagrees with the canonical form, the canonical
+form is unsound and the build fails.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
-from .words import (
-    Word,
-    conjugate,
-    cyclic_reduce,
-    identity,
-    involution_core,
-    parse,
-    reduce,
-)
+from .words import Word, conjugate, identity, involution_core, parse
 from . import membership
 
 
@@ -116,86 +112,30 @@ def make_factor(a: Word, b: Word, certificate: Certificate | None = None) -> W2F
 # canonical conjugacy classes
 # ---------------------------------------------------------------------------
 
-def _primitive_root(c: Word) -> tuple[Word, int]:
-    """Write the cyclically reduced word c as z^m with z primitive."""
-    L = len(c.letters)
-    for d in range(1, L + 1):
-        if L % d:
-            continue
-        z = c.letters[:d]
-        if z * (L // d) == c.letters:
-            return Word(z, c.rank), L // d
-    raise AssertionError("unreachable")
-
-
 def _pair_key(pair: tuple[Word, Word]) -> tuple:
+    """The order canonical_pair minimises: |a| + |b|, |a|, then letters."""
     a, b = pair
     return (len(a) + len(b), len(a), a.letters, b.letters)
 
 
-def _candidate_pairs(a: Word, b: Word, bound: list | tuple = (math.inf,)):
-    """Canonical-form candidates for the conjugacy class of <a, b>.
-
-    Swapping the pair covers rotations of c^-1; the window bound comes from
-    |z^j s| >= |j| |z| - |s|, so any candidate beating the j = 0 one in its
-    own rotation family has |j| inside the window.
-
-    (e) bound[0] is read at every shift, so a caller may lower it to the
-    least |a| + |b| seen (the default yields the whole window).  z^j is
-    reduced (crot is cyclically reduced, z its prefix root), so
-    s = reduce(z^(+-j) ar) has |s| >= j|z| - |ar|, and |s crot| >= |s| - |crot|.
-    This bound 2(j|z| - |ar|) - |crot| on the sum, which _pair_key compares
-    first, grows with j, so a family stops once it strictly exceeds bound[0]
-    (equal sums are decided later in the key).
-    """
-    for base_a, base_b in ((a, b), (b, a)):
-        t = base_a * base_b
-        c, u = cyclic_reduce(t)
-        a1 = conjugate(base_a, ~u)  # inverts c; a1 * (u^-1 b u) = c
-        z, m = _primitive_root(c)
-        cl = c.letters
-        zlen = len(z.letters)
-        # conjugation by z shifts the reflection index by 2; the other
-        # adjacent pairs of the same subgroup shift it by multiples of m
-        step = 1 if m % 2 == 1 else 2
-        for r in range(len(cl)):
-            crot = Word(cl[r:] + cl[:r], c.rank)
-            zrot = Word(crot.letters[:zlen], c.rank)
-            zinv = ~zrot
-            p = Word(cl[:r], c.rank)
-            ar = conjugate(a1, ~p)
-            window = (3 * len(ar) + len(crot)) // zlen + 2
-            for j in range(0, window + 1, step):
-                if 2 * (j * zlen - len(ar)) - len(crot) > bound[0]:
-                    break
-                s = reduce(zrot.letters * j + ar.letters, c.rank)
-                yield (s, s * crot)
-                if j:
-                    sneg = reduce(zinv.letters * j + ar.letters, c.rank)
-                    yield (sneg, sneg * crot)
-
-
-def canonical_pair(a: Word, b: Word, memo: dict | None = None) -> tuple[Word, Word]:
+def canonical_pair(a: Word, b: Word) -> tuple[Word, Word]:
     """Canonical representative pair for the conjugacy class of <a, b>.
 
-    With a memo, the pair is looked up in it by (a, b) and stored there.
-    The window search stops at the least sum found (_candidate_pairs (e)).
+    The _pair_key minimum over the class, read off the core path
+    (mirror i, v, mirror j) as the module docstring shows.
     """
-    if memo is not None:
-        hit = memo.get((a, b))
-        if hit is not None:
-            return hit
-    best = best_key = None
-    bound = [math.inf]
-    for cand in _candidate_pairs(a, b, bound):
-        key = _pair_key(cand)
-        if best is None or key < best_key:
-            best, best_key = cand, key
-            bound[0] = key[0]
-    assert best is not None
-    if memo is not None:
-        memo[a, b] = best
-    return best
+    if a == b:
+        raise ValueError("degenerate factor: a = b")
+    i, p = involution_core(a)
+    j, q = involution_core(b)
+    v = (~p * q).letters
+    if v[:1] == (i,):
+        v = v[1:]
+    if v[-1:] == (j,):
+        v = v[:-1]
+    if (j, v[::-1]) < (i, v):
+        i, j, v = j, i, v[::-1]
+    return Word((i,), a.rank), Word(v + (j,) + v[::-1], a.rank)
 
 
 @dataclass(frozen=True)
@@ -248,9 +188,9 @@ def parse_class(text: str, rank: int) -> CanonicalClass:
     return cls
 
 
-def canonical_class(f: W2Factor, memo: dict | None = None) -> CanonicalClass:
-    """The class of f, carrying f's certificate; memo as in canonical_pair."""
-    a0, b0 = canonical_pair(f.a, f.b, memo)
+def canonical_class(f: W2Factor) -> CanonicalClass:
+    """The class of f, carrying f's certificate."""
+    a0, b0 = canonical_pair(f.a, f.b)
     idx = pair_index(f, f.rank)
     return CanonicalClass(a0, b0, idx, f.certificate)
 

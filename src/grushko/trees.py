@@ -202,18 +202,13 @@ def path_shape(order: tuple[int, ...]) -> TreeShape:
 class MarkedTree:
     """A tree shape plus a marking: slot j carries an involution with core x_j.
 
-    `canonical_memo` keeps the canonical pairs (factors.canonical_pair) of
-    the factors met while analysing the tree, shared by its visible
-    families, the brute-force oracle and the certificates.  Each tree gets
-    its own by default, so analysing one tree costs the same whatever was
-    analysed before it; a caller sweeping many trees may pass them one
-    `memo` to share the work.  `certificate_memo` keeps the adapted order
-    and, per slot pair (alpha, beta), the first segment conjugator of each
-    class (visibility.certify_partial_basis); its entries depend on the
-    tree, so it is never shared.
+    `certificate_memo` keeps the adapted order and, per slot pair
+    (alpha, beta), the first segment conjugator of each class
+    (visibility.certify_partial_basis); its entries depend on the tree, so
+    each tree has its own.
     """
 
-    def __init__(self, shape: TreeShape, marking: tuple[Word, ...], memo: dict | None = None):
+    def __init__(self, shape: TreeShape, marking: tuple[Word, ...]):
         n = shape.n
         if len(marking) != n:
             raise ValueError(f"need {n} marking involutions")
@@ -232,7 +227,6 @@ class MarkedTree:
         self.standard = all(len(b) == 1 for b in marking)
         self._slot_vertex = tuple(shape.vertex_of_slot(k) for k in range(1, n + 1))
         self._inverse_marking = None
-        self.canonical_memo = {} if memo is None else memo
         self.certificate_memo: dict = {}
 
     def marking_word(self, slot: int) -> Word:

@@ -91,16 +91,11 @@ class CriterionResult:
 
 
 def _fixture_trees(n_max: int) -> list[MarkedTree]:
-    """All reduced labeled shapes up to n_max, standard coordinates.
-
-    The trees share one canonical-pair memo, so the sweep canonicalizes
-    each factor once.
-    """
-    memo: dict = {}
+    """All reduced labeled shapes up to n_max, standard coordinates."""
     trees = []
     for n in range(2, n_max + 1):
         for shape in enumerate_shapes(n):
-            trees.append(MarkedTree(shape, standard_marking(n), memo))
+            trees.append(MarkedTree(shape, standard_marking(n)))
     return trees
 
 
@@ -261,11 +256,10 @@ def _random_shape(rng: random.Random, n: int) -> TreeShape:
 def check_6_basis_certification(config: RunConfig) -> dict:
     """200 random visible class sets certify into bases containing them."""
     rng = random.Random(config.seed)
-    memo: dict = {}
     done = 0
     while done < 200:
         n = rng.choice([3, 4, 5, 6])
-        tree = MarkedTree(_random_shape(rng, n), standard_marking(n), memo)
+        tree = MarkedTree(_random_shape(rng, n), standard_marking(n))
         indices = [i for i in range(1, n // 2 + 1) if rng.random() < 0.8]
         chosen = []
         for i in indices:
@@ -274,7 +268,7 @@ def check_6_basis_certification(config: RunConfig) -> dict:
         basis = certify_partial_basis(tree, chosen)
         if not is_basis(list(basis)):
             raise CheckFailure(f"certified tuple fails is_basis on {tree!r}")
-        built = {canonical_class(W2Factor(a, b), memo): (a, b)
+        built = {canonical_class(W2Factor(a, b)): (a, b)
                  for a, b in itertools.combinations(basis, 2)}
         for cls in chosen:
             if cls not in built:

@@ -124,7 +124,7 @@ def visible_classes(tree: MarkedTree, i: int) -> VisibleFamily:
         f = W2Factor(a, b)
         if not is_visible(tree, f):
             continue
-        cls = canonical_class(f, tree.canonical_memo).with_certificate(VisibleIn(tree))
+        cls = canonical_class(f).with_certificate(VisibleIn(tree))
         seen.setdefault(cls, cls)
     classes = tuple(sorted(seen.values(), key=lambda c: (c.a.key(), c.b.key())))
     return VisibleFamily(tree, i, classes)
@@ -189,7 +189,7 @@ def visible_classes_brute(tree: MarkedTree, i: int,
         g = reduce([x for k in h for x in tree.marking_word(k).letters], n)
         b = conjugate(y, g)
         if b != a:
-            cls = canonical_class(W2Factor(a, b), tree.canonical_memo)
+            cls = canonical_class(W2Factor(a, b))
             out.add(cls.with_certificate(VisibleIn(tree)))
     return out
 
@@ -206,7 +206,9 @@ def certify_partial_basis(tree: MarkedTree, classes) -> tuple[Word, ...]:
     marking prefixes and each input class is <y_alpha, y_beta> for its core
     slots.  This is the constructive proof that visible classes on disjoint
     cores form a partial basis; it raises CertificationError when a class
-    is not visible here and on core collisions.
+    is not visible here and on core collisions.  A class certified
+    VisibleIn this very tree object (as visible_classes returns them)
+    already passed is_visible here and is not checked again.
     """
     memo = tree.certificate_memo
     if "order" not in memo:
@@ -222,7 +224,8 @@ def certify_partial_basis(tree: MarkedTree, classes) -> tuple[Word, ...]:
         if r in used or s in used:
             raise CertificationError("core collision across classes")
         used.update((r, s))
-        if not is_visible(tree, cls):
+        trusted = isinstance(cls.certificate, VisibleIn) and cls.certificate.tree is tree
+        if not trusted and not is_visible(tree, cls):
             raise CertificationError(f"{cls} is not visible in this tree")
         alpha, beta = (r, s) if pos[r] < pos[s] else (s, r)
         g = _segment_conjugator_for(tree, cls, alpha, beta)
@@ -261,7 +264,7 @@ def _segment_conjugator_for(tree: MarkedTree, cls: CanonicalClass,
             g = _strip(g, a, y)
             b = conjugate(y, g)
             if b != a:
-                first.setdefault(canonical_class(W2Factor(a, b), tree.canonical_memo), g)
+                first.setdefault(canonical_class(W2Factor(a, b)), g)
         memo[(alpha, beta)] = first
     g = memo[(alpha, beta)].get(cls)
     if g is None:

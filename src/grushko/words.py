@@ -155,20 +155,6 @@ def involution_core(a: Word) -> tuple[int, Word]:
     return a.letters[half], _trusted(a.letters[:half], a.rank)
 
 
-def cyclic_reduce(a: Word) -> tuple[Word, Word]:
-    """Write a = conjugator * core * conjugator^-1 with core cyclically reduced.
-
-    Returns (core, conjugator).  The core has first letter != last letter
-    unless its length is <= 1.
-    """
-    letters = a.letters
-    lo, hi = 0, len(letters)
-    while hi - lo >= 2 and letters[lo] == letters[hi - 1]:
-        lo += 1
-        hi -= 1
-    return _trusted(letters[lo:hi], a.rank), _trusted(letters[:lo], a.rank)
-
-
 def parse(text: str, rank: int) -> Word:
     """Parse a word from text.
 

@@ -4,7 +4,6 @@ import random
 import pytest
 
 from grushko.words import Word, conjugate, generator, generators, parse, random_reduced_word
-from grushko import factors as factors_module
 from grushko.factors import (
     Axiomatic,
     CanonicalClass,
@@ -12,7 +11,6 @@ from grushko.factors import (
     CompletingBasis,
     VisibleIn,
     W2Factor,
-    _candidate_pairs,
     _pair_key,
     canonical_class,
     canonical_pair,
@@ -103,25 +101,91 @@ def test_canonical_agrees_with_oracle_exhaustively():
         assert not same_class_oracle(f, g), (f, g)
 
 
-def test_length_bound_keeps_the_full_scan_minimum(monkeypatch):
-    """canonical_pair stops each window at the least sum seen so far; on the
-    oracle test's factor set it still returns the full scan's minimum, in
-    both orders, and the bound does drop candidates."""
-    compared = 0
+def _reduce(letters):
+    stack = []
+    for x in letters:
+        if stack and stack[-1] == x:
+            stack.pop()
+        else:
+            stack.append(x)
+    return tuple(stack)
 
-    def counting_key(pair):
-        nonlocal compared
-        compared += 1
-        return _pair_key(pair)
 
-    monkeypatch.setattr(factors_module, "_pair_key", counting_key)
-    scanned = 0
-    for f in _oracle_factors():
-        for a, b in ((f.a, f.b), (f.b, f.a)):
-            full_scan = list(_candidate_pairs(a, b))  # the reference: no bound
-            scanned += len(full_scan)
-            assert canonical_pair(a, b) == min(full_scan, key=_pair_key), (a, b)
-    assert 0 < compared < scanned
+def _cyclic_reduce(t):
+    """t = u c u^-1 with c cyclically reduced, on letter tuples: returns (c, u)."""
+    lo, hi = 0, len(t)
+    while hi - lo >= 2 and t[lo] == t[hi - 1]:
+        lo += 1
+        hi -= 1
+    c, u = t[lo:hi], t[:lo]
+    assert _reduce(u + c + u[::-1]) == t
+    assert len(c) <= 1 or c[0] != c[-1]
+    return c, u
+
+
+def _primitive_root(c):
+    """Write the cyclically reduced c as z^m with z primitive: returns (z, m)."""
+    for d in range(1, len(c) + 1):
+        if len(c) % d == 0 and c[:d] * (len(c) // d) == c:
+            return c[:d], len(c) // d
+
+
+def _window_pairs(a, b):
+    """Reference: the window search that the closed form replaced, on letters.
+
+    Conjugate the pair so that t = ab becomes its cyclically reduced c,
+    with c = z^m and z primitive.  Reflections whose product is a rotation
+    of c or c^-1 sit in <z>-orbits; conjugation by z shifts the reflection
+    index by 2 (so only even shifts when m is even), and
+    |z^j s| >= |j| |z| - |s| bounds the shifts j that can beat j = 0.
+    Swapping the pair covers the rotations of c^-1.
+    """
+    for base_a, base_b in ((a.letters, b.letters), (b.letters, a.letters)):
+        c, u = _cyclic_reduce(_reduce(base_a + base_b))
+        a1 = _reduce(u[::-1] + base_a + u)
+        z, m = _primitive_root(c)
+        step = 1 if m % 2 == 1 else 2
+        for r in range(len(c)):
+            crot = c[r:] + c[:r]
+            zrot = crot[:len(z)]
+            ar = _reduce(c[:r][::-1] + a1 + c[:r])
+            window = (3 * len(ar) + len(crot)) // len(z) + 2
+            for j in range(0, window + 1, step):
+                for shift in ((zrot, zrot[::-1]) if j else (zrot,)):
+                    s = _reduce(shift * j + ar)
+                    yield s, _reduce(s + crot)
+
+
+def _letters_key(pair):
+    """_pair_key on letter tuples."""
+    s, t = pair
+    return (len(s) + len(t), len(s), s, t)
+
+
+def _random_pairs(count, seed):
+    rng = random.Random(seed)
+    pairs = []
+    while len(pairs) < count:
+        n = rng.randint(2, 6)
+        a, b = (conjugate(generator(rng.randint(1, n), n),
+                          random_reduced_word(rng, n, rng.randrange(0, 3))) for _ in range(2))
+        if a != b:
+            pairs.append((a, b))
+    return pairs
+
+
+def test_closed_form_matches_window_search():
+    """The core-path form equals the window search's _pair_key minimum on
+    the oracle test's factor set and on 2,000 seeded random pairs at ranks
+    2-6 (same cores and non-primitive products included), in both orders.
+    The window search scans both orders itself, so one scan serves both."""
+    pairs = [(f.a, f.b) for f in _oracle_factors()] + _random_pairs(2000, 17)
+    for a, b in pairs:
+        want = _letters_key(min(_window_pairs(a, b), key=_letters_key))
+        assert _pair_key(canonical_pair(a, b)) == want, (a, b)
+        assert _pair_key(canonical_pair(b, a)) == want, (b, a)
+    with pytest.raises(ValueError, match="degenerate factor"):
+        canonical_pair(W("x2.x1.x2", 4), W("x2.x1.x2", 4))
 
 
 def test_canonical_pair_invariances():
@@ -141,21 +205,6 @@ def test_canonical_pair_invariances():
         assert canonical_pair(a, conjugate(b, a)) == pair
         assert canonical_pair(conjugate(a, b), b) == pair
         assert canonical_pair(*pair) == pair
-
-
-def test_canonical_pair_memo():
-    a, b = W("x1", 4), W("x3.x2.x3", 4)
-    memo = {}
-    pair = canonical_pair(a, b, memo)
-    assert pair == canonical_pair(a, b)
-    assert memo == {(a, b): pair}
-    assert canonical_pair(a, b, memo) is pair
-    # a stored pair is returned as stored, not recomputed
-    memo[a, b] = (b, a)
-    assert canonical_pair(a, b, memo) == (b, a)
-    assert canonical_class(W2Factor(a, b), memo) == CanonicalClass(b, a)
-    # without a memo nothing is kept between calls
-    assert canonical_pair(a, b) == pair
 
 
 def test_canonical_class_keeps_each_certificate():

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from grushko.words import conjugate, generator, generators, parse, random_reduced_word
-from grushko.factors import W2Factor, canonical_class, canonical_pair
+from grushko.factors import VisibleIn, W2Factor, canonical_class
 from grushko.membership import is_basis
 from grushko.trees import (
     MarkedTree,
@@ -123,26 +123,15 @@ def test_visible_classes_match_brute_force():
     assert len(segment_conjugators(caterpillar(4, (1, 3, 2, 4)), 1, 2)) == 8
 
 
-def test_canonical_memo_is_per_tree():
-    t, other = caterpillar(4), caterpillar(4, (1, 3, 2, 4))
+def test_equal_trees_give_equal_classes():
+    t = caterpillar(4)
     fam = visible_classes(t, 1)
-    memo = dict(t.canonical_memo)
-    assert memo and not other.canonical_memo
-    assert all(canonical_pair(a, b) == pair for (a, b), pair in memo.items())
-    # the brute-force oracle finds the same classes; every entry, its own
-    # included, is the pair computed without a memo
+    # the brute-force oracle finds the same classes
     assert visible_classes_brute(t, 1) == set(fam.classes)
-    assert all(canonical_pair(a, b) == pair for (a, b), pair in t.canonical_memo.items())
-    # an equal tree built anew starts with an empty memo and the same classes
+    # an equal tree built anew gives the same classes
     again = caterpillar(4)
-    assert again == t and not again.canonical_memo
+    assert again == t and again is not t
     assert visible_classes(again, 1) == fam
-    # trees built with one memo share it
-    shared = {}
-    first = MarkedTree(t.shape, t.marking, shared)
-    second = MarkedTree(other.shape, other.marking, shared)
-    visible_classes(first, 1)
-    assert second.canonical_memo is shared and shared == memo
 
 
 def test_brute_force_length_zero():
@@ -255,14 +244,13 @@ def test_unbounded_oracle_equals_segment_family_in_random_markings():
 
 def _segment_route_classes(tree, r, s):
     """Reference: visible classes <b_r, g b_s g^-1> over all 2^p segment
-    conjugators, canonicalized with a fresh memo."""
+    conjugators."""
     a, y = tree.marking_word(r), tree.marking_word(s)
-    memo = {}
     out = set()
     for g in segment_conjugators(tree, r, s):
         f = W2Factor(a, conjugate(y, g))
         if is_visible(tree, f):
-            out.add(canonical_class(f, memo))
+            out.add(canonical_class(f))
     return out
 
 
@@ -326,14 +314,12 @@ def test_certificate_memo_matches_fresh_scans():
 
 
 def test_certificate_memo_is_never_shared():
-    """Trees that share a canonical memo, as verify's sweeps build them,
-    each certify against their own scans."""
+    """Trees certified in turn each certify against their own scans."""
     rng = random.Random(39)
     shape = enumerate_shapes(4)[7]
-    shared = {}
-    trees = [MarkedTree(shape, standard_marking(4), shared),
-             MarkedTree(shape, _random_marking(rng, 4), shared),
-             MarkedTree(path_shape((1, 3, 2, 4)), standard_marking(4), shared)]
+    trees = [MarkedTree(shape, standard_marking(4)),
+             MarkedTree(shape, _random_marking(rng, 4)),
+             MarkedTree(path_shape((1, 3, 2, 4)), standard_marking(4))]
     assert len(set(trees)) == 3 and not trees[1].standard
     elements = [_fiber_elements(tree) for tree in trees]
     for _ in range(2):
@@ -341,7 +327,6 @@ def test_certificate_memo_is_never_shared():
             for element in tree_elements:
                 assert certify_partial_basis(tree, element) == \
                     _reference_certificate(tree, element)
-    assert all(tree.canonical_memo is shared for tree in trees)
     assert len({id(tree.certificate_memo) for tree in trees}) == 3
 
 
@@ -388,6 +373,16 @@ def test_certify_rejects_invisible():
     cls = canonical_class(W2Factor(W("x1", 3), W("x3.x2.x3", 3)))
     with pytest.raises(CertificationError):
         certify_partial_basis(t, [cls])
+
+
+def test_certify_checks_visibility_certified_by_another_tree():
+    """Only VisibleIn of this very tree object skips the visibility check."""
+    t = caterpillar(3)
+    cls = canonical_class(W2Factor(W("x1", 3), W("x3.x2.x3", 3)))
+    assert not is_visible(t, cls)
+    for other in (caterpillar(3, (1, 3, 2)), caterpillar(3)):
+        with pytest.raises(CertificationError, match="is not visible"):
+            certify_partial_basis(t, [cls.with_certificate(VisibleIn(other))])
 
 
 def test_certify_rejects_core_collision():

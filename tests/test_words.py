@@ -9,7 +9,6 @@ from grushko.words import (
     RankMismatchError,
     NotInvolutionError,
     conjugate,
-    cyclic_reduce,
     generator,
     generators,
     identity,
@@ -67,10 +66,6 @@ def test_word_operations_return_valid_words(data):
     _assert_trusted(conjugate(a, g), n, g.letters + a.letters + g.letters[::-1])
     raw = data.draw(letters)
     _assert_trusted(reduce(raw, n), n, raw)
-    core, conj = cyclic_reduce(a)
-    _assert_trusted(core, n, core.letters)
-    _assert_trusted(conj, n, conj.letters)
-    assert naive_reduce(conj.letters + core.letters + conj.letters[::-1], n) == a
     j = data.draw(st.integers(1, n))
     inv = conjugate(generator(j, n), g)
     k, u = involution_core(inv)
@@ -144,22 +139,6 @@ def test_involution_iff_squares_to_identity(a):
     w = reduce(a, 4)
     squared = w * w
     assert w.is_involution == (bool(w) and squared == identity(4))
-
-
-def test_cyclic_reduce():
-    core, conj = cyclic_reduce(parse("x1.x2.x1", 3))
-    assert core == parse("x2", 3) and conj == parse("x1", 3)
-    core, conj = cyclic_reduce(parse("x1.x2.x3", 3))
-    assert core == parse("x1.x2.x3", 3) and conj == identity(3)
-
-
-@given(letters_strategy)
-def test_cyclic_reduce_reassembles(a):
-    w = reduce(a, 4)
-    core, conj = cyclic_reduce(w)
-    assert conjugate(core, conj) == w
-    if len(core) > 1:
-        assert core.letters[0] != core.letters[-1]
 
 
 def test_parse_print_roundtrip():
