@@ -3,7 +3,9 @@ import random
 
 import pytest
 
-from grushko.words import Word, conjugate, generator, generators, parse, random_reduced_word
+from grushko.words import (
+    Word, conjugate, generator, generators, involution_core, parse, random_reduced_word,
+)
 from grushko.factors import (
     Axiomatic,
     CanonicalClass,
@@ -20,6 +22,7 @@ from grushko.factors import (
     same_class_oracle,
 )
 from grushko.trees import caterpillar
+from window_search import letters_key, reduce_letters, window_pairs
 
 W = parse
 
@@ -101,67 +104,6 @@ def test_canonical_agrees_with_oracle_exhaustively():
         assert not same_class_oracle(f, g), (f, g)
 
 
-def _reduce(letters):
-    stack = []
-    for x in letters:
-        if stack and stack[-1] == x:
-            stack.pop()
-        else:
-            stack.append(x)
-    return tuple(stack)
-
-
-def _cyclic_reduce(t):
-    """t = u c u^-1 with c cyclically reduced, on letter tuples: returns (c, u)."""
-    lo, hi = 0, len(t)
-    while hi - lo >= 2 and t[lo] == t[hi - 1]:
-        lo += 1
-        hi -= 1
-    c, u = t[lo:hi], t[:lo]
-    assert _reduce(u + c + u[::-1]) == t
-    assert len(c) <= 1 or c[0] != c[-1]
-    return c, u
-
-
-def _primitive_root(c):
-    """Write the cyclically reduced c as z^m with z primitive: returns (z, m)."""
-    for d in range(1, len(c) + 1):
-        if len(c) % d == 0 and c[:d] * (len(c) // d) == c:
-            return c[:d], len(c) // d
-
-
-def _window_pairs(a, b):
-    """Reference: the window search that the closed form replaced, on letters.
-
-    Conjugate the pair so that t = ab becomes its cyclically reduced c,
-    with c = z^m and z primitive.  Reflections whose product is a rotation
-    of c or c^-1 sit in <z>-orbits; conjugation by z shifts the reflection
-    index by 2 (so only even shifts when m is even), and
-    |z^j s| >= |j| |z| - |s| bounds the shifts j that can beat j = 0.
-    Swapping the pair covers the rotations of c^-1.
-    """
-    for base_a, base_b in ((a.letters, b.letters), (b.letters, a.letters)):
-        c, u = _cyclic_reduce(_reduce(base_a + base_b))
-        a1 = _reduce(u[::-1] + base_a + u)
-        z, m = _primitive_root(c)
-        step = 1 if m % 2 == 1 else 2
-        for r in range(len(c)):
-            crot = c[r:] + c[:r]
-            zrot = crot[:len(z)]
-            ar = _reduce(c[:r][::-1] + a1 + c[:r])
-            window = (3 * len(ar) + len(crot)) // len(z) + 2
-            for j in range(0, window + 1, step):
-                for shift in ((zrot, zrot[::-1]) if j else (zrot,)):
-                    s = _reduce(shift * j + ar)
-                    yield s, _reduce(s + crot)
-
-
-def _letters_key(pair):
-    """_pair_key on letter tuples."""
-    s, t = pair
-    return (len(s) + len(t), len(s), s, t)
-
-
 def _random_pairs(count, seed):
     rng = random.Random(seed)
     pairs = []
@@ -181,11 +123,31 @@ def test_closed_form_matches_window_search():
     The window search scans both orders itself, so one scan serves both."""
     pairs = [(f.a, f.b) for f in _oracle_factors()] + _random_pairs(2000, 17)
     for a, b in pairs:
-        want = _letters_key(min(_window_pairs(a, b), key=_letters_key))
+        want = letters_key(min(window_pairs(a, b), key=letters_key))
         assert _pair_key(canonical_pair(a, b)) == want, (a, b)
         assert _pair_key(canonical_pair(b, a)) == want, (b, a)
     with pytest.raises(ValueError, match="degenerate factor"):
         canonical_pair(W("x2.x1.x2", 4), W("x2.x1.x2", 4))
+
+
+def test_length_bound_keeps_the_full_scan_minimum():
+    """The length bound of the core-path argument: with v the reduced p^-1 q
+    less one leading x_i and one trailing x_j, no generating pair of the
+    class is shorter in sum than 2|v| + 2 -- not the input, not any pair the
+    window search scans -- and canonical_pair attains it, in both orders,
+    on the oracle test's factor set."""
+    for f in _oracle_factors():
+        for a, b in ((f.a, f.b), (f.b, f.a)):
+            (i, p), (j, q) = involution_core(a), involution_core(b)
+            v = reduce_letters(p.letters[::-1] + q.letters)
+            v = v[1:] if v[:1] == (i,) else v
+            v = v[:-1] if v[-1:] == (j,) else v
+            bound = 2 * len(v) + 2
+            assert len(a) + len(b) >= bound, (a, b)
+            scanned = [len(s) + len(t) for s, t in window_pairs(a, b)]
+            assert min(scanned) == bound, (a, b)
+            c, d = canonical_pair(a, b)
+            assert len(c) + len(d) == bound, (a, b)
 
 
 def test_canonical_pair_invariances():

@@ -17,6 +17,7 @@ from grushko.words import (
     random_reduced_word,
     reduce,
 )
+from window_search import cyclic_reduce
 
 
 def naive_reduce(letters, rank):
@@ -139,6 +140,23 @@ def test_involution_iff_squares_to_identity(a):
     w = reduce(a, 4)
     squared = w * w
     assert w.is_involution == (bool(w) and squared == identity(4))
+
+
+def test_cyclic_reduce():
+    """The cyclic reduction of the window-search reference in window_search."""
+    core, conj = cyclic_reduce(parse("x1.x2.x1", 3).letters)
+    assert core == parse("x2", 3).letters and conj == parse("x1", 3).letters
+    core, conj = cyclic_reduce(parse("x1.x2.x3", 3).letters)
+    assert core == parse("x1.x2.x3", 3).letters and conj == identity(3).letters
+
+
+@given(letters_strategy)
+def test_cyclic_reduce_reassembles(a):
+    w = reduce(a, 4)
+    core, conj = cyclic_reduce(w.letters)
+    assert conjugate(Word(core, 4), Word(conj, 4)) == w
+    if len(core) > 1:
+        assert core[0] != core[-1]
 
 
 def test_parse_print_roundtrip():
