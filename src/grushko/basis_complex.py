@@ -5,7 +5,7 @@ free decomposition); the poset is ordered by inclusion and realized through
 its order complex.  Paired subcomplexes are unions of per-tree fibers and
 are exploratory by design: a finite tree list need not see the connectivity
 of the full complex.  Unpaired subcomplexes are cut out by a conjugator
-radius and certified by bounded completing-basis searches.
+radius and placed by Whitehead descent.
 """
 
 from __future__ import annotations
@@ -102,7 +102,7 @@ def _element_key(e: frozenset) -> tuple:
 # unpaired radius construction
 # ---------------------------------------------------------------------------
 
-# conjugator radius budget of build_unpaired_radius (the pool adds 2 letters)
+# conjugator radius budget of build_unpaired_radius
 MAX_RADIUS = 8
 
 def _reduced_words_upto(n: int, max_len: int) -> list[Word]:
@@ -119,61 +119,60 @@ def _reduced_words_upto(n: int, max_len: int) -> list[Word]:
     return out
 
 
-def _certificate(groups: list[tuple[Word, ...]], pool: list[Word]) -> tuple[Word, ...] | None:
-    """The first basis of W_n holding conjugates of every group, or None.
+def _path(cls: CanonicalClass) -> tuple[int, tuple[int, ...], int]:
+    """The core path (i, v, j) of a class: cls = (x_i, v x_j v^-1)."""
+    j, v = involution_core(cls.b)
+    return cls.a.letters[0], v.letters, j
 
-    groups lists n involutions in groups: class pairs, then one (x_k,) for
-    each core they leave free (_groups).  The first group is pinned, as a
-    basis may be conjugated globally; every later group is conjugated by a
-    pool word w, the pool scanned in order with the last group fastest.  A
-    single group (n = 2) is decided by is_basis.  Otherwise the involutions
-    before the last group, generating H, are folded once per placement of
-    the groups between, and a candidate for the last group is decided by
-    folding only its own segments onto that core (membership.generates_with,
-    facts (d) and (d')); this is is_basis, since (d'') its count and
-    involution checks hold by construction.  is_basis is not run where its
-    answer is already known:
-    (a) A single involution p x_k p^-1 (p from involution_core) is read as
-        p.  <H, p x_k p^-1> = W_n depends only on the coset Hp, since p = hq
-        with h in H makes it h <H, q x_k q^-1> h^-1, and a reading that stays
-        in the core ends at the vertex of Hp.
-    (b) A single involution whose reading leaves the core never completes a
-        basis: the unread tail hangs off the core as a folded path (reduced
-        letters, ending in a mirror k that differs from its last letter), so
-        the basepoint keeps the mirrors of H, and n-1 involutions give at
-        most n-1 of the n dimensions of the abelianization (Z/2)^n.
-    (g) A pair w<a,b>w^-1 is read as w: w = hw' with h in H gives
-        <H, w<a,b>w^-1> = <H, w'<a,b>w'^-1>, so the answer depends only on
-        Hw, which membership.read names by (vertex, tail).  Unlike (b), a
-        reading that leaves the core is a key, not a rejection.
-    A coset is rejected once its candidate fails, and only failing
-    candidates are skipped, so the plain search's basis is found.
+
+def _move(path: tuple, m: int, k: int) -> tuple[int, tuple[int, ...], int]:
+    """The core path of a class under the partial conjugation x_k -> x_m x_k x_m.
+
+    <x_i, v x_j v^-1> goes to <s(x_i), s(v) s(x_j) s(v)^-1>; conjugated by
+    x_m^[i=k] it is <x_i, v' x_j v'^-1> with v' = x_m^[i=k] s(v) x_m^[j=k],
+    stripped of one leading x_i and one trailing x_j as in canonical_pair.
     """
-    if len(groups) == 1:
-        return groups[0] if membership.is_basis(list(groups[0])) else None
-    first, *middle, last = groups
-    single = len(last) == 1
-    for ws in itertools.product(pool, repeat=len(middle)):
-        fixed = list(first) + [conjugate(x, w) for g, w in zip(middle, ws) for x in g]
-        core = membership.fold(fixed)
-        rejected: set[tuple[int, tuple[int, ...]]] = set()
-        for w in pool:
-            placed = [conjugate(x, w) for x in last]
-            key = membership.read(core, involution_core(placed[0])[1] if single else w)
-            if key in rejected or (single and key[1]):
-                continue
-            if membership.generates_with(core, placed):
-                return tuple(fixed + placed)
-            rejected.add(key)
-    return None
+    i, v, j = path
+    w: list[int] = []
+    for a in [m] * (i == k) + [b for a in v for b in ((m, k, m) if a == k else (a,))] \
+            + [m] * (j == k):
+        if w and w[-1] == a:
+            w.pop()
+        else:
+            w.append(a)
+    if w[:1] == [i]:
+        del w[0]
+    if w[-1:] == [j]:
+        del w[-1]
+    return i, tuple(w), j
 
 
-def _groups(combo: tuple[CanonicalClass, ...], core_of: dict) -> list[tuple[Word, ...]]:
-    """The class pairs of combo, then (x_k,) for each core they leave free."""
-    n = combo[0].rank
-    used = {k for c in combo for k in core_of[c]}
-    return [(c.a, c.b) for c in combo] + \
-        [(generator(k, n),) for k in range(1, n + 1) if k not in used]
+def _descend(n: int, system: list[tuple]) -> list[Word] | None:
+    """A basis of W_n holding a conjugate of every class of system, or None.
+
+    system lists core paths (i, v, j) on disjoint cores.  Descent applies
+    the first partial conjugation s: x_k -> x_m x_k x_m (m != k) that lowers
+    sum |v|, until every v is empty: the classes <x_i, x_j>.  Each s is an
+    involution, so the moves s_1..s_r give phi^-1 = s_1...s_r, whose images
+    of x_1..x_n hold a conjugate of every class; move t conjugates the image
+    of x_k by that of x_m.  A failed descent is no proof (ROADMAP item 5).
+    """
+    moves = []
+    cost = sum(len(v) for _, v, _ in system)
+    while cost:
+        for m, k in itertools.permutations(range(1, n + 1), 2):
+            moved = [_move(p, m, k) for p in system]
+            lower = sum(len(v) for _, v, _ in moved)
+            if lower < cost:
+                break
+        else:
+            return None
+        system, cost = moved, lower
+        moves.append((m, k))
+    basis = list(generators(n))
+    for m, k in moves:
+        basis[k - 1] = conjugate(basis[k - 1], basis[m - 1])
+    return basis
 
 
 def _retraction_generates(a: Word, b: Word, i: int, j: int) -> bool:
@@ -193,62 +192,74 @@ def _retraction_generates(a: Word, b: Word, i: int, j: int) -> bool:
 def build_unpaired_radius(n: int, radius: int) -> PartialBasisComplex:
     """All partial bases of classes with conjugators of length <= radius.
 
-    Classes are <g x_i g^-1, h x_j h^-1> with |g|, |h| <= radius; every
-    element carries a completing-basis certificate found by bounded search
-    (conjugator pool of length radius + 2).  Single classes the search
-    misses are reported in params["uncertified"].  Joint elements it cannot
-    place are not recorded: at (4, 2) it leaves out 402 two-class partial
-    bases (ROADMAP item 3).
+    Classes are <g x_i g^-1, h x_j h^-1> with |g|, |h| <= radius; classes
+    and combinations are placed by Whitehead descent (_descend).  Single
+    classes it cannot place are listed in params["uncertified"], and the
+    combinations it cannot place are counted in params["unplaced"].  A
+    failed descent is not a proof (ROADMAP item 5).
 
     (c) The class depends only on v = g^-1 h: conjugating by g^-1 gives
     <x_i, v x_j v^-1>, and x_i v or v x_j give the same class.  The words
     g^-1 h are exactly the reduced words of length <= 2 radius, and with a
     leading x_i and a trailing x_j stripped they are exactly those that
     neither start with x_i nor end with x_j.  So the classes are computed
-    once per such v.  A class that fails (f) gets no completing-basis search.
+    once per such v.  A class that fails (f) gets no descent.
+
+    A single class keeps its basis as a CompletingBasis holding cls.a and
+    cls.b literally: with basis[i-1] = p x_i p^-1, the basis conjugated by
+    p^-1 holds x_i = cls.a and a conjugate of cls.b by 1 or x_i.  A placed
+    combination stores no certificate, so its basis is checked here.
     """
     if radius < 0:
         raise ValueError(f"radius must be >= 0, got {radius}")
     if n > 5 or radius > MAX_RADIUS:
         raise ValueError(f"budgeted construction: n <= 5 and radius <= {MAX_RADIUS}")
     relative = _reduced_words_upto(n, 2 * radius)
-    pool = _reduced_words_upto(n, radius + 2)
-    classes: dict[CanonicalClass, tuple[int, int]] = {}
+    classes: dict[CanonicalClass, tuple] = {}
     for i, j in itertools.combinations(range(1, n + 1), 2):
         for v in relative:
             if v.letters[:1] == (i,) or v.letters[-1:] == (j,):
                 continue
             cls = canonical_class(W2Factor(generator(i, n), conjugate(generator(j, n), v)))
-            classes.setdefault(cls, (i, j))
+            classes.setdefault(cls, _path(cls))
 
-    # classes admitting no completing basis within the pool are not partial
-    # bases (e.g. proper-index dihedral subgroups of <x_i, x_j>); they are
-    # excluded by construction, with the count recorded for transparency
-    certified: dict[CanonicalClass, CanonicalClass] = {}
+    certified: list[CanonicalClass] = []
     uncertified: list[str] = []
-    for cls, (i, j) in classes.items():
-        basis = _certificate(_groups((cls,), classes), pool) \
+    for cls, (i, v, j) in classes.items():
+        basis = _descend(n, [(i, v, j)]) \
             if _retraction_generates(cls.a, cls.b, i, j) else None
         if basis is None:
             uncertified.append(str(cls))
             continue
-        certified[cls] = cls.with_certificate(CompletingBasis(basis))
+        p = involution_core(basis[i - 1])[1]
+        for g in (~p, generator(i, n) * ~p):
+            held = tuple(conjugate(x, g) for x in basis)
+            if held[j - 1] == cls.b:
+                break
+        else:
+            raise CertificationError(f"descent basis does not conjugate onto {cls}")
+        certified.append(cls.with_certificate(CompletingBasis(held)))
 
-    elements: set[frozenset[CanonicalClass]] = set()
-    for cls in certified.values():
-        elements.add(frozenset([cls]))
+    elements: set[frozenset[CanonicalClass]] = {frozenset([c]) for c in certified}
+    unplaced = 0
     for size in range(2, n // 2 + 1):
-        for combo in itertools.combinations(certified.values(), size):
-            used = [classes[c] for c in combo]
-            if len({k for pair in used for k in pair}) != 2 * size:
+        for combo in itertools.combinations(certified, size):
+            system = [classes[c] for c in combo]
+            if len({k for i, _, j in system for k in (i, j)}) != 2 * size:
                 continue
-            if _certificate(_groups(combo, classes), pool) is not None:
-                for sub in range(2, size + 1):
-                    for picked in itertools.combinations(combo, sub):
-                        elements.add(frozenset(picked))
-    params = {"radius": radius, "pool_len": radius + 2, "uncertified": sorted(uncertified)}
+            basis = _descend(n, system)
+            if basis is None:
+                unplaced += 1
+                continue
+            if not membership.is_basis(basis) or any(
+                    canonical_class(W2Factor(basis[i - 1], basis[j - 1])) != c
+                    for c, (i, _, j) in zip(combo, system)):
+                raise CertificationError(f"descent basis does not hold {combo}")
+            for sub in range(2, size + 1):
+                elements.update(frozenset(picked) for picked in itertools.combinations(combo, sub))
+    params = {"radius": radius, "uncertified": sorted(uncertified), "unplaced": unplaced}
     return PartialBasisComplex(n, False, params,
-                               sorted(certified.values(), key=lambda c: (c.a.key(), c.b.key())),
+                               sorted(certified, key=lambda c: (c.a.key(), c.b.key())),
                                sorted(elements, key=_element_key))
 
 

@@ -105,12 +105,10 @@ class _Folder:
     union-find roots, each edge at both of its ends.
     """
 
-    def __init__(self, core: CoreGraph | None = None):
-        """Start from the basepoint alone, or from a copy of core."""
-        adj = core.adj if core else [{}]
-        self.parent = list(range(len(adj)))
-        self.adj: list[dict[int, int]] = [dict(nbrs) for nbrs in adj]
-        self.mirrors: list[set[int]] = [set(ms) for ms in core.mirrors] if core else [set()]
+    def __init__(self):
+        self.parent = [0]
+        self.adj: list[dict[int, int]] = [{}]
+        self.mirrors: list[set[int]] = [set()]
         self.queue: deque = deque()
 
     def find(self, u: int) -> int:
@@ -262,11 +260,14 @@ def contains(core: CoreGraph, w: Word) -> bool:
 
 
 def is_basis(candidates: list[Word]) -> bool:
-    """True iff n involutions generate W_n, read off one fold by (d').
+    """True iff n involutions generate W_n, read off one fold.
 
-    n involutions that generate W_n always form a free basis (Grushko/Kurosh
-    rank count -- a stated dependency of this package, exercised only in this
-    direction), so generation is the whole check.
+    (d') x_j lies in a subgroup iff j is a mirror at the basepoint (run()
+    turns a j-loop into a mirror), so the subgroup is W_n iff the basepoint
+    carries all n mirrors.  n involutions that generate W_n always form a
+    free basis (Grushko/Kurosh rank count -- a stated dependency of this
+    package, exercised only in this direction), so generation is the whole
+    check.
     """
     if not candidates:
         return False
@@ -276,24 +277,6 @@ def is_basis(candidates: list[Word]) -> bool:
     if not all(c.is_involution for c in candidates):
         return False
     return len(fold(candidates).mirrors[0]) == n
-
-
-def generates_with(core: CoreGraph, extra: list[Word]) -> bool:
-    """True iff <H, extra> = W_n, for H folded as core and extra involutions.
-
-    (d) Folding is confluent, so the segments of extra folded onto a copy
-        of the core give the core of <H, extra>.
-    (d') x_j lies in a subgroup iff j is a mirror at the basepoint (run()
-        turns a j-loop into a mirror), so the subgroup is W_n iff the
-        basepoint carries all n mirrors.
-    """
-    if any(g.rank != core.rank for g in extra):
-        raise RankMismatchError("word rank does not match core rank")
-    f = _Folder(core)
-    for g in extra:
-        f.add_involution(g)
-    f.run()
-    return len(f.mirrors[f.find(0)]) == core.rank
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,27 @@
 import functools
 import itertools
+import random
 
 import pytest
 
-from grushko.words import conjugate, generator, identity, parse
-from grushko.factors import W2Factor, canonical_class, same_class_oracle
+from grushko.words import (
+    Word,
+    conjugate,
+    generator,
+    generators,
+    identity,
+    parse,
+    random_reduced_word,
+)
+from grushko.factors import W2Factor, canonical_class, parse_class, same_class_oracle
 from grushko.membership import is_basis
 from grushko.trees import MarkedTree, caterpillar, collapse, enumerate_shapes, standard_marking
 
 from grushko import basis_complex
 from grushko.basis_complex import (
     PartialBasisComplex,
+    _descend,
+    _path,
     _reduced_words_upto,
     build_from_trees,
     build_unpaired_radius,
@@ -88,30 +99,94 @@ def _plain_unpaired(n, radius):
 @pytest.mark.parametrize("n,radius", [(3, 2), (4, 1), (5, 0)])
 def test_unpaired_build_matches_plain_search(n, radius):
     sub, ref = _unpaired(n, radius), _plain_unpaired(n, radius)
-    assert sub.to_json() == ref.to_json()
+    assert sub.classes == ref.classes
+    assert sub.elements == ref.elements
     assert sub.params["uncertified"] == ref.params["uncertified"]
-    assert [(c, c.certificate.basis) for c in sub.classes] == \
-        [(c, c.certificate.basis) for c in ref.classes]
+    for cls in sub.classes:
+        basis = cls.certificate.basis
+        assert cls.a in basis and cls.b in basis and is_basis(list(basis))
 
 
 @pytest.mark.parametrize("n,radius,uncertified,skipped", [(4, 1, 6, 6), (3, 2, 33, 30)])
 def test_retraction_test_skips_uncertified_classes(monkeypatch, n, radius, uncertified,
                                                    skipped):
-    """(f) spares the completing-basis search of most uncertified classes,
-    and of no certified one."""
+    """(f) spares the descent of most uncertified classes, and of no
+    certified one."""
     searched = []
-    search = basis_complex._certificate
+    descend = basis_complex._descend
 
-    def record(groups, pool):
-        if all(len(g) == 1 for g in groups[1:]):
-            searched.append(groups[0])
-        return search(groups, pool)
+    def record(n, system):
+        if len(system) == 1:
+            searched.append(system[0])
+        return descend(n, system)
 
-    monkeypatch.setattr(basis_complex, "_certificate", record)
+    monkeypatch.setattr(basis_complex, "_descend", record)
     sub = build_unpaired_radius(n, radius)
     assert len(sub.params["uncertified"]) == uncertified
-    assert {(c.a, c.b) for c in sub.classes} <= set(searched)
+    assert {_path(c) for c in sub.classes} <= set(searched)
     assert len(searched) == len(sub.classes) + uncertified - skipped
+
+
+@pytest.mark.parametrize("n,radius,unplaced", [(4, 1, 24), (3, 2, 0), (5, 0, 0)])
+def test_unplaced_combinations_are_counted(n, radius, unplaced):
+    assert _unpaired(n, radius).params["unplaced"] == unplaced
+
+
+def _holds(basis, system):
+    """basis is a basis whose members i and j generate each class (i, v, j)."""
+    n = len(basis)
+    return is_basis(basis) and all(
+        canonical_class(W2Factor(basis[i - 1], basis[j - 1]))
+        == canonical_class(W2Factor(generator(i, n), conjugate(generator(j, n), Word(v, n))))
+        for i, v, j in system)
+
+
+def test_descent_places_the_missed_joint_element():
+    """A two-class partial basis at (4, 2) that a pool search over
+    conjugators of length <= 4 does not place."""
+    texts = ["W2[a=x1;b=x3*x4*x2*x3*x2*x3*x2*x4*x3;pair=1]", "W2[a=x3;b=x4*x2*x4*x2*x4;pair=2]"]
+    system = [_path(parse_class(t, 4)) for t in texts]
+    assert system == [(1, (3, 4, 2, 3), 2), (3, (4, 2), 4)]
+    basis = _descend(4, system)
+    assert basis is not None and _holds(basis, system)
+
+
+def _random_path(rng, n, i, j, length):
+    v = random_reduced_word(rng, n, length).letters
+    if v[:1] == (i,):
+        v = v[1:]
+    if v[-1:] == (j,):
+        v = v[:-1]
+    return i, v, j
+
+
+def test_descent_bases_check():
+    """Whenever descent returns a basis, it holds every class of the system.
+
+    Systems are images of standard ones under random products of partial
+    conjugations, and random systems that need not be partial bases.
+    """
+    rng = random.Random(29)
+    placed = {True: 0, False: 0}
+    for _ in range(300):
+        n = rng.choice([3, 4, 5])
+        cores = rng.sample(range(1, n + 1), 2 * rng.randint(1, n // 2))
+        pairs = list(zip(cores[::2], cores[1::2]))
+        images = list(generators(n))
+        for _ in range(rng.randrange(1, 7)):
+            m, k = rng.sample(range(1, n + 1), 2)
+            images[k - 1] = conjugate(images[k - 1], images[m - 1])
+        image = rng.random() < 0.5
+        if image:
+            system = [_path(canonical_class(W2Factor(images[i - 1], images[j - 1])))
+                      for i, j in pairs]
+        else:
+            system = [_random_path(rng, n, i, j, rng.randrange(0, 8)) for i, j in pairs]
+        basis = _descend(n, system)
+        if basis is not None:
+            assert _holds(basis, system), system
+            placed[image] += 1
+    assert placed[True] > 100 and placed[False] > 10, placed
 
 
 def test_radius_zero_rank4():
