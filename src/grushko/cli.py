@@ -17,7 +17,7 @@ from .jsoncheck import check
 from .membership import contains, fold, make_automorphism, semidirect_embed
 from .factors import parse_class
 from .trees import BudgetExceededError, MarkedTree, enumerate_shapes, shape_poset
-from .visibility import certify_partial_basis, visible_classes, visible_classes_brute
+from .visibility import CertificationError, certify_partial_basis, visible_classes, visible_classes_brute
 from .topology import SimplicialComplex, betti, homology_report_json
 from .basis_complex import (
     MAX_RADIUS,
@@ -115,6 +115,9 @@ def cmd_words(args) -> int:
     n = _infer_rank(args.words, args.n)
     ws = [parse(w, n) for w in args.words]
     if args.op == "reduce":
+        if not ws:  # argparse lets "-- --" through nargs="+" with no word
+            _note("error: reduce takes a word")
+            raise SystemExit(2)
         out = ws[0]
     else:
         if len(ws) != 2:
@@ -354,6 +357,9 @@ def main(argv=None) -> int:
     except BudgetExceededError as exc:
         _note(f"budget exceeded: {exc}")
         return 3
+    except CertificationError as exc:
+        _note(f"error: {exc}")
+        return 1
     except (ValueError, OSError) as exc:
         _note(f"error: {exc}")
         return 2

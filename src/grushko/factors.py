@@ -79,9 +79,6 @@ class W2Factor:
     def rank(self) -> int:
         return self.a.rank
 
-    def conjugated_by(self, g: Word) -> "W2Factor":
-        return W2Factor(conjugate(self.a, g), conjugate(self.b, g), self.certificate)
-
     def __str__(self) -> str:
         return f"<{self.a}, {self.b}>"
 

@@ -64,15 +64,6 @@ class CoreGraph:
     def num_vertices(self) -> int:
         return len(self.adj)
 
-    def check_folded(self) -> bool:
-        for u, nbrs in enumerate(self.adj):
-            if set(nbrs) & self.mirrors[u]:
-                return False
-            for j, v in nbrs.items():
-                if self.adj[v].get(j) != u:
-                    return False
-        return True
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, CoreGraph) and self.rank == other.rank
                 and self.adj == other.adj and self.mirrors == other.mirrors)

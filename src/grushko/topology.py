@@ -190,9 +190,6 @@ class SimplicialComplex:
     def f_vector(self) -> list[int]:
         return [len(grade) for grade in self.grades]
 
-    def euler_characteristic(self) -> int:
-        return sum((-1) ** i * f for i, f in enumerate(self.f_vector()))
-
     @functools.cached_property
     def chain_complex(self) -> "ChainComplex":
         """The augmented chain complex, built on first use and then shared."""

@@ -21,7 +21,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
-from .words import Word, generators, involution_core, parse
+from .words import Word, generators, involution_core, parse, reduce
 from .jsoncheck import check
 from . import membership
 
@@ -135,6 +135,41 @@ class TreeShape:
             rows.append(tuple(row))
         return tuple(rows)
 
+    @cached_property
+    def adapted_order(self) -> tuple[int, ...]:
+        """Slot ordering whose prefix hulls exclude all later fixed points.
+
+        Greedy peeling: repeatedly remove the largest-slot marked vertex that
+        is a leaf of the convex hull of the remaining marked vertices; the
+        reversed peel sequence has the prefix-hull property.
+        """
+        adj = self.adjacency()
+        alive = [True] * self.num_vertices
+        deg = [len(a) for a in adj]
+        remaining = set(range(1, self.n + 1))
+        peeled = []
+
+        def remove(v):
+            alive[v] = False
+            for u, _ in adj[v]:
+                if alive[u]:
+                    deg[u] -= 1
+
+        while remaining:
+            k = max(k for k in remaining
+                    if deg[self.vertex_of_slot(k)] <= 1 and alive[self.vertex_of_slot(k)])
+            peeled.append(k)
+            remaining.discard(k)
+            remove(self.vertex_of_slot(k))
+            changed = True
+            while changed:  # prune trivial vertices left as leaves of the hull
+                changed = False
+                for v in range(self.num_vertices):
+                    if alive[v] and self.slot_of[v] == 0 and deg[v] <= 1:
+                        remove(v)
+                        changed = True
+        return tuple(reversed(peeled))
+
     def canonical_key(self) -> tuple:
         """Key invariant under relabeling of trivial vertices.
 
@@ -202,10 +237,9 @@ def path_shape(order: tuple[int, ...]) -> TreeShape:
 class MarkedTree:
     """A tree shape plus a marking: slot j carries an involution with core x_j.
 
-    `certificate_memo` keeps the adapted order and, per slot pair
-    (alpha, beta), the first segment conjugator of each class
-    (visibility.certify_partial_basis); its entries depend on the tree, so
-    each tree has its own.
+    What depends on the shape alone (segment masks, the adapted order) is
+    cached on the shape.  in_marking_letters and marking_product translate
+    between words in x_1..x_n and words in the marking involutions.
     """
 
     def __init__(self, shape: TreeShape, marking: tuple[Word, ...]):
@@ -227,7 +261,6 @@ class MarkedTree:
         self.standard = all(len(b) == 1 for b in marking)
         self._slot_vertex = tuple(shape.vertex_of_slot(k) for k in range(1, n + 1))
         self._inverse_marking = None
-        self.certificate_memo: dict = {}
 
     def marking_word(self, slot: int) -> Word:
         return self.marking[slot - 1]
@@ -243,6 +276,10 @@ class MarkedTree:
             phi = membership.make_automorphism(list(self.marking))
             self._inverse_marking = phi.inverse()
         return self._inverse_marking(w)
+
+    def marking_product(self, slots) -> Word:
+        """The product b_{k_1} ... b_{k_m} of the marking involutions of the slots."""
+        return reduce([x for k in slots for x in self.marking[k - 1].letters], self.n)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, MarkedTree) and self.shape == other.shape
@@ -575,69 +612,3 @@ def shape_poset(n: int) -> ShapePoset:
                     continue
                 below[i].add(index[smaller.canonical_key()])
     return ShapePoset(shapes, below)
-
-
-# ---------------------------------------------------------------------------
-# adapted orderings
-# ---------------------------------------------------------------------------
-
-def adapted_order(tree: MarkedTree) -> tuple[int, ...]:
-    """Slot ordering whose prefix hulls exclude all later fixed points.
-
-    Greedy peeling: repeatedly remove the largest-slot marked vertex that is
-    a leaf of the convex hull of the remaining marked vertices; the reversed
-    peel sequence has the prefix-hull property.
-    """
-    shape = tree.shape
-    adj = shape.adjacency()
-    alive = [True] * shape.num_vertices
-    deg = [len(a) for a in adj]
-    remaining = set(range(1, tree.n + 1))
-    peeled = []
-
-    def prune_trivial():
-        changed = True
-        while changed:
-            changed = False
-            for v in range(shape.num_vertices):
-                if alive[v] and shape.slot_of[v] == 0 and deg[v] <= 1:
-                    alive[v] = False
-                    changed = True
-                    for u, _ in adj[v]:
-                        if alive[u]:
-                            deg[u] -= 1
-
-    while remaining:
-        candidates = [k for k in remaining
-                      if deg[tree.vertex_of_slot(k)] <= 1 and alive[tree.vertex_of_slot(k)]]
-        k = max(candidates)
-        peeled.append(k)
-        remaining.discard(k)
-        v = tree.vertex_of_slot(k)
-        alive[v] = False
-        for u, _ in adj[v]:
-            if alive[u]:
-                deg[u] -= 1
-        prune_trivial()
-    return tuple(reversed(peeled))
-
-
-def convex_hull_vertices(shape: TreeShape, vertices) -> set[int]:
-    """Vertex set of the minimal subtree containing the given vertices."""
-    want = set(vertices)
-    if not want:
-        return set()
-    alive = set(range(shape.num_vertices))
-    adj = shape.adjacency()
-    deg = {v: len(adj[v]) for v in alive}
-    changed = True
-    while changed:
-        changed = False
-        for v in list(alive):
-            if v not in want and deg[v] <= 1:
-                alive.discard(v)
-                changed = True
-                for u, _ in adj[v]:
-                    if u in alive:
-                        deg[u] -= 1
-    return alive

@@ -20,9 +20,9 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .words import Word, conjugate, identity, involution_core, reduce
-from .factors import CanonicalClass, VisibleIn, W2Factor, canonical_class
-from .trees import MarkedTree, adapted_order, convex_hull_vertices
+from .words import Word, conjugate, identity, involution_core
+from .factors import CanonicalClass, VisibleIn, W2Factor, canonical_class, canonical_pair
+from .trees import MarkedTree
 from . import membership
 
 
@@ -57,18 +57,6 @@ def is_visible(tree: MarkedTree, f: W2Factor | CanonicalClass) -> bool:
             return False
         used |= masks[a][b]
     return True
-
-
-def segment_conjugators(tree: MarkedTree, x: int, y: int) -> list[Word]:
-    """All products of the stabilizer involutions met along the segment.
-
-    x and y are slots; the segment between their fixed points in the
-    fundamental domain passes p marked vertices (endpoints included) with
-    stabilizer generators b_1..b_p in order, and the conjugators are the
-    2^p subproducts b_1^{e_1} ... b_p^{e_p}.  Every factor <b_x, g b_y g^-1>
-    visible in the tree has a conjugator of this form.
-    """
-    return _subproducts(tree, [x, *_interior_stops(tree, x, y), y])
 
 
 def _interior_stops(tree: MarkedTree, x: int, y: int) -> list[int]:
@@ -186,8 +174,7 @@ def visible_classes_brute(tree: MarkedTree, i: int,
     words, _ = visible_words(tree.shape.segment_masks, 2 * i - 1, 2 * i, max_len)
     out: set[CanonicalClass] = set()
     for h in words:
-        g = reduce([x for k in h for x in tree.marking_word(k).letters], n)
-        b = conjugate(y, g)
+        b = conjugate(y, tree.marking_product(h))
         if b != a:
             cls = canonical_class(W2Factor(a, b))
             out.add(cls.with_certificate(VisibleIn(tree)))
@@ -201,22 +188,35 @@ def visible_classes_brute(tree: MarkedTree, i: int,
 def certify_partial_basis(tree: MarkedTree, classes) -> tuple[Word, ...]:
     """Build a basis realizing the given visible classes jointly.
 
-    Returns involutions (y_1..y_n), indexed along adapted_order(tree), such
-    that consecutive construction prefixes generate the corresponding
+    Returns involutions (y_1..y_n), indexed along tree.shape.adapted_order,
+    such that consecutive construction prefixes generate the corresponding
     marking prefixes and each input class is <y_alpha, y_beta> for its core
-    slots.  This is the constructive proof that visible classes on disjoint
-    cores form a partial basis; it raises CertificationError when a class
-    is not visible here and on core collisions.  A class certified
+    slots, alpha before beta.  This is the constructive proof that visible
+    classes on disjoint cores form a partial basis; it raises
+    CertificationError when a class is not visible here, on core
+    collisions, and when the result fails is_basis.  A class certified
     VisibleIn this very tree object (as visible_classes returns them)
     already passed is_visible here and is not checked again.
+
+    Each conjugator is read off the class's core path.  In marking letters
+    the class has the canonical pair (x_i, v x_j v^-1), {i, j} = {alpha,
+    beta}, so it is <b_alpha, g b_beta g^-1> for g the marking product of v,
+    read backwards when i = beta, and y_beta = g b_beta g^-1.  Why the
+    prefix property holds: the slot walk of a visible class, r, h, s with
+    {r, s} = {alpha, beta} (_slot_walk), has pairwise disjoint segments.
+    Leaving out the empty steps that a leading r or a trailing s of h makes,
+    it crosses no edge twice, so it is the tree path between the two cores,
+    and the other letters of h are distinct slots on that path.
+    canonical_pair drops exactly those end letters, so v is the rest of h,
+    possibly reversed.  The prefix of the adapted order that ends at beta
+    holds alpha, so its hull holds the path, and every slot of v comes
+    before beta.  By induction the earlier y's generate the earlier marking
+    involutions, so they hold g, and with y_beta they generate b_beta.
     """
-    memo = tree.certificate_memo
-    if "order" not in memo:
-        memo["order"] = adapted_order(tree)
-    order = memo["order"]
+    order = tree.shape.adapted_order
     pos = {slot: i for i, slot in enumerate(order)}
     used: set[int] = set()
-    chosen: dict[int, tuple[Word, CanonicalClass]] = {}
+    conjugators: dict[int, Word] = {}
     for cls in classes:
         r, s = cls.cores()
         if r == s:
@@ -227,85 +227,19 @@ def certify_partial_basis(tree: MarkedTree, classes) -> tuple[Word, ...]:
         trusted = isinstance(cls.certificate, VisibleIn) and cls.certificate.tree is tree
         if not trusted and not is_visible(tree, cls):
             raise CertificationError(f"{cls} is not visible in this tree")
-        alpha, beta = (r, s) if pos[r] < pos[s] else (s, r)
-        g = _segment_conjugator_for(tree, cls, alpha, beta)
-        chosen[beta] = (g, cls)
-
-    basis = []
-    for slot in order:
-        b = tree.marking_word(slot)
-        if slot in chosen:
-            g, _ = chosen[slot]
-            basis.append(conjugate(b, g))
+        x, y = canonical_pair(tree.in_marking_letters(cls.a), tree.in_marking_letters(cls.b))
+        i = x.letters[0]
+        j, v = involution_core(y)
+        if pos[i] < pos[j]:
+            conjugators[j] = tree.marking_product(v.letters)
         else:
-            basis.append(b)
-    out = tuple(basis)
+            conjugators[i] = tree.marking_product(v.letters[::-1])
+
+    out = tuple(conjugate(tree.marking_word(k), conjugators[k]) if k in conjugators
+                else tree.marking_word(k) for k in order)
     if not membership.is_basis(list(out)):
         raise CertificationError("constructed tuple fails the basis check")
     return out
-
-
-def _segment_conjugator_for(tree: MarkedTree, cls: CanonicalClass,
-                            alpha: int, beta: int) -> Word:
-    """Smallest segment conjugator g with <b_alpha, g b_beta g^-1> in cls.
-
-    Interior letters of g then involve only earlier marked vertices, which
-    is what makes the inductive prefix property hold.  Leading b_alpha and
-    trailing b_beta letters never change the subgroup and are dropped.
-    One sorted scan per (alpha, beta) keeps the first g of every class in
-    the tree's certificate_memo.
-    """
-    memo = tree.certificate_memo
-    if (alpha, beta) not in memo:
-        a = tree.marking_word(alpha)
-        y = tree.marking_word(beta)
-        first: dict[CanonicalClass, Word] = {}
-        for g in sorted(segment_conjugators(tree, alpha, beta), key=lambda w: w.key()):
-            g = _strip(g, a, y)
-            b = conjugate(y, g)
-            if b != a:
-                first.setdefault(canonical_class(W2Factor(a, b)), g)
-        memo[(alpha, beta)] = first
-    g = memo[(alpha, beta)].get(cls)
-    if g is None:
-        raise CertificationError(
-            f"no segment conjugator recovers {cls}; finiteness of visible classes violated")
-    return g
-
-
-def _strip(g: Word, a: Word, y: Word) -> Word:
-    changed = True
-    while changed:
-        changed = False
-        la, ly = len(a), len(y)
-        if len(g) >= la and g.letters[:la] == a.letters:
-            g = reduce(g.letters[la:], g.rank)
-            changed = True
-        if len(g) >= ly and g.letters[-ly:] == y.letters:
-            g = reduce(g.letters[:-ly], g.rank)
-            changed = True
-    return g
-
-
-def prefix_property_holds(tree: MarkedTree, basis: tuple[Word, ...]) -> bool:
-    """Check x-prefix generation: marking slot of position i lies in <y_1..y_i>."""
-    order = adapted_order(tree)
-    for i in range(1, len(basis) + 1):
-        core = membership.fold(list(basis[:i]))
-        target = tree.marking_word(order[i - 1])
-        if not membership.contains(core, target):
-            return False
-    return True
-
-
-def hull_order_is_adapted(tree: MarkedTree, order: tuple[int, ...]) -> bool:
-    """Independent check: each prefix hull avoids all later fixed points."""
-    shape = tree.shape
-    for i in range(1, len(order)):
-        hull = convex_hull_vertices(shape, [tree.vertex_of_slot(k) for k in order[:i]])
-        if any(tree.vertex_of_slot(k) in hull for k in order[i:]):
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,15 @@ def test_words_multiply(capsys):
     assert json.loads(out)["word"] == "x1*x3"
 
 
+def test_words_reduce_without_a_word_exits_2(capsys):
+    """argparse lets "-- --" through nargs="+" with an empty list."""
+    with pytest.raises(SystemExit) as exc:
+        main(["words", "reduce", "--", "--"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ")
+
+
 def test_fold_membership(capsys):
     code, out, err = run_cli(capsys, "fold", "--words", "x1.x2.x1", "--n", "2",
                              "--member", "x2")
@@ -67,6 +76,27 @@ def test_visible_and_certify(tmp_path, capsys):
                            "--classes", str(classes_path))
     assert code == 0
     assert json.loads(out)["basis"] == ["x1", "x2", "x3", "x4"]
+
+
+INVISIBLE = ["W2[a=x1;b=x3*x2*x3;pair=1]"]
+COLLISION = ["W2[a=x1;b=x2;pair=1]", "W2[a=x1;b=x3;pair=none]"]
+
+
+@pytest.mark.parametrize("classes, message", [
+    (INVISIBLE, "is not visible in this tree"),
+    (COLLISION, "core collision across classes"),
+])
+def test_certify_failure_exits_1(tmp_path, capsys, classes, message):
+    """A class set that does not certify is a verification failure: exit 1,
+    an error line on stderr and nothing on stdout."""
+    tree_path = tmp_path / "t3.json"
+    tree_path.write_text(caterpillar(3).to_json())
+    classes_path = tmp_path / "c.json"
+    classes_path.write_text(json.dumps(classes))
+    code, out, err = run_cli(capsys, "certify", "--tree", str(tree_path),
+                             "--classes", str(classes_path))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and message in err
 
 
 def test_malformed_tree_reports_position(tmp_path, capsys):
@@ -350,6 +380,8 @@ FUZZ_FILES = {
     "classes": json.dumps(["W2[a=x1;b=x2;pair=1]"]),
     "classes2": json.dumps(["W2[a=x1;b=x2;pair=1]", "W2[a=x3;b=x4;pair=2]"]),
     "bad_classes": json.dumps(["W2[a=x1;b=x1;pair=1]", "W2[a=x1*x2;b=x3;pair=9]"]),
+    "invisible": json.dumps(INVISIBLE),
+    "collision": json.dumps(COLLISION),
     "complex": json.dumps(COMPLEX),
     "bp": json.dumps(BP),
     "no_marking": json.dumps(NO_MARKING),

@@ -28,11 +28,22 @@ from grushko.basis_complex import _retraction_generates
 W = parse
 
 
+def _check_folded(core):
+    """No label both bounces and leaves a vertex, and every edge is two-way."""
+    for u, nbrs in enumerate(core.adj):
+        if set(nbrs) & core.mirrors[u]:
+            return False
+        for j, v in nbrs.items():
+            if core.adj[v].get(j) != u:
+                return False
+    return True
+
+
 def test_fold_single_generator():
     core = fold([W("x1", 2)])
     assert core.num_vertices == 1
     assert core.mirrors == [{1}]
-    assert core.check_folded()
+    assert _check_folded(core)
 
 
 def test_fold_standard_basis():

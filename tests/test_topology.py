@@ -29,6 +29,10 @@ RP2 = SimplicialComplex.from_maximal([
     (2, 3, 6), (2, 4, 5), (2, 5, 6), (3, 4, 5), (3, 4, 6)])
 
 
+def _euler_characteristic(cx) -> int:
+    return sum((-1) ** i * f for i, f in enumerate(cx.f_vector()))
+
+
 def from_covers(elements, covers) -> Poset:
     """Poset from (smaller, larger) cover pairs, closed transitively here."""
     elements = list(elements)
@@ -85,7 +89,7 @@ def test_disk_contractible():
 
 
 def test_projective_plane_torsion():
-    assert RP2.euler_characteristic() == 1
+    assert _euler_characteristic(RP2) == 1
     assert integral_homology(RP2) == {0: (0, ()), 1: (0, (2,)), 2: (0, ())}
     assert betti(RP2, "Q") == {0: 0, 1: 0, 2: 0}
     assert betti(RP2, 2) == {0: 0, 1: 1, 2: 1}
@@ -143,7 +147,7 @@ def test_verify_wedge_examples():
 def test_euler_characteristic_matches_betti():
     for cx in (TRIANGLE, DISK, RP2, join_poset([3, 2]).order_complex()):
         bq = betti(cx, "Q")
-        assert cx.euler_characteristic() - 1 == sum((-1) ** k * b for k, b in bq.items())
+        assert _euler_characteristic(cx) - 1 == sum((-1) ** k * b for k, b in bq.items())
 
 
 def test_field_independence_on_wedges():

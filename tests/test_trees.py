@@ -10,19 +10,16 @@ from grushko.trees import (
     CollapseError,
     MarkedTree,
     TreeShape,
-    adapted_order,
     bs_path,
     bs_vertex,
     caterpillar,
     collapse,
-    convex_hull_vertices,
     enumerate_shapes,
     fixed_point,
     path_shape,
     shape_poset,
     standard_marking,
 )
-from grushko.visibility import hull_order_is_adapted
 
 W = parse
 
@@ -196,15 +193,45 @@ def test_poset_relation_is_transitive_by_construction():
                 assert sp.below[j] <= sp.below[i]
 
 
+def convex_hull_vertices(shape, vertices):
+    """Vertex set of the minimal subtree containing the given vertices."""
+    want = set(vertices)
+    if not want:
+        return set()
+    alive = set(range(shape.num_vertices))
+    adj = shape.adjacency()
+    deg = {v: len(adj[v]) for v in alive}
+    changed = True
+    while changed:
+        changed = False
+        for v in list(alive):
+            if v not in want and deg[v] <= 1:
+                alive.discard(v)
+                changed = True
+                for u, _ in adj[v]:
+                    if u in alive:
+                        deg[u] -= 1
+    return alive
+
+
+def hull_order_is_adapted(tree, order):
+    """Independent check: each prefix hull avoids all later fixed points."""
+    shape = tree.shape
+    for i in range(1, len(order)):
+        hull = convex_hull_vertices(shape, [tree.vertex_of_slot(k) for k in order[:i]])
+        if any(tree.vertex_of_slot(k) in hull for k in order[i:]):
+            return False
+    return True
+
+
 def test_adapted_order():
-    assert adapted_order(caterpillar(3)) == (1, 2, 3)
+    assert caterpillar(3).shape.adapted_order == (1, 2, 3)
     star = TreeShape(3, (0, 1, 2, 3), ((0, 1), (0, 2), (0, 3)))
-    assert adapted_order(MarkedTree(star, standard_marking(3))) == (1, 2, 3)
-    rng = random.Random(22)
-    for shape in enumerate_shapes(5)[::40]:
-        tree = MarkedTree(shape, standard_marking(5))
-        order = adapted_order(tree)
-        assert hull_order_is_adapted(tree, order)
+    assert star.adapted_order == (1, 2, 3)
+    for n in range(2, 6):
+        for shape in enumerate_shapes(n):
+            tree = MarkedTree(shape, standard_marking(n))
+            assert hull_order_is_adapted(tree, shape.adapted_order)
 
 
 def test_convex_hull():

@@ -7,12 +7,12 @@ from pathlib import Path
 
 import pytest
 
-from grushko.words import conjugate, generator, generators, parse, random_reduced_word
+from grushko.words import conjugate, generator, generators, parse, random_reduced_word, reduce
 from grushko.factors import VisibleIn, W2Factor, canonical_class
-from grushko.membership import is_basis
+from grushko.membership import contains, fold, is_basis
 from grushko.trees import (
     MarkedTree,
-    adapted_order,
+    TreeShape,
     bs_path,
     caterpillar,
     collapse,
@@ -23,16 +23,27 @@ from grushko.trees import (
 )
 from grushko.visibility import (
     CertificationError,
-    _strip,
+    _interior_stops,
+    _subproducts,
     bp_fiber,
     certify_partial_basis,
     is_visible,
-    segment_conjugators,
     visible_classes,
     visible_classes_brute,
     visible_words,
 )
 W = parse
+
+
+def segment_conjugators(tree, x, y):
+    """Reference: all products of the stabilizer involutions met along the segment.
+
+    x and y are slots; the segment between their fixed points in the
+    fundamental domain passes p marked vertices (endpoints included) with
+    stabilizer generators b_1..b_p in order, and the conjugators are the
+    2^p subproducts b_1^{e_1} ... b_p^{e_p}.
+    """
+    return _subproducts(tree, [x, *_interior_stops(tree, x, y), y])
 
 
 def _is_visible_by_search(tree, f):
@@ -90,7 +101,8 @@ def test_visibility_conjugation_invariant():
         f = W2Factor(conjugate(generator(i, n), random_reduced_word(rng, n, 2)),
                      conjugate(generator(j, n), random_reduced_word(rng, n, 2)))
         w = random_reduced_word(rng, n, rng.randrange(0, 4))
-        assert is_visible(tree, f) == is_visible(tree, f.conjugated_by(w))
+        moved = W2Factor(conjugate(f.a, w), conjugate(f.b, w))
+        assert is_visible(tree, f) == is_visible(tree, moved)
 
 
 def test_segment_conjugators():
@@ -271,23 +283,57 @@ def test_interior_conjugators_give_every_segment_class():
                 _segment_route_classes(tree, 2 * i - 1, 2 * i), (tree, i)
 
 
-def _reference_certificate(tree, classes):
-    """certify_partial_basis without memos: a fresh sorted scan per class."""
-    order = adapted_order(tree)
-    chosen = {}
-    for cls in classes:
-        alpha, beta = sorted(cls.cores(), key=order.index)
+def _strip(g, a, y):
+    """g without leading copies of a and trailing copies of y."""
+    changed = True
+    while changed:
+        changed = False
+        la, ly = len(a), len(y)
+        if len(g) >= la and g.letters[:la] == a.letters:
+            g = reduce(g.letters[la:], g.rank)
+            changed = True
+        if len(g) >= ly and g.letters[-ly:] == y.letters:
+            g = reduce(g.letters[:-ly], g.rank)
+            changed = True
+    return g
+
+
+def _segment_scan(tree, alpha, beta, scans):
+    """The first stripped segment conjugator of each class, in one sorted
+    scan per (tree, alpha, beta), kept in scans."""
+    if (tree, alpha, beta) not in scans:
         a, y = tree.marking_word(alpha), tree.marking_word(beta)
+        first = {}
         for g in sorted(segment_conjugators(tree, alpha, beta), key=lambda w: w.key()):
             g = _strip(g, a, y)
             b = conjugate(y, g)
-            if b != a and canonical_class(W2Factor(a, b)) == cls:
-                chosen[beta] = g
-                break
-        else:
-            raise AssertionError(f"no segment conjugator recovers {cls}")
+            if b != a:
+                first.setdefault(canonical_class(W2Factor(a, b)), g)
+        scans[tree, alpha, beta] = first
+    return scans[tree, alpha, beta]
+
+
+def _reference_certificate(tree, classes, scans):
+    """The former certification: for each class the smallest stripped segment
+    conjugator g with <b_alpha, g b_beta g^-1> in the class."""
+    order = tree.shape.adapted_order
+    chosen = {}
+    for cls in classes:
+        alpha, beta = sorted(cls.cores(), key=order.index)
+        chosen[beta] = _segment_scan(tree, alpha, beta, scans)[cls]
     return tuple(conjugate(tree.marking_word(k), chosen[k]) if k in chosen
                  else tree.marking_word(k) for k in order)
+
+
+def prefix_property_holds(tree, basis):
+    """Check x-prefix generation: marking slot of position i lies in <y_1..y_i>."""
+    order = tree.shape.adapted_order
+    for i in range(1, len(basis) + 1):
+        core = fold(list(basis[:i]))
+        target = tree.marking_word(order[i - 1])
+        if not contains(core, target):
+            return False
+    return True
 
 
 def _fiber_elements(tree):
@@ -295,39 +341,55 @@ def _fiber_elements(tree):
             for e in bp_fiber(tree, certify=False).elements]
 
 
-def test_certificate_memo_matches_fresh_scans():
-    rng = random.Random(38)
-    shapes = {n: enumerate_shapes(n) for n in (4, 5)}
+def _single_classes(tree, scans):
+    """Every visible class on every slot pair, one class at a time."""
+    order = tree.shape.adapted_order
+    singles = []
+    for r, s in itertools.combinations(order, 2):
+        for cls in sorted(_segment_scan(tree, r, s, scans), key=str):
+            if is_visible(tree, cls):
+                singles.append([cls])
+    return singles
+
+
+def test_standard_certificates_equal_the_segment_scan():
+    """In standard markings the core-path read gives the scanned conjugator,
+    on every fiber element and every single class of the rank 2-5 fixtures."""
+    scans = {}
     checked = 0
-    while checked < 12:
-        n = rng.choice([4, 5])
-        tree = MarkedTree(shapes[n][rng.randrange(len(shapes[n]))], _random_marking(rng, n))
+    for n in range(2, 6):
+        for shape in enumerate_shapes(n):
+            tree = MarkedTree(shape, standard_marking(n))
+            for classes in _fiber_elements(tree) + _single_classes(tree, scans):
+                assert certify_partial_basis(tree, classes) == \
+                    _reference_certificate(tree, classes, scans), (tree, classes)
+                checked += 1
+    assert checked == 2741 + 7264  # fiber elements + single classes
+
+
+def test_random_marking_certificates_check():
+    """In non-standard markings each basis passes is_basis, keeps the prefix
+    property and holds a representative of every class it certifies."""
+    rng = random.Random(38)
+    shapes = {n: enumerate_shapes(n, up_to_relabeling=True) for n in (4, 5, 6)}
+    scans = {}
+    checked = 0
+    while checked < 100:
+        n = rng.choice([4, 5, 6])
+        shape = shapes[n][rng.randrange(len(shapes[n]))]
+        perm = rng.sample(range(1, n + 1), n)
+        shape = TreeShape(n, tuple(s and perm[s - 1] for s in shape.slot_of), shape.edges)
+        tree = MarkedTree(shape, _random_marking(rng, n))
         if tree.standard:
             continue
-        for element in _fiber_elements(tree):
-            assert certify_partial_basis(tree, element) == _reference_certificate(tree, element)
-        # single classes on every slot pair: one alpha meets several betas
-        for r, s in itertools.combinations(range(1, n + 1), 2):
-            for cls in sorted(_segment_route_classes(tree, r, s), key=str):
-                assert certify_partial_basis(tree, [cls]) == _reference_certificate(tree, [cls])
+        elements = _fiber_elements(tree) + _single_classes(tree, scans)
+        for classes in elements:
+            basis = certify_partial_basis(tree, classes)
+            assert is_basis(list(basis))
+            assert prefix_property_holds(tree, basis)
+            built = {canonical_class(W2Factor(a, b)) for a, b in itertools.combinations(basis, 2)}
+            assert set(classes) <= built, (tree, classes)
         checked += 1
-
-
-def test_certificate_memo_is_never_shared():
-    """Trees certified in turn each certify against their own scans."""
-    rng = random.Random(39)
-    shape = enumerate_shapes(4)[7]
-    trees = [MarkedTree(shape, standard_marking(4)),
-             MarkedTree(shape, _random_marking(rng, 4)),
-             MarkedTree(path_shape((1, 3, 2, 4)), standard_marking(4))]
-    assert len(set(trees)) == 3 and not trees[1].standard
-    elements = [_fiber_elements(tree) for tree in trees]
-    for _ in range(2):
-        for tree, tree_elements in zip(trees, elements):
-            for element in tree_elements:
-                assert certify_partial_basis(tree, element) == \
-                    _reference_certificate(tree, element)
-    assert len({id(tree.certificate_memo) for tree in trees}) == 3
 
 
 def test_certify_empty_returns_adapted_basis():
@@ -353,8 +415,6 @@ def test_certify_conjugated_class():
 
 def test_certify_prefix_property():
     """Each construction prefix generates the corresponding marking prefix."""
-    from grushko.visibility import prefix_property_holds
-
     rng = random.Random(34)
     for _ in range(20):
         n = rng.choice([4, 5])
