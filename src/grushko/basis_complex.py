@@ -21,6 +21,7 @@ from .factors import (
     VisibleIn,
     W2Factor,
     canonical_class,
+    canonical_pair,
     make_factor,
     parse_class,
     same_class_oracle,
@@ -147,7 +148,7 @@ def _move(path: tuple, m: int, k: int) -> tuple[int, tuple[int, ...], int]:
     return i, tuple(w), j
 
 
-def _descend(n: int, system: list[tuple]) -> list[Word] | None:
+def _descend(n: int, system: list[tuple], table: dict) -> list[Word] | None:
     """A basis of W_n holding a conjugate of every class of system, or None.
 
     system lists core paths (i, v, j) on disjoint cores.  Descent applies
@@ -156,12 +157,24 @@ def _descend(n: int, system: list[tuple]) -> list[Word] | None:
     involution, so the moves s_1..s_r give phi^-1 = s_1...s_r, whose images
     of x_1..x_n hold a conjugate of every class; move t conjugates the image
     of x_k by that of x_m.  A failed descent is no proof (ROADMAP item 5).
+
+    table[path] lists _move(path, m, k) over the moves (m, k) in order; it
+    is filled the first time a path is seen and serves one rank n.  It is
+    keyed by the whole path, since the end factors x_m^[i=k] and x_m^[j=k]
+    depend on i and j.  Reading it instead of calling _move changes no
+    cost and no move order, so every descent makes the same moves.
     """
+    pairs = list(itertools.permutations(range(1, n + 1), 2))
     moves = []
     cost = sum(len(v) for _, v, _ in system)
     while cost:
-        for m, k in itertools.permutations(range(1, n + 1), 2):
-            moved = [_move(p, m, k) for p in system]
+        rows = []
+        for path in system:
+            row = table.get(path)
+            if row is None:
+                row = table[path] = [_move(path, m, k) for m, k in pairs]
+            rows.append(row)
+        for (m, k), moved in zip(pairs, zip(*rows)):
             lower = sum(len(v) for _, v, _ in moved)
             if lower < cost:
                 break
@@ -215,6 +228,7 @@ def build_unpaired_radius(n: int, radius: int) -> PartialBasisComplex:
     if n > 5 or radius > MAX_RADIUS:
         raise ValueError(f"budgeted construction: n <= 5 and radius <= {MAX_RADIUS}")
     relative = _reduced_words_upto(n, 2 * radius)
+    table: dict = {}
     classes: dict[CanonicalClass, tuple] = {}
     for i, j in itertools.combinations(range(1, n + 1), 2):
         for v in relative:
@@ -223,10 +237,10 @@ def build_unpaired_radius(n: int, radius: int) -> PartialBasisComplex:
             cls = canonical_class(W2Factor(generator(i, n), conjugate(generator(j, n), v)))
             classes.setdefault(cls, _path(cls))
 
-    certified: list[CanonicalClass] = []
+    placed: list[tuple] = []  # (certified class, core path, core mask)
     uncertified: list[str] = []
     for cls, (i, v, j) in classes.items():
-        basis = _descend(n, [(i, v, j)]) \
+        basis = _descend(n, [(i, v, j)], table) \
             if _retraction_generates(cls.a, cls.b, i, j) else None
         if basis is None:
             uncertified.append(str(cls))
@@ -238,25 +252,27 @@ def build_unpaired_radius(n: int, radius: int) -> PartialBasisComplex:
                 break
         else:
             raise CertificationError(f"descent basis does not conjugate onto {cls}")
-        certified.append(cls.with_certificate(CompletingBasis(held)))
+        placed.append((cls.with_certificate(CompletingBasis(held)), (i, v, j), 1 << i | 1 << j))
 
+    certified = [c for c, _, _ in placed]
     elements: set[frozenset[CanonicalClass]] = {frozenset([c]) for c in certified}
     unplaced = 0
     for size in range(2, n // 2 + 1):
-        for combo in itertools.combinations(certified, size):
-            system = [classes[c] for c in combo]
-            if len({k for i, _, j in system for k in (i, j)}) != 2 * size:
+        for combo in itertools.combinations(placed, size):
+            if any(p[2] & q[2] for p, q in itertools.combinations(combo, 2)):
                 continue
-            basis = _descend(n, system)
+            basis = _descend(n, [path for _, path, _ in combo], table)
             if basis is None:
                 unplaced += 1
                 continue
             if not membership.is_basis(basis) or any(
-                    canonical_class(W2Factor(basis[i - 1], basis[j - 1])) != c
-                    for c, (i, _, j) in zip(combo, system)):
-                raise CertificationError(f"descent basis does not hold {combo}")
+                    canonical_pair(basis[i - 1], basis[j - 1]) != (c.a, c.b)
+                    for c, (i, _, j), _ in combo):
+                raise CertificationError(
+                    f"descent basis does not hold {tuple(c for c, _, _ in combo)}")
             for sub in range(2, size + 1):
-                elements.update(frozenset(picked) for picked in itertools.combinations(combo, sub))
+                elements.update(frozenset(c for c, _, _ in picked)
+                                for picked in itertools.combinations(combo, sub))
     params = {"radius": radius, "uncertified": sorted(uncertified), "unplaced": unplaced}
     return PartialBasisComplex(n, False, params,
                                sorted(certified, key=lambda c: (c.a.key(), c.b.key())),

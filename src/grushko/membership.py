@@ -175,13 +175,8 @@ class _Folder:
                 adj[v][j] = u
 
 
-def fold(gens: list[Word]) -> CoreGraph:
-    """Fold the wedge of paths/loops spelling the generators into the core.
-
-    Involution generators g x_j g^-1 contribute a segment spelling g with a
-    mirror j at its far end; other generators contribute loops at the
-    basepoint.  The result is independent of fold order.
-    """
+def _folded(gens: list[Word]) -> _Folder:
+    """The folder of the generators, run to completion (see fold)."""
     rank = gens[0].rank if gens else 1
     for g in gens:
         if g.rank != rank:
@@ -199,6 +194,17 @@ def fold(gens: list[Word]) -> CoreGraph:
                 f.queue.append((u, a, v))
                 u = v
     f.run()
+    return f
+
+
+def fold(gens: list[Word]) -> CoreGraph:
+    """Fold the wedge of paths/loops spelling the generators into the core.
+
+    Involution generators g x_j g^-1 contribute a segment spelling g with a
+    mirror j at its far end; other generators contribute loops at the
+    basepoint.  The result is independent of fold order.
+    """
+    f = _folded(gens)
 
     # canonical relabeling by BFS from the basepoint, labels in letter order
     root = f.find(0)
@@ -219,7 +225,7 @@ def fold(gens: list[Word]) -> CoreGraph:
     for u, uu in order.items():
         for j, v in f.adj[u].items():
             adj[uu][j] = order[f.find(v)]
-    return CoreGraph(rank, adj, mirrors)
+    return CoreGraph(gens[0].rank if gens else 1, adj, mirrors)
 
 
 def read(core: CoreGraph, w: Word) -> tuple[int, tuple[int, ...]]:
@@ -258,7 +264,8 @@ def is_basis(candidates: list[Word]) -> bool:
     carries all n mirrors.  n involutions that generate W_n always form a
     free basis (Grushko/Kurosh rank count -- a stated dependency of this
     package, exercised only in this direction), so generation is the whole
-    check.
+    check.  The basepoint's mirrors are read straight off the folder, with
+    no relabeling.
     """
     if not candidates:
         return False
@@ -267,7 +274,8 @@ def is_basis(candidates: list[Word]) -> bool:
         raise ValueError(f"expected {n} candidates, got {len(candidates)}")
     if not all(c.is_involution for c in candidates):
         return False
-    return len(fold(candidates).mirrors[0]) == n
+    f = _folded(candidates)
+    return len(f.mirrors[f.find(0)]) == n
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from grushko import basis_complex
 from grushko.basis_complex import (
     PartialBasisComplex,
     _descend,
+    _move,
     _path,
     _reduced_words_upto,
     build_from_trees,
@@ -115,10 +116,10 @@ def test_retraction_test_skips_uncertified_classes(monkeypatch, n, radius, uncer
     searched = []
     descend = basis_complex._descend
 
-    def record(n, system):
+    def record(n, system, table):
         if len(system) == 1:
             searched.append(system[0])
-        return descend(n, system)
+        return descend(n, system, table)
 
     monkeypatch.setattr(basis_complex, "_descend", record)
     sub = build_unpaired_radius(n, radius)
@@ -147,8 +148,29 @@ def test_descent_places_the_missed_joint_element():
     texts = ["W2[a=x1;b=x3*x4*x2*x3*x2*x3*x2*x4*x3;pair=1]", "W2[a=x3;b=x4*x2*x4*x2*x4;pair=2]"]
     system = [_path(parse_class(t, 4)) for t in texts]
     assert system == [(1, (3, 4, 2, 3), 2), (3, (4, 2), 4)]
-    basis = _descend(4, system)
+    basis = _descend(4, system, {})
     assert basis is not None and _holds(basis, system)
+    assert basis == _descend_plain(4, system)
+
+
+def _descend_plain(n, system):
+    """Descent with every move recomputed: the reference for the move table."""
+    moves = []
+    cost = sum(len(v) for _, v, _ in system)
+    while cost:
+        for m, k in itertools.permutations(range(1, n + 1), 2):
+            moved = [_move(p, m, k) for p in system]
+            lower = sum(len(v) for _, v, _ in moved)
+            if lower < cost:
+                break
+        else:
+            return None
+        system, cost = moved, lower
+        moves.append((m, k))
+    basis = list(generators(n))
+    for m, k in moves:
+        basis[k - 1] = conjugate(basis[k - 1], basis[m - 1])
+    return basis
 
 
 def _random_path(rng, n, i, j, length):
@@ -161,12 +183,15 @@ def _random_path(rng, n, i, j, length):
 
 
 def test_descent_bases_check():
-    """Whenever descent returns a basis, it holds every class of the system.
+    """Whenever descent returns a basis, it holds every class of the system,
+    and reading the moves from a table shared by all systems of a rank gives
+    the same basis, or None, as recomputing every move.
 
     Systems are images of standard ones under random products of partial
     conjugations, and random systems that need not be partial bases.
     """
     rng = random.Random(29)
+    tables = {n: {} for n in (3, 4, 5)}
     placed = {True: 0, False: 0}
     for _ in range(300):
         n = rng.choice([3, 4, 5])
@@ -182,7 +207,8 @@ def test_descent_bases_check():
                       for i, j in pairs]
         else:
             system = [_random_path(rng, n, i, j, rng.randrange(0, 8)) for i, j in pairs]
-        basis = _descend(n, system)
+        basis = _descend(n, system, tables[n])
+        assert basis == _descend_plain(n, system), system
         if basis is not None:
             assert _holds(basis, system), system
             placed[image] += 1

@@ -468,7 +468,7 @@ def fuzz_dir(tmp_path_factory):
     return root
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300, deadline=None, derandomize=True)
 @given(argv=ARGVS)
 def test_argv_fuzz_exits_by_contract(fuzz_dir, argv):
     """Any argv ends in exit code 0, 1, 2 or 3 without a traceback: an

@@ -23,7 +23,7 @@ from grushko.membership import (
     read,
     semidirect_embed,
 )
-from grushko.basis_complex import _retraction_generates
+from grushko.basis_complex import _descend, _retraction_generates
 
 W = parse
 
@@ -205,6 +205,33 @@ def test_is_basis_examples():
     assert not is_basis([W("x1", 4), W("x1", 4), W("x3", 4), W("x4", 4)])
     with pytest.raises(ValueError):
         is_basis(gens[:3])
+
+
+def test_is_basis_reads_the_fold_basepoint():
+    """is_basis reads the basepoint mirrors off the unrelabeled folder; the
+    answer is that of the relabeled core, on descent bases, on those bases
+    with one member conjugated by a random word, and on random involutions."""
+    rng = random.Random(41)
+    seen = {True: 0, False: 0}
+    for _ in range(300):
+        n = rng.choice([3, 4, 5])
+        i, j = rng.sample(range(1, n + 1), 2)
+        kind = rng.randrange(3)
+        cands = None
+        if kind < 2:
+            v = random_reduced_word(rng, n, rng.randrange(0, 6)).letters
+            cands = _descend(n, [(i, v, j)], {})
+        if cands is None:
+            cands = [conjugate(generators(n)[rng.randrange(n)],
+                               random_reduced_word(rng, n, rng.randrange(0, 4)))
+                     for _ in range(n)]
+        elif kind == 1:
+            k = rng.randrange(n)
+            cands[k] = conjugate(cands[k], random_reduced_word(rng, n, rng.randrange(1, 4)))
+        got = is_basis(cands)
+        assert got == (len(fold(cands).mirrors[0]) == n), cands
+        seen[got] += 1
+    assert min(seen.values()) > 50, seen
 
 
 def test_is_basis_conjugation_invariant():
