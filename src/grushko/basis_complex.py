@@ -18,18 +18,19 @@ from .words import Word, conjugate, generator, generators, identity, involution_
 from .factors import (
     CanonicalClass,
     CompletingBasis,
+    Path,
     VisibleIn,
     W2Factor,
     canonical_class,
-    canonical_pair,
-    make_factor,
+    core_path,
     parse_class,
     same_class_oracle,
+    strip,
 )
 from .jsoncheck import check
 from .trees import MarkedTree, enumerate_shapes
 from .topology import Poset, SimplicialComplex, betti, components
-from .visibility import CertificationError, bp_fiber, certify_partial_basis, is_visible
+from .visibility import CertificationError, bp_fiber, certify_partial_basis
 from . import membership
 
 
@@ -75,7 +76,7 @@ class PartialBasisComplex:
                                    cls_list, elements)
 
 
-def build_from_trees(trees: list[MarkedTree], certify: bool = True) -> PartialBasisComplex:
+def build_from_trees(trees: list[MarkedTree]) -> PartialBasisComplex:
     """Union of the per-tree fibers, classes merged by canonical form."""
     if trees:
         n = trees[0].n
@@ -86,7 +87,7 @@ def build_from_trees(trees: list[MarkedTree], certify: bool = True) -> PartialBa
     elements: set[frozenset[CanonicalClass]] = set()
     classes: set[CanonicalClass] = set()
     for tree in trees:
-        fiber = bp_fiber(tree, certify=certify)
+        fiber = bp_fiber(tree)
         elements.update(fiber.elements)
         for fam in fiber.families:
             classes.update(fam.classes)
@@ -120,18 +121,13 @@ def _reduced_words_upto(n: int, max_len: int) -> list[Word]:
     return out
 
 
-def _path(cls: CanonicalClass) -> tuple[int, tuple[int, ...], int]:
-    """The core path (i, v, j) of a class: cls = (x_i, v x_j v^-1)."""
-    j, v = involution_core(cls.b)
-    return cls.a.letters[0], v.letters, j
-
-
-def _move(path: tuple, m: int, k: int) -> tuple[int, tuple[int, ...], int]:
+def _move(path: Path, m: int, k: int) -> Path:
     """The core path of a class under the partial conjugation x_k -> x_m x_k x_m.
 
     <x_i, v x_j v^-1> goes to <s(x_i), s(v) s(x_j) s(v)^-1>; conjugated by
     x_m^[i=k] it is <x_i, v' x_j v'^-1> with v' = x_m^[i=k] s(v) x_m^[j=k],
-    stripped of one leading x_i and one trailing x_j as in canonical_pair.
+    stripped (factors.strip).  The path is left unoriented: descent reads
+    only |v| and the cores.
     """
     i, v, j = path
     w: list[int] = []
@@ -141,14 +137,10 @@ def _move(path: tuple, m: int, k: int) -> tuple[int, tuple[int, ...], int]:
             w.pop()
         else:
             w.append(a)
-    if w[:1] == [i]:
-        del w[0]
-    if w[-1:] == [j]:
-        del w[-1]
-    return i, tuple(w), j
+    return strip(i, tuple(w), j)
 
 
-def _descend(n: int, system: list[tuple], table: dict) -> list[Word] | None:
+def _descend(n: int, system: list[Path], table: dict) -> list[Word] | None:
     """A basis of W_n holding a conjugate of every class of system, or None.
 
     system lists core paths (i, v, j) on disjoint cores.  Descent applies
@@ -235,7 +227,7 @@ def build_unpaired_radius(n: int, radius: int) -> PartialBasisComplex:
             if v.letters[:1] == (i,) or v.letters[-1:] == (j,):
                 continue
             cls = canonical_class(W2Factor(generator(i, n), conjugate(generator(j, n), v)))
-            classes.setdefault(cls, _path(cls))
+            classes.setdefault(cls, cls.path)
 
     placed: list[tuple] = []  # (certified class, core path, core mask)
     uncertified: list[str] = []
@@ -266,8 +258,8 @@ def build_unpaired_radius(n: int, radius: int) -> PartialBasisComplex:
                 unplaced += 1
                 continue
             if not membership.is_basis(basis) or any(
-                    canonical_pair(basis[i - 1], basis[j - 1]) != (c.a, c.b)
-                    for c, (i, _, j), _ in combo):
+                    core_path(basis[i - 1], basis[j - 1]) != (i, v, j)
+                    for _, (i, v, j), _ in combo):
                 raise CertificationError(
                     f"descent basis does not hold {tuple(c for c, _, _ in combo)}")
             for sub in range(2, size + 1):
@@ -288,16 +280,24 @@ def rank3_isolated_family(m_max: int) -> list[CanonicalClass]:
 
     At rank 3 every partial basis is a single class, so these are isolated
     vertices; the classes are pairwise distinct (checked both by canonical
-    form and by the independent exact oracle) and each is certified
-    visible in a marked tree found by searching shapes and bounded markings.
+    form and by the independent exact oracle).  The canonical pair of each
+    is (x1, b) with b = g_m x2 g_m^-1, and it is certified visible in the
+    star shape enumerate_shapes(3)[0] marked (x1, b, x3).  That marking is
+    a basis: g_m lies in <x1, x3>, so conjugating x2 by it is a product of
+    partial conjugations of the standard basis (MarkedTree checks it with
+    is_basis).  In marking letters the class is <b_1, b_2>, whose slot walk
+    is the one step from slot 1 to slot 2, so it is visible in any shape;
+    certify_partial_basis checks that with is_visible, and the basis.
     """
+    star = enumerate_shapes(3)[0]
     out = []
     factors = []
     for m in range(m_max + 1):
         g = reduce((3,) + (1, 3) * m, 3)
-        f = make_factor(generator(1, 3), conjugate(generator(2, 3), g))
+        f = W2Factor(generator(1, 3), conjugate(generator(2, 3), g))
         cls = canonical_class(f)
-        tree = _certifying_tree(cls)
+        tree = MarkedTree(star, (cls.a, cls.b, generator(3, 3)))
+        certify_partial_basis(tree, [cls])
         out.append(cls.with_certificate(VisibleIn(tree)))
         factors.append(f)
     for i in range(len(out)):
@@ -306,26 +306,6 @@ def rank3_isolated_family(m_max: int) -> list[CanonicalClass]:
                 raise CertificationError(
                     f"family members m={i} and m={j} are not distinct classes")
     return out
-
-
-def _certifying_tree(cls: CanonicalClass) -> MarkedTree:
-    """A rank-3 marked tree in which the class is visible, by bounded search."""
-    n = 3
-    pool = {identity(n)}
-    for w in (cls.a, cls.b):
-        pool.add(involution_core(w)[1])
-    pool.update(generators(n))
-    pool = sorted(pool, key=lambda w: w.key())
-    for shape in enumerate_shapes(n):
-        for ws in itertools.product(pool, repeat=n):
-            marking = tuple(conjugate(generator(k, n), ws[k - 1]) for k in range(1, n + 1))
-            if not membership.is_basis(list(marking)):
-                continue
-            tree = MarkedTree(shape, marking)
-            if is_visible(tree, cls):
-                certify_partial_basis(tree, [cls])
-                return tree
-    raise CertificationError(f"certification search failure for {cls}")
 
 
 # ---------------------------------------------------------------------------

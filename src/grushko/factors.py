@@ -24,6 +24,10 @@ canonical representative pair read off the core path of the subgroup:
     smaller of (x_i, v x_j v^-1) and (x_j, v^-1 x_i v), compared by (i, v)
     against (j, reversed v), in O(|v|) time.
 
+strip and core_path are the one definition of the path (i, v, j): the
+unpaired builds and tree certification read classes through them, and
+canonical_pair renders the oriented path as a pair.
+
 The same_class_oracle is an independent exact decision kept as test-time
 ground truth: if it ever disagrees with the canonical form, the canonical
 form is unsound and the build fails.
@@ -34,34 +38,29 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .words import Word, conjugate, identity, involution_core, parse
-from . import membership
-
-
-class CertificateError(ValueError):
-    """A free-factor certificate failed validation."""
 
 
 # ---------------------------------------------------------------------------
-# certificates
+# certificates, carried by classes only
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class Axiomatic:
-    """No evidence attached; reserved for test fixtures."""
+    """No evidence attached, as on every class canonical_class returns."""
 
 
 @dataclass(frozen=True)
 class CompletingBasis:
-    """A full involution basis of W_n containing the factor's generators."""
+    """A full involution basis of W_n containing the class's generators."""
 
     basis: tuple[Word, ...]
 
 
 @dataclass(frozen=True)
 class VisibleIn:
-    """The factor is visible in the given marked Grushko tree."""
+    """The class is visible in the given marked Grushko tree."""
 
-    tree: object  # MarkedTree; kept loose to avoid an import cycle
+    tree: object  # MarkedTree; kept loose so that factors imports only words
 
 
 Certificate = Axiomatic | CompletingBasis | VisibleIn
@@ -73,7 +72,6 @@ class W2Factor:
 
     a: Word
     b: Word
-    certificate: Certificate = field(default_factory=Axiomatic)
 
     @property
     def rank(self) -> int:
@@ -83,26 +81,15 @@ class W2Factor:
         return f"<{self.a}, {self.b}>"
 
 
-def make_factor(a: Word, b: Word, certificate: Certificate | None = None) -> W2Factor:
-    """Validate and build a dihedral factor; certificates checked unless Axiomatic."""
+def make_factor(a: Word, b: Word) -> W2Factor:
+    """Validate and build a dihedral factor."""
     if a.rank != b.rank:
         raise ValueError("generators of mixed rank")
     if not (a.is_involution and b.is_involution):
         raise ValueError("factor generators must be involutions")
     if a == b:
         raise ValueError("degenerate factor: a = b")
-    cert = certificate if certificate is not None else Axiomatic()
-    f = W2Factor(a, b, cert)
-    if isinstance(cert, CompletingBasis):
-        if a not in cert.basis or b not in cert.basis:
-            raise CertificateError("completing basis does not contain the generators")
-        if not membership.is_basis(list(cert.basis)):
-            raise CertificateError("completing basis fails the basis check")
-    elif isinstance(cert, VisibleIn):
-        from . import visibility
-        if not visibility.is_visible(cert.tree, f):
-            raise CertificateError("visibility check fails in the certifying tree")
-    return f
+    return W2Factor(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -115,23 +102,47 @@ def _pair_key(pair: tuple[Word, Word]) -> tuple:
     return (len(a) + len(b), len(a), a.letters, b.letters)
 
 
-def canonical_pair(a: Word, b: Word) -> tuple[Word, Word]:
-    """Canonical representative pair for the conjugacy class of <a, b>.
+Path = tuple[int, tuple[int, ...], int]
 
-    The _pair_key minimum over the class, read off the core path
-    (mirror i, v, mirror j) as the module docstring shows.
+
+def strip(i: int, v: tuple[int, ...], j: int) -> Path:
+    """(i, v, j) with one leading x_i and one trailing x_j dropped from v.
+
+    <x_i, v x_j v^-1> is unchanged by x_i v and by v x_j, so the stripped
+    path names the same class.
+    """
+    if v[:1] == (i,):
+        v = v[1:]
+    if v[-1:] == (j,):
+        v = v[:-1]
+    return i, v, j
+
+
+def core_path(a: Word, b: Word) -> Path:
+    """The oriented core path (i, v, j) of <a, b>: its canonical pair is
+    (x_i, v x_j v^-1).
+
+    v is the reduced p^-1 q, stripped, for a = p x_i p^-1 and b = q x_j q^-1;
+    of the path and its reverse (j, v^-1, i), the smaller by (i, v) is kept.
+    Conjugate factors, and both orders of a pair, give the same path.
     """
     if a == b:
         raise ValueError("degenerate factor: a = b")
     i, p = involution_core(a)
     j, q = involution_core(b)
-    v = (~p * q).letters
-    if v[:1] == (i,):
-        v = v[1:]
-    if v[-1:] == (j,):
-        v = v[:-1]
+    i, v, j = strip(i, (~p * q).letters, j)
     if (j, v[::-1]) < (i, v):
-        i, j, v = j, i, v[::-1]
+        return j, v[::-1], i
+    return i, v, j
+
+
+def canonical_pair(a: Word, b: Word) -> tuple[Word, Word]:
+    """Canonical representative pair for the conjugacy class of <a, b>.
+
+    The _pair_key minimum over the class, (x_i, v x_j v^-1) for the core
+    path (i, v, j) = core_path(a, b), as the module docstring shows.
+    """
+    i, v, j = core_path(a, b)
     return Word((i,), a.rank), Word(v + (j,) + v[::-1], a.rank)
 
 
@@ -148,12 +159,14 @@ class CanonicalClass:
     def rank(self) -> int:
         return self.a.rank
 
+    @property
+    def path(self) -> Path:
+        """The core path (i, v, j): the class is <x_i, v x_j v^-1>."""
+        return core_path(self.a, self.b)
+
     def cores(self) -> tuple[int, int]:
         """Generator cores of the two reflection families (unordered as a set)."""
         return involution_core(self.a)[0], involution_core(self.b)[0]
-
-    def representative(self) -> W2Factor:
-        return W2Factor(self.a, self.b, self.certificate)
 
     def with_certificate(self, cert: Certificate) -> "CanonicalClass":
         return CanonicalClass(self.a, self.b, self.pair_index, cert)
@@ -186,10 +199,9 @@ def parse_class(text: str, rank: int) -> CanonicalClass:
 
 
 def canonical_class(f: W2Factor) -> CanonicalClass:
-    """The class of f, carrying f's certificate."""
+    """The class of f, with no certificate (Axiomatic)."""
     a0, b0 = canonical_pair(f.a, f.b)
-    idx = pair_index(f, f.rank)
-    return CanonicalClass(a0, b0, idx, f.certificate)
+    return CanonicalClass(a0, b0, pair_index(f, f.rank))
 
 
 def pair_index(f: W2Factor, n: int) -> int | None:

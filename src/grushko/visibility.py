@@ -21,7 +21,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .words import Word, conjugate, identity, involution_core
-from .factors import CanonicalClass, VisibleIn, W2Factor, canonical_class, canonical_pair
+from .factors import CanonicalClass, VisibleIn, W2Factor, canonical_class, core_path
 from .trees import MarkedTree
 from . import membership
 
@@ -199,7 +199,7 @@ def certify_partial_basis(tree: MarkedTree, classes) -> tuple[Word, ...]:
     already passed is_visible here and is not checked again.
 
     Each conjugator is read off the class's core path.  In marking letters
-    the class has the canonical pair (x_i, v x_j v^-1), {i, j} = {alpha,
+    the class has the core path (i, v, j) (core_path), {i, j} = {alpha,
     beta}, so it is <b_alpha, g b_beta g^-1> for g the marking product of v,
     read backwards when i = beta, and y_beta = g b_beta g^-1.  Why the
     prefix property holds: the slot walk of a visible class, r, h, s with
@@ -207,7 +207,7 @@ def certify_partial_basis(tree: MarkedTree, classes) -> tuple[Word, ...]:
     Leaving out the empty steps that a leading r or a trailing s of h makes,
     it crosses no edge twice, so it is the tree path between the two cores,
     and the other letters of h are distinct slots on that path.
-    canonical_pair drops exactly those end letters, so v is the rest of h,
+    factors.strip drops exactly those end letters, so v is the rest of h,
     possibly reversed.  The prefix of the adapted order that ends at beta
     holds alpha, so its hull holds the path, and every slot of v comes
     before beta.  By induction the earlier y's generate the earlier marking
@@ -227,13 +227,11 @@ def certify_partial_basis(tree: MarkedTree, classes) -> tuple[Word, ...]:
         trusted = isinstance(cls.certificate, VisibleIn) and cls.certificate.tree is tree
         if not trusted and not is_visible(tree, cls):
             raise CertificationError(f"{cls} is not visible in this tree")
-        x, y = canonical_pair(tree.in_marking_letters(cls.a), tree.in_marking_letters(cls.b))
-        i = x.letters[0]
-        j, v = involution_core(y)
+        i, v, j = core_path(tree.in_marking_letters(cls.a), tree.in_marking_letters(cls.b))
         if pos[i] < pos[j]:
-            conjugators[j] = tree.marking_product(v.letters)
+            conjugators[j] = tree.marking_product(v)
         else:
-            conjugators[i] = tree.marking_product(v.letters[::-1])
+            conjugators[i] = tree.marking_product(v[::-1])
 
     out = tuple(conjugate(tree.marking_word(k), conjugators[k]) if k in conjugators
                 else tree.marking_word(k) for k in order)

@@ -13,7 +13,7 @@ from grushko.words import (
     parse,
     random_reduced_word,
 )
-from grushko.factors import W2Factor, canonical_class, parse_class, same_class_oracle
+from grushko.factors import W2Factor, canonical_class, parse_class, same_class_oracle, strip
 from grushko.membership import is_basis
 from grushko.trees import MarkedTree, caterpillar, collapse, enumerate_shapes, standard_marking
 
@@ -22,7 +22,6 @@ from grushko.basis_complex import (
     PartialBasisComplex,
     _descend,
     _move,
-    _path,
     _reduced_words_upto,
     build_from_trees,
     build_unpaired_radius,
@@ -124,7 +123,7 @@ def test_retraction_test_skips_uncertified_classes(monkeypatch, n, radius, uncer
     monkeypatch.setattr(basis_complex, "_descend", record)
     sub = build_unpaired_radius(n, radius)
     assert len(sub.params["uncertified"]) == uncertified
-    assert {_path(c) for c in sub.classes} <= set(searched)
+    assert {c.path for c in sub.classes} <= set(searched)
     assert len(searched) == len(sub.classes) + uncertified - skipped
 
 
@@ -146,7 +145,7 @@ def test_descent_places_the_missed_joint_element():
     """A two-class partial basis at (4, 2) that a pool search over
     conjugators of length <= 4 does not place."""
     texts = ["W2[a=x1;b=x3*x4*x2*x3*x2*x3*x2*x4*x3;pair=1]", "W2[a=x3;b=x4*x2*x4*x2*x4;pair=2]"]
-    system = [_path(parse_class(t, 4)) for t in texts]
+    system = [parse_class(t, 4).path for t in texts]
     assert system == [(1, (3, 4, 2, 3), 2), (3, (4, 2), 4)]
     basis = _descend(4, system, {})
     assert basis is not None and _holds(basis, system)
@@ -174,12 +173,7 @@ def _descend_plain(n, system):
 
 
 def _random_path(rng, n, i, j, length):
-    v = random_reduced_word(rng, n, length).letters
-    if v[:1] == (i,):
-        v = v[1:]
-    if v[-1:] == (j,):
-        v = v[:-1]
-    return i, v, j
+    return strip(i, random_reduced_word(rng, n, length).letters, j)
 
 
 def test_descent_bases_check():
@@ -203,7 +197,7 @@ def test_descent_bases_check():
             images[k - 1] = conjugate(images[k - 1], images[m - 1])
         image = rng.random() < 0.5
         if image:
-            system = [_path(canonical_class(W2Factor(images[i - 1], images[j - 1])))
+            system = [canonical_class(W2Factor(images[i - 1], images[j - 1])).path
                       for i, j in pairs]
         else:
             system = [_random_path(rng, n, i, j, rng.randrange(0, 8)) for i, j in pairs]
@@ -282,16 +276,24 @@ def test_budget_guard():
 
 
 def test_rank3_family_distinct_and_certified():
-    fam = rank3_isolated_family(3)
-    assert len(fam) == 4
+    """Member m is <x1, b> with b = g_m x2 g_m^-1, g_m = x3 (x1 x3)^m,
+    certified visible on the star shape marked (x1, b, x3)."""
+    fam = rank3_isolated_family(5)
+    assert len(fam) == 6
     assert str(fam[0]) == "W2[a=x1;b=x3*x2*x3;pair=1]"
-    for cls in fam:
+    star = enumerate_shapes(3)[0]
+    assert star.edges == ((0, 1), (0, 2), (0, 3)) and star.slot_of == (0, 1, 2, 3)
+    x1, x2, x3 = generators(3)
+    for m, cls in enumerate(fam):
+        b = conjugate(x2, Word((3,) + (1, 3) * m, 3))
+        assert (cls.a, cls.b) == (x1, b)
         assert isinstance(cls.certificate, VisibleIn)
+        assert cls.certificate.tree == MarkedTree(star, (x1, b, x3))
     for c1, c2 in itertools.combinations(fam, 2):
         assert c1 != c2
-        assert not same_class_oracle(c1.representative(), c2.representative())
+        assert not same_class_oracle(W2Factor(c1.a, c1.b), W2Factor(c2.a, c2.b))
     sub = PartialBasisComplex(3, True, {}, list(fam), [frozenset([c]) for c in fam])
-    assert connectivity_report(sub).num_components == 4
+    assert connectivity_report(sub).num_components == 6
 
 
 def test_build_from_single_tree():
@@ -316,7 +318,7 @@ def test_build_from_trees_collapse_monotone():
 
 def test_union_over_caterpillar_orderings_connected():
     trees = [caterpillar(4, order) for order in itertools.permutations(range(1, 5))]
-    sub = build_from_trees(trees, certify=False)
+    sub = build_from_trees(trees)
     rep = connectivity_report(sub)
     assert rep.betti_q.get(0, 0) == 0
 

@@ -4,18 +4,17 @@ import random
 import pytest
 
 from grushko.words import (
-    Word, conjugate, generator, generators, involution_core, parse, random_reduced_word,
+    Word, conjugate, generator, involution_core, parse, random_reduced_word,
 )
 from grushko.factors import (
     Axiomatic,
     CanonicalClass,
-    CertificateError,
-    CompletingBasis,
     VisibleIn,
     W2Factor,
     _pair_key,
     canonical_class,
     canonical_pair,
+    core_path,
     make_factor,
     pair_index,
     parse_class,
@@ -28,22 +27,14 @@ W = parse
 
 
 def test_make_factor_validation():
-    f = make_factor(W("x1", 4), W("x2", 4),
-                    CompletingBasis(tuple(generators(4))))
+    f = make_factor(W("x1", 4), W("x2", 4))
     assert f.rank == 4
     with pytest.raises(ValueError):
         make_factor(W("x1", 4), W("x1", 4))
     with pytest.raises(ValueError):
         make_factor(W("x1.x2", 4), W("x1", 4))
-    with pytest.raises(CertificateError):
-        make_factor(W("x1", 4), W("x3", 4), CompletingBasis(tuple(generators(4))[:2] * 2))
-
-
-def test_visibility_certificate_rejects_invisible():
-    tree = caterpillar(3)
-    with pytest.raises(CertificateError):
-        make_factor(W("x1", 3), W("x3.x2.x3", 3), VisibleIn(tree))
-    make_factor(W("x1", 3), W("x2", 3), VisibleIn(tree))
+    with pytest.raises(ValueError):
+        make_factor(W("x1", 4), W("x2", 3))
 
 
 def test_canonical_class_examples():
@@ -120,12 +111,20 @@ def test_closed_form_matches_window_search():
     """The core-path form equals the window search's _pair_key minimum on
     the oracle test's factor set and on 2,000 seeded random pairs at ranks
     2-6 (same cores and non-primitive products included), in both orders.
-    The window search scans both orders itself, so one scan serves both."""
+    The window search scans both orders itself, so one scan serves both.
+    On the same pairs core_path renders to canonical_pair, is the path of
+    the canonical class, and does not depend on the order of the pair."""
     pairs = [(f.a, f.b) for f in _oracle_factors()] + _random_pairs(2000, 17)
     for a, b in pairs:
         want = letters_key(min(window_pairs(a, b), key=letters_key))
         assert _pair_key(canonical_pair(a, b)) == want, (a, b)
         assert _pair_key(canonical_pair(b, a)) == want, (b, a)
+        for x, y in ((a, b), (b, a)):
+            i, v, j = core_path(x, y)
+            assert canonical_pair(x, y) == (Word((i,), x.rank),
+                                            Word(v + (j,) + v[::-1], x.rank)), (x, y)
+            assert canonical_class(W2Factor(x, y)).path == (i, v, j), (x, y)
+        assert core_path(a, b) == core_path(b, a), (a, b)
     with pytest.raises(ValueError, match="degenerate factor"):
         canonical_pair(W("x2.x1.x2", 4), W("x2.x1.x2", 4))
 
@@ -170,14 +169,15 @@ def test_canonical_pair_invariances():
 
 
 def test_canonical_class_keeps_each_certificate():
+    """canonical_class attaches no evidence, and a certificate added with
+    with_certificate is kept without changing equality or the hash."""
     tree = caterpillar(3)
-    a, b = W("x1", 3), W("x2", 3)
-    plain = canonical_class(W2Factor(a, b))
-    visible = canonical_class(W2Factor(a, b, VisibleIn(tree)))
-    again = canonical_class(W2Factor(a, b))
-    assert plain == visible == again
+    plain = canonical_class(W2Factor(W("x1", 3), W("x2", 3)))
+    visible = plain.with_certificate(VisibleIn(tree))
+    assert plain.certificate == Axiomatic()
     assert visible.certificate == VisibleIn(tree)
-    assert plain.certificate == again.certificate == Axiomatic()
+    assert plain == visible and hash(plain) == hash(visible)
+    assert visible.pair_index == plain.pair_index == 1
 
 
 def test_pair_index():
