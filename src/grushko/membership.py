@@ -31,7 +31,6 @@ from .words import (
     RankMismatchError,
     conjugate,
     generators,
-    involution_core,
     reduce,
 )
 
@@ -93,7 +92,10 @@ class _Folder:
 
     Queued events are edges (u, j, v) and mirrors (u, j, None), named by
     possibly stale vertex ids.  Edges and mirrors are stored only at
-    union-find roots, each edge at both of its ends.
+    union-find roots, each edge at both of its ends.  Before the run,
+    involutions are spelled into a prefix trie at the basepoint (see
+    add_involution), which needs no folding, so only their mirrors and the
+    letters of other generators are queued.
     """
 
     def __init__(self):
@@ -101,6 +103,7 @@ class _Folder:
         self.adj: list[dict[int, int]] = [{}]
         self.mirrors: list[set[int]] = [set()]
         self.queue: deque = deque()
+        self.loops = 0  # generators queued as loops, not as involutions
 
     def find(self, u: int) -> int:
         root = u
@@ -118,14 +121,25 @@ class _Folder:
         return v
 
     def add_involution(self, g: Word):
-        """Queue g = p x_j p^-1 as a segment spelling p with a mirror j at its end."""
-        j, prefix = involution_core(g)
+        """Spell the prefix p of the involution g = p x_j p^-1 into the trie
+        at the basepoint and queue the mirror j at its end.
+
+        Call it before run().  The trie follows the edges already there, so
+        a vertex has at most one edge per label (p is reduced, so no child
+        repeats its parent's label): a reduced trie is already folded, and
+        queueing its edges one by one would fold to the same core.
+        """
+        letters, adj = g.letters, self.adj
+        half = len(letters) // 2
         u = 0
-        for a in prefix.letters:
-            v = self.new_vertex()
-            self.queue.append((u, a, v))
+        for a in letters[:half]:
+            v = adj[u].get(a)
+            if v is None:
+                v = self.new_vertex()
+                adj[u][a] = v
+                adj[v][a] = u
             u = v
-        self.queue.append((u, j, None))
+        self.queue.append((u, letters[half], None))
 
     def _detach(self, u: int, j: int) -> int:
         """Remove the j-edge at root u from both ends; its far root."""
@@ -176,18 +190,20 @@ class _Folder:
 
 
 def _folded(gens: list[Word]) -> _Folder:
-    """The folder of the generators, run to completion (see fold)."""
+    """The folder of the generators, run to completion (see fold).
+
+    Each generator's palindrome is tested once: the involutions go into the
+    trie, and the rest, the identity included, are counted in `loops`.
+    """
     rank = gens[0].rank if gens else 1
+    f = _Folder()
     for g in gens:
         if g.rank != rank:
             raise RankMismatchError("generators of mixed rank")
-    f = _Folder()
-    for g in gens:
-        if g.is_identity:
-            continue
         if g.is_involution:
             f.add_involution(g)
         else:
+            f.loops += 1
             u = 0
             for i, a in enumerate(g.letters):
                 v = 0 if i == len(g.letters) - 1 else f.new_vertex()
@@ -265,17 +281,16 @@ def is_basis(candidates: list[Word]) -> bool:
     free basis (Grushko/Kurosh rank count -- a stated dependency of this
     package, exercised only in this direction), so generation is the whole
     check.  The basepoint's mirrors are read straight off the folder, with
-    no relabeling.
+    no relabeling, and a candidate that is not an involution shows up in
+    the folder's `loops`.
     """
     if not candidates:
         return False
     n = candidates[0].rank
     if len(candidates) != n:
         raise ValueError(f"expected {n} candidates, got {len(candidates)}")
-    if not all(c.is_involution for c in candidates):
-        return False
     f = _folded(candidates)
-    return len(f.mirrors[f.find(0)]) == n
+    return not f.loops and len(f.mirrors[f.find(0)]) == n
 
 
 # ---------------------------------------------------------------------------

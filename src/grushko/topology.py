@@ -120,18 +120,16 @@ class Poset:
         return SimplicialComplex(self.chains())
 
     def isomorphic_via(self, other: "Poset", mapping: dict) -> bool:
-        """Verify that an explicit element bijection is an order isomorphism."""
+        """Verify that an explicit element bijection is an order isomorphism:
+        it maps each element's `above` set onto the `above` set of its image,
+        one set comparison per element."""
         if len(self) != len(other) or len(mapping) != len(self):
             return False
         if set(mapping) != set(self.elements) or set(mapping.values()) != set(other.elements):
             return False
-        for a in self.elements:
-            for b in self.elements:
-                if a is b:
-                    continue
-                if self.less(a, b) != other.less(mapping[a], mapping[b]):
-                    return False
-        return True
+        image = [other.index[mapping[e]] for e in self.elements]
+        return all({image[j] for j in up} == other.above[image[i]]
+                   for i, up in enumerate(self.above))
 
 
 # ---------------------------------------------------------------------------

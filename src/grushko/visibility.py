@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import product
 
 from .words import Word, conjugate, identity, involution_core
 from .factors import CanonicalClass, VisibleIn, W2Factor, canonical_class, core_path
@@ -259,24 +260,18 @@ class TreeFiber:
 def bp_fiber(tree: MarkedTree, certify: bool = True) -> TreeFiber:
     """Nonempty class sets with at most one class per pair index, all visible.
 
-    Every element is validated through certify_partial_basis, which is the
-    executable content of the pointwise-to-setwise upgrade.
+    With certify, certify_partial_basis runs on the maximal selections, one
+    class from every nonempty family; this is the executable content of the
+    pointwise-to-setwise upgrade.  Every element is a subset of a maximal
+    selection, and a subset of a partial basis is a partial basis (the same
+    basis holds conjugates of its classes), so every element is certified.
     """
     n = tree.n
     families = tuple(visible_classes(tree, i) for i in range(1, n // 2 + 1))
-    elements: list[frozenset[CanonicalClass]] = []
-
-    def grow(idx: int, current: tuple[CanonicalClass, ...]):
-        if idx == len(families):
-            if current:
-                elements.append(frozenset(current))
-            return
-        grow(idx + 1, current)
-        for cls in families[idx].classes:
-            grow(idx + 1, current + (cls,))
-
-    grow(0, ())
-    if certify:
-        for element in elements:
-            certify_partial_basis(tree, sorted(element, key=lambda c: c.pair_index))
+    elements = [frozenset(c for c in combo if c is not None)
+                for combo in product(*[(None, *fam.classes) for fam in families])]
+    elements = [e for e in elements if e]
+    if certify and elements:
+        for selection in product(*[fam.classes for fam in families if fam.classes]):
+            certify_partial_basis(tree, selection)
     return TreeFiber(tree, families, elements)

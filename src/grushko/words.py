@@ -80,10 +80,8 @@ class Word:
 
         These are exactly the order-2 elements: reduced g x_j g^-1 forms.
         """
-        L = len(self.letters)
-        if L == 0 or L % 2 == 0:
-            return False
-        return all(self.letters[i] == self.letters[L - 1 - i] for i in range(L // 2))
+        letters = self.letters
+        return len(letters) % 2 == 1 and letters == letters[::-1]
 
     def __str__(self) -> str:
         if not self.letters:

@@ -22,8 +22,10 @@ from grushko.membership import (
     make_automorphism,
     read,
     semidirect_embed,
+    _Folder,
 )
 from grushko.basis_complex import _descend, _retraction_generates
+from letter_fold import add_involution_by_letters
 
 W = parse
 
@@ -198,11 +200,48 @@ def test_fold_confluent():
         assert fold(o1) == fold(o2)
 
 
+def _generator_sets(rng, count):
+    """Seeded generator sets: involutions whose prefixes share stems, mixed
+    with loops (random words, the identity and odd palindromes among them)."""
+    for _ in range(count):
+        n = rng.randint(2, 5)
+        stems = [random_reduced_word(rng, n, rng.randrange(0, 4)) for _ in range(2)]
+        gens = []
+        for _ in range(rng.randint(1, 5)):
+            if rng.random() < 0.7:
+                p = rng.choice(stems) * random_reduced_word(rng, n, rng.randrange(0, 3))
+                gens.append(conjugate(generators(n)[rng.randrange(n)], p))
+            else:
+                gens.append(random_reduced_word(rng, n, rng.randrange(0, 7)))
+        yield gens
+
+
+def test_trie_seeded_fold_equals_letter_events(monkeypatch):
+    """Spelling involution prefixes into a trie folds to the same core as
+    queueing one event per letter (letter_fold.py)."""
+    rng = random.Random(53)
+    sets = list(_generator_sets(rng, 2500))
+    trie = [fold(gens) for gens in sets]
+    monkeypatch.setattr(_Folder, "add_involution", add_involution_by_letters)
+    shared = looped = 0
+    for gens, core in zip(sets, trie):
+        ref = fold(gens)
+        assert (core.adj, core.mirrors) == (ref.adj, ref.mirrors), gens
+        heads = [g.letters[0] for g in gens if g.is_involution and len(g) > 1]
+        shared += len(heads) > len(set(heads))
+        looped += any(not g.is_involution for g in gens)
+    assert shared >= 800 and looped >= 1000, (shared, looped)
+
+
 def test_is_basis_examples():
     gens = list(generators(4))
     assert is_basis(gens)
     assert is_basis([W("x1", 4), W("x1.x2.x1", 4), W("x3", 4), W("x4", 4)])
     assert not is_basis([W("x1", 4), W("x1", 4), W("x3", 4), W("x4", 4)])
+    # these generate W_n, but a basis is n involutions
+    assert fold([W("x1", 2), W("x1.x2", 2)]).mirrors[0] == {1, 2}
+    assert not is_basis([W("x1", 2), W("x1.x2", 2)])
+    assert not is_basis([W("x1", 3), W("x2", 3), W("x2.x3", 3)])
     with pytest.raises(ValueError):
         is_basis(gens[:3])
 

@@ -136,6 +136,48 @@ def test_join_poset_sizes():
         join_poset([101, 101])
 
 
+def _isomorphic_pairwise(p, q, mapping):
+    """Reference: the order compared on every pair of distinct elements."""
+    return all(p.less(a, b) == q.less(mapping[a], mapping[b])
+               for a in p.elements for b in p.elements if a != b)
+
+
+def test_isomorphic_via_checks_the_bijection():
+    target = join_poset([2, 3])
+    # the same selections, renamed and listed in another order
+    rename = {e: frozenset(f"{blk}:{item}" for blk, item in e) for e in target.elements}
+    source = Poset.by_inclusion(sorted(rename.values(), key=sorted))
+    natural = {r: e for e, r in rename.items()}
+    assert source.isomorphic_via(target, natural)
+    one, two = frozenset({(0, 0)}), frozenset({(0, 0), (1, 0)})
+    swapped = {e: e for e in target.elements} | {one: two, two: one}
+    assert not target.isomorphic_via(target, swapped)
+    merged = {e: e for e in target.elements} | {two: one}
+    assert not target.isomorphic_via(target, merged)
+    smaller = join_poset([2, 2])
+    assert not smaller.isomorphic_via(target, {e: e for e in smaller.elements})
+    # on antichains the order agrees under any mapping; only the bijection
+    # and size checks reject
+    flat2, flat3 = Poset("ab", [set(), set()]), Poset("xyz", [set(), set(), set()])
+    assert flat3.isomorphic_via(flat3, {"x": "y", "y": "z", "z": "x"})
+    assert not flat3.isomorphic_via(flat3, {"x": "x", "y": "x", "z": "y"})
+    assert not flat2.isomorphic_via(flat3, {"a": "x", "b": "y"})
+    # random bijections agree with the pairwise comparison
+    rng = random.Random(17)
+    p = join_poset([2, 2])
+    answers = set()
+    for _ in range(200):
+        images = p.elements[:]
+        rng.shuffle(images)
+        swap = dict(zip(range(2), rng.sample(range(2), 2)))
+        mapping = (dict(zip(p.elements, images)) if rng.random() < 0.5 else
+                   {e: frozenset((blk, swap[i]) for blk, i in e) for e in p.elements})
+        got = p.isomorphic_via(p, mapping)
+        assert got == _isomorphic_pairwise(p, p, mapping)
+        answers.add(got)
+    assert answers == {True, False}
+
+
 def test_verify_wedge_examples():
     assert verify_wedge((1, 3)).ok
     rep = verify_wedge((2, 2))

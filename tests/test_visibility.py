@@ -1,4 +1,5 @@
 import itertools
+import math
 import os
 import random
 import subprocess
@@ -9,6 +10,7 @@ import pytest
 
 from grushko.words import conjugate, generator, generators, parse, random_reduced_word, reduce
 from grushko.factors import VisibleIn, W2Factor, canonical_class
+from grushko import membership, visibility
 from grushko.membership import contains, fold, is_basis
 from grushko.trees import (
     MarkedTree,
@@ -468,6 +470,46 @@ def test_fiber_elements_certify():
         for element in fiber.elements:
             basis = certify_partial_basis(tree, sorted(element, key=lambda c: c.pair_index))
             assert is_basis(list(basis))
+
+
+def _rank5_tree(sizes):
+    return next(tree for tree in (MarkedTree(shape, standard_marking(5))
+                                  for shape in enumerate_shapes(5))
+                if bp_fiber(tree, certify=False).sizes() == sizes)
+
+
+def test_bp_fiber_folds_once_per_maximal_selection(monkeypatch):
+    """Certification runs is_basis on the maximal selections only: the
+    product of the nonempty family sizes, not one per element."""
+    tree = _rank5_tree((4, 4))
+    calls = []
+    real = membership.is_basis
+    monkeypatch.setattr(membership, "is_basis", lambda c: calls.append(c) or real(c))
+    fiber = bp_fiber(tree, certify=True)
+    assert len(fiber.elements) == 24
+    assert len(calls) == math.prod(s for s in fiber.sizes() if s) == 16
+    monkeypatch.setattr(membership, "is_basis", lambda c: False)
+    with pytest.raises(CertificationError, match="fails the basis check"):
+        bp_fiber(tree, certify=True)
+    assert bp_fiber(tree, certify=False).elements == fiber.elements
+
+
+def test_bp_fiber_elements_lie_in_certified_selections(monkeypatch):
+    certified = []
+    real = visibility.certify_partial_basis
+
+    def record(tree, classes):
+        certified.append(frozenset(classes))
+        return real(tree, classes)
+
+    monkeypatch.setattr(visibility, "certify_partial_basis", record)
+    for n in range(2, 6):
+        for shape in enumerate_shapes(n)[::7]:
+            certified.clear()
+            fiber = bp_fiber(MarkedTree(shape, standard_marking(n)), certify=True)
+            assert len(certified) == math.prod(s for s in fiber.sizes() if s)
+            assert all(any(e <= top for top in certified) for e in fiber.elements)
+            assert all(top in fiber.elements for top in certified)
 
 
 def test_collapse_preserves_visibility():
