@@ -1,11 +1,11 @@
 """Finite pieces of the complexes of partial dihedral bases of W_n.
 
-Vertices are partial bases (sets of factor classes that arise jointly in a
-free decomposition); the poset is ordered by inclusion and realized through
-its order complex.  Paired subcomplexes are unions of per-tree fibers and
-are exploratory by design: a finite tree list need not see the connectivity
-of the full complex.  Unpaired subcomplexes are cut out by a conjugator
-radius and placed by Whitehead descent.
+Elements are partial bases (sets of factor classes that arise jointly in a
+free decomposition).  Every family built here is downward closed and is
+realized by its face complex K (topology module).  Paired subcomplexes are
+unions of per-tree fibers and are exploratory by design: a finite tree list
+need not see the connectivity of the full complex.  Unpaired subcomplexes
+are cut out by a conjugator radius and placed by Whitehead descent.
 """
 
 from __future__ import annotations
@@ -44,11 +44,19 @@ class PartialBasisComplex:
     classes: list[CanonicalClass]
     elements: list[frozenset[CanonicalClass]]
 
-    def poset(self) -> Poset:
+    def poset(self) -> Poset:  # kept for perfbench's unpaired check
         return Poset.by_inclusion(self.elements)
 
-    def order_complex(self) -> SimplicialComplex:
+    def order_complex(self) -> SimplicialComplex:  # kept for perfbench's unpaired check
         return self.poset().order_complex()
+
+    def face_complex(self) -> SimplicialComplex:
+        """K, each class numbered by its position in classes (its JSON id).
+        A repeated element, which a set of simplices would merge, is refused."""
+        if len(set(self.elements)) < len(self.elements):
+            raise ValueError("repeated element")
+        vertex = {c: i for i, c in enumerate(self.classes)}
+        return SimplicialComplex(tuple(vertex[c] for c in e) for e in self.elements)
 
     def to_json(self) -> str:
         cls_list = sorted({c for e in self.elements for c in e} | set(self.classes),
@@ -71,7 +79,11 @@ class PartialBasisComplex:
                      "classes": [str], "elements": [[class_ids]]})
         n = data["n"]
         cls_list = [parse_class(t, n) for t in data["classes"]]
+        if len(set(cls_list)) < len(cls_list):
+            raise ValueError("$.classes: two literals of one class")
         elements = [frozenset(cls_list[i] for i in ids) for ids in data["elements"]]
+        if len(set(elements)) < len(elements):
+            raise ValueError("$.elements: repeated element")
         return PartialBasisComplex(n, data["ambient"] == "paired", data["params"],
                                    cls_list, elements)
 
@@ -314,6 +326,8 @@ def rank3_isolated_family(m_max: int) -> list[CanonicalClass]:
 
 @dataclass
 class ConnectivityReport:
+    """The components, reduced Betti numbers and dimension of a family's K."""
+
     n: int
     paired: bool
     exploratory: bool
@@ -341,12 +355,12 @@ class ConnectivityReport:
 
 
 def connectivity_report(sub: PartialBasisComplex) -> ConnectivityReport:
-    """Components, reduced Betti numbers and dimension of the realization.
+    """Components, reduced Betti numbers and dimension of K (face_complex).
 
     Finite paired pieces need not realize the connectivity of the infinite
     complex, hence the exploratory flag.
     """
-    cx = sub.order_complex()
+    cx = sub.face_complex()
     bq = betti(cx, "Q")
     return ConnectivityReport(sub.n, sub.paired, sub.paired, sub.params, len(sub.elements),
                               len(components(cx)), cx.dimension, bq, betti(cx, 2),

@@ -10,9 +10,8 @@ barycentric subdivision of K, so the two are homeomorphic and have the
 same homology (Björner, "Topological methods", Handbook of Combinatorics,
 1995, section 9), and K is far smaller: for c03, 41,030 faces against
 1,006,830 chains.  Order complexes (`Poset.order_complex`, the constructor
-applied to the poset's chains) remain for c10, for the partial-basis
-complexes of c04, c05 and `bp report`, and as the independent oracle the
-tests compare K against.
+applied to the poset's chains) remain only as the independent oracle that
+the tests and perfbench compare K against.
 
 Each complex builds its chain complex once (`SimplicialComplex.chain_complex`)
 and every homology call on it shares that build.  Boundary matrices are kept
@@ -61,7 +60,7 @@ class Poset:
         self.above = above  # above[i] = indices of elements strictly greater
 
     @classmethod
-    def from_leq(cls, elements, leq) -> "Poset":
+    def from_leq(cls, elements, leq) -> "Poset":  # kept for perfbench's fibers check
         elements = list(elements)
         above = [{j for j, b in enumerate(elements) if leq(a, b) and not leq(b, a)}
                  for a in elements]
@@ -93,7 +92,7 @@ class Poset:
     def less(self, a, b) -> bool:
         return self.index[b] in self.above[self.index[a]]
 
-    def chains(self) -> list[tuple[int, ...]]:
+    def chains(self) -> list[tuple[int, ...]]:  # kept for perfbench's Δ(P) checks
         """All nonempty chains, each a tuple of element indices listed upward.
 
         `above` must be irreflexive and transitive (ValueError otherwise):
@@ -115,7 +114,7 @@ class Poset:
             stack.extend(chain + (j,) for j in above[chain[-1]])
         return chains
 
-    def order_complex(self) -> "SimplicialComplex":
+    def order_complex(self) -> "SimplicialComplex":  # kept for perfbench's Δ(P) checks
         """Simplices are the chains (geometric realization of the poset)."""
         return SimplicialComplex(self.chains())
 

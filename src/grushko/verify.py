@@ -36,7 +36,6 @@ from .visibility import (
     visible_classes_brute,
 )
 from .topology import (
-    ChainComplex,
     Poset,
     SimplicialComplex,
     betti,
@@ -48,7 +47,6 @@ from .topology import (
 )
 from .basis_complex import (
     MAX_RADIUS,
-    PartialBasisComplex,
     build_unpaired_radius,
     rank3_isolated_family,
 )
@@ -197,21 +195,17 @@ def check_4_unpaired_components(config: RunConfig) -> dict:
     details = {}
     for L in (0, config.radius):
         sub = build_unpaired_radius(4, L)
-        poset = sub.poset()
-        comps = components(poset.order_complex())
+        comps = components(sub.face_complex())
         if len(comps) != 3:
             raise CheckFailure(f"radius {L}: {len(comps)} components, expected 3")
-        comp_of = {}
-        for ci, vs in enumerate(comps):
-            for v in vs:
-                comp_of[v] = ci
+        comp_of = {v: ci for ci, vs in enumerate(comps) for v in vs}
         seen = set()
         for m in matchings:
             element = frozenset(
                 canonical_class(W2Factor(generator(a, 4), generator(b, 4))) for a, b in m)
-            if element not in poset.index:
+            if element not in sub.elements:
                 raise CheckFailure(f"radius {L}: pairing {m} missing from the complex")
-            seen.add(comp_of[poset.index[element]])
+            seen.add(comp_of[sub.classes.index(next(iter(element)))])
         if len(seen) != 3:
             raise CheckFailure(f"radius {L}: pairings fall into {len(seen)} components")
         details[f"radius_{L}"] = {"elements": len(sub.elements), "components": 3}
@@ -223,12 +217,9 @@ def check_5_rank3_isolated(config: RunConfig) -> dict:
     fam = rank3_isolated_family(5)
     if len(fam) != 6:
         raise CheckFailure(f"family has {len(fam)} classes, expected 6")
-    sub = PartialBasisComplex(3, True, {"family": "rank3"}, fam,
-                              [frozenset([c]) for c in fam])
-    cx = sub.order_complex()
-    bq = betti(cx, "Q")
+    bq = betti(SimplicialComplex.from_face_poset({c} for c in fam), "Q")
     if bq.get(0) != 5 or any(v for k, v in bq.items() if k > 0):
-        raise CheckFailure(f"family order complex has betti {bq}, expected b0~=5 only")
+        raise CheckFailure(f"family complex has betti {bq}, expected b0~=5 only")
     return {"classes": [str(c) for c in fam]}
 
 
@@ -358,9 +349,9 @@ def check_10_homology_soundness(config: RunConfig) -> dict:
         (1, 2, 3), (1, 2, 4), (1, 3, 5), (1, 4, 6), (1, 5, 6),
         (2, 3, 6), (2, 4, 5), (2, 5, 6), (3, 4, 5), (3, 4, 6)])
     fixtures = {"triangle": triangle, "disk": disk, "rp2": rp2,
-                "cycle22": join_poset([2, 2]).order_complex()}
+                "cycle22": SimplicialComplex.from_maximal([(0, 2), (0, 3), (1, 2), (1, 3)])}
     for name, cx in fixtures.items():
-        if not ChainComplex(cx).boundary_squared_is_zero():
+        if not cx.chain_complex.boundary_squared_is_zero():
             raise CheckFailure(f"boundary square nonzero on {name}")
     if betti(triangle, "Q") != {0: 0, 1: 1}:
         raise CheckFailure("triangle boundary is not a circle")

@@ -71,10 +71,6 @@ class Word:
         return self.key() <= other.key()
 
     @property
-    def is_identity(self) -> bool:
-        return not self.letters
-
-    @property
     def is_involution(self) -> bool:
         """True iff the word is a nonempty odd-length palindrome.
 

@@ -15,10 +15,12 @@ from grushko.words import (
 )
 from grushko.factors import W2Factor, canonical_class, parse_class, same_class_oracle, strip
 from grushko.membership import is_basis
+from grushko.topology import betti, components
 from grushko.trees import MarkedTree, caterpillar, collapse, enumerate_shapes, standard_marking
 
 from grushko import basis_complex
 from grushko.basis_complex import (
+    ConnectivityReport,
     PartialBasisComplex,
     _descend,
     _move,
@@ -328,3 +330,41 @@ def test_subcomplex_json_roundtrip():
     back = PartialBasisComplex.from_json(sub.to_json())
     assert back.elements == sub.elements
     assert back.n == 4 and not back.paired
+
+
+def _order_complex_report(sub):
+    """connectivity_report taken on the order complex of the inclusion poset."""
+    cx = sub.order_complex()
+    bq = betti(cx, "Q")
+    return ConnectivityReport(sub.n, sub.paired, sub.paired, sub.params, len(sub.elements),
+                              len(components(cx)), cx.dimension, bq, betti(cx, 2),
+                              bq.get(cx.dimension, 0))
+
+
+def _oracle_families():
+    subs = [_unpaired(n, r) for n, r in [(3, 0), (3, 1), (3, 2), (3, 3), (4, 0), (4, 1),
+                                         (4, 2), (5, 0), (5, 1)]]
+    fam = rank3_isolated_family(5)
+    subs.append(PartialBasisComplex(3, True, {"family": "rank3"}, fam,
+                                    [frozenset([c]) for c in fam]))
+    trees = [MarkedTree(shape, standard_marking(4)) for shape in enumerate_shapes(4)]
+    subs.append(build_from_trees(trees))
+    return subs
+
+
+def test_report_on_face_complex_matches_order_complex():
+    """K and the order complex give the same report on every built family."""
+    for sub in _oracle_families():
+        assert connectivity_report(sub) == _order_complex_report(sub), sub.params
+        assert sub.face_complex().vertices == list(range(len(sub.classes)))
+
+
+def test_face_complex_numbers_classes_by_position():
+    sub = _unpaired(4, 0)
+    cx = sub.face_complex()
+    ids = {c: i for i, c in enumerate(sub.classes)}
+    assert cx.simplices == {tuple(sorted(ids[c] for c in e)) for e in sub.elements}
+    with pytest.raises(ValueError, match="repeated element"):
+        PartialBasisComplex(4, False, {}, sub.classes, sub.elements[:1] * 2).face_complex()
+    with pytest.raises(ValueError, match=r"missing face \(0,\) of \(0, 5\)"):
+        PartialBasisComplex(4, False, {}, sub.classes, sub.elements[1:]).face_complex()

@@ -252,6 +252,9 @@ NO_MARKING = {k: v for k, v in TREE.items() if k != "marking"}
 COMPLEX = {"vertices": [0, 1], "simplices": [[0, 1]]}
 BP = {"n": 2, "ambient": "paired", "params": {}, "classes": ["W2[a=x1;b=x2;pair=1]"],
       "elements": [[0]]}
+# class 0 is missing as a face of [0, 1]; numbered by first appearance it would be 1
+BP_OPEN = {"n": 4, "ambient": "unpaired", "params": {},
+           "classes": ["W2[a=x1;b=x2;pair=1]", "W2[a=x3;b=x4;pair=2]"], "elements": [[1], [0, 1]]}
 
 
 def _with(data, key, value):
@@ -291,6 +294,13 @@ MALFORMED = [
     (["certify", "--tree", "{tree}", "--classes", "{f}"], ["W2[a=x2;a=x1;b=x2;pair=1]"],
      "bad class literal"),
     (["certify", "--tree", "{tree}", "--classes", "{f}"], ["W2[x1]"], "bad class literal"),
+    (["bp", "report", "--in", "{f}"],
+     _with(BP, "classes", ["W2[a=x1;b=x2;pair=1]", "W2[a=x2;b=x1;pair=1]"]),
+     "$.classes: two literals of one class"),
+    (["bp", "report", "--in", "{f}"], _with(BP, "elements", [[0], [0]]),
+     "$.elements: repeated element"),
+    (["bp", "report", "--in", "{f}"], BP_OPEN, "missing face (0,) of (0, 1)"),
+    (["bp", "report", "--in", "{f}"], _with(BP, "elements", [[0], []]), "degenerate simplex ()"),
 ]
 
 

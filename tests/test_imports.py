@@ -27,3 +27,40 @@ def test_package_imports_are_acyclic():
     except graphlib.CycleError as exc:
         raise AssertionError("import cycle: " + " -> ".join(exc.args[1])) from None
     assert graph["factors"] == {"words"}
+
+
+
+# the Δ(P) builders that perfbench's fibers and unpaired checks still call
+KEPT_ORDER_COMPLEX_BUILDERS = {"Poset.order_complex", "PartialBasisComplex.order_complex"}
+
+
+class _OrderComplexCalls(ast.NodeVisitor):
+    """(enclosing function, method) for each call of .chains() or .order_complex()."""
+
+    def __init__(self):
+        self.scope, self.found = [], []
+
+    def _scoped(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    visit_FunctionDef = visit_AsyncFunctionDef = visit_ClassDef = _scoped
+
+    def visit_Call(self, node):
+        if isinstance(node.func, ast.Attribute) and node.func.attr in ("chains", "order_complex"):
+            self.found.append((".".join(self.scope) or "<module>", node.func.attr))
+        self.generic_visit(node)
+
+
+def test_src_takes_homology_on_face_complexes():
+    """No criterion, report or CLI path builds an order complex: only the kept
+    builders call .chains() or .order_complex()."""
+    callers = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        calls = _OrderComplexCalls()
+        calls.visit(ast.parse(path.read_text(), str(path)))
+        callers.update(caller for caller, _ in calls.found)
+        stray = [c for c in calls.found if c[0] not in KEPT_ORDER_COMPLEX_BUILDERS]
+        assert not stray, (path.name, stray)
+    assert callers == KEPT_ORDER_COMPLEX_BUILDERS

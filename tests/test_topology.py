@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from grushko.basis_complex import build_unpaired_radius
 from grushko.trees import MarkedTree, enumerate_shapes, standard_marking
 from grushko.visibility import bp_fiber
 from grushko.topology import (
@@ -515,14 +516,15 @@ def _invariants(cx):
 
 
 def _face_posets():
-    """The selections of every c03 size multiset with product <= 36, and the
-    fibers of the fixture trees of rank <= 4."""
+    """The selections of every c03 size multiset with product <= 36, the
+    fibers of the fixture trees of rank <= 4, and the (4,1) unpaired family."""
     families = [join_poset(list(s)).elements for k in range(1, 5)
                 for s in itertools.combinations_with_replacement(range(1, 5), k)
                 if math.prod(s) <= 36]
     for n in range(2, 5):
         for shape in enumerate_shapes(n):
             families.append(bp_fiber(MarkedTree(shape, standard_marking(n)), certify=False).elements)
+    families.append(build_unpaired_radius(4, 1).elements)
     return families
 
 
