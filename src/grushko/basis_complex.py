@@ -152,44 +152,79 @@ def _move(path: Path, m: int, k: int) -> Path:
     return strip(i, tuple(w), j)
 
 
-def _descend(n: int, system: list[Path], table: dict) -> list[Word] | None:
-    """A basis of W_n holding a conjugate of every class of system, or None.
+class _Descent:
+    """Whitehead descent at rank n, for one build.
 
-    system lists core paths (i, v, j) on disjoint cores.  Descent applies
+    A system lists core paths (i, v, j) on disjoint cores.  Descent applies
     the first partial conjugation s: x_k -> x_m x_k x_m (m != k) that lowers
     sum |v|, until every v is empty: the classes <x_i, x_j>.  Each s is an
     involution, so the moves s_1..s_r give phi^-1 = s_1...s_r, whose images
     of x_1..x_n hold a conjugate of every class; move t conjugates the image
     of x_k by that of x_m.  A failed descent is no proof (ROADMAP item 5).
 
-    table[path] lists _move(path, m, k) over the moves (m, k) in order; it
-    is filled the first time a path is seen and serves one rank n.  It is
+    rows[path] holds _move(path, m, k) over the moves (m, k) in order, and
+    the |v| of each; it is filled the first time a path is seen.  It is
     keyed by the whole path, since the end factors x_m^[i=k] and x_m^[j=k]
     depend on i and j.  Reading it instead of calling _move changes no
     cost and no move order, so every descent makes the same moves.
     """
-    pairs = list(itertools.permutations(range(1, n + 1), 2))
-    moves = []
-    cost = sum(len(v) for _, v, _ in system)
-    while cost:
-        rows = []
-        for path in system:
-            row = table.get(path)
-            if row is None:
-                row = table[path] = [_move(path, m, k) for m, k in pairs]
-            rows.append(row)
-        for (m, k), moved in zip(pairs, zip(*rows)):
-            lower = sum(len(v) for _, v, _ in moved)
+
+    def __init__(self, n: int):
+        self.moves = list(itertools.permutations(range(1, n + 1), 2))
+        self.generators = generators(n)
+        self.rows: dict[Path, tuple[tuple[Path, ...], tuple[int, ...]]] = {}
+        self.fate: dict[tuple[Path, ...], int | None] = {}
+
+    def _row(self, path: Path) -> tuple[tuple[Path, ...], tuple[int, ...]]:
+        row = self.rows.get(path)
+        if row is None:
+            moved = tuple(_move(path, m, k) for m, k in self.moves)
+            row = self.rows[path] = moved, tuple(len(v) for _, v, _ in moved)
+        return row
+
+    def _step(self, system: tuple[Path, ...], cost: int) -> tuple[int, int] | None:
+        """The index of the first move that lowers cost, and the new cost."""
+        for t, lower in enumerate(map(sum, zip(*(self._row(p)[1] for p in system)))):
             if lower < cost:
+                return t, lower
+        return None
+
+    def descend(self, system: list[Path]) -> list[Word] | None:
+        """A basis of W_n holding a conjugate of every class of system, or None.
+
+        The memo is exact.  The move chosen at a system depends only on its
+        set of paths (the cost is a sum over them), and so does the system
+        it moves to; its fate, the whole move sequence or None, is
+        therefore a function of that set.  fate keys each system by its
+        paths sorted, which moves keep sorted since cores never change, and
+        holds the index of its first move, or None when descent from it
+        fails.  A walk stops at the first system with a fate, and every
+        system it passed gets its own when the walk ends.  So each system
+        is expanded at most once per build, and every descent makes the
+        same moves, and builds the same basis, as without the memo.
+        """
+        fate = self.fate
+        start = key = tuple(sorted(system))
+        cost = sum(len(v) for _, v, _ in key)
+        walk = []
+        while cost and key not in fate:
+            step = self._step(key, cost)
+            if step is None:
                 break
-        else:
+            fate[key], cost = step
+            walk.append(key)
+            key = tuple(self.rows[p][0][step[0]] for p in key)
+        if cost and fate.get(key) is None:
+            fate.update(dict.fromkeys(walk + [key]))
             return None
-        system, cost = moved, lower
-        moves.append((m, k))
-    basis = list(generators(n))
-    for m, k in moves:
-        basis[k - 1] = conjugate(basis[k - 1], basis[m - 1])
-    return basis
+        basis = list(self.generators)
+        key = start
+        while key in fate:
+            t = fate[key]
+            m, k = self.moves[t]
+            basis[k - 1] = conjugate(basis[k - 1], basis[m - 1])
+            key = tuple(self.rows[p][0][t] for p in key)
+        return basis
 
 
 def _retraction_generates(a: Word, b: Word, i: int, j: int) -> bool:
@@ -210,7 +245,7 @@ def build_unpaired_radius(n: int, radius: int) -> PartialBasisComplex:
     """All partial bases of classes with conjugators of length <= radius.
 
     Classes are <g x_i g^-1, h x_j h^-1> with |g|, |h| <= radius; classes
-    and combinations are placed by Whitehead descent (_descend).  Single
+    and combinations are placed by Whitehead descent (_Descent).  Single
     classes it cannot place are listed in params["uncertified"], and the
     combinations it cannot place are counted in params["unplaced"].  A
     failed descent is not a proof (ROADMAP item 5).
@@ -232,7 +267,7 @@ def build_unpaired_radius(n: int, radius: int) -> PartialBasisComplex:
     if n > 5 or radius > MAX_RADIUS:
         raise ValueError(f"budgeted construction: n <= 5 and radius <= {MAX_RADIUS}")
     relative = _reduced_words_upto(n, 2 * radius)
-    table: dict = {}
+    descent = _Descent(n)
     classes: dict[CanonicalClass, tuple] = {}
     for i, j in itertools.combinations(range(1, n + 1), 2):
         for v in relative:
@@ -241,10 +276,10 @@ def build_unpaired_radius(n: int, radius: int) -> PartialBasisComplex:
             cls = canonical_class(W2Factor(generator(i, n), conjugate(generator(j, n), v)))
             classes.setdefault(cls, cls.path)
 
-    placed: list[tuple] = []  # (certified class, core path, core mask)
+    by_mask: dict[int, list[tuple]] = {}  # core mask -> [(certified class, core path)]
     uncertified: list[str] = []
     for cls, (i, v, j) in classes.items():
-        basis = _descend(n, [(i, v, j)], table) \
+        basis = descent.descend([(i, v, j)]) \
             if _retraction_generates(cls.a, cls.b, i, j) else None
         if basis is None:
             uncertified.append(str(cls))
@@ -256,27 +291,29 @@ def build_unpaired_radius(n: int, radius: int) -> PartialBasisComplex:
                 break
         else:
             raise CertificationError(f"descent basis does not conjugate onto {cls}")
-        placed.append((cls.with_certificate(CompletingBasis(held)), (i, v, j), 1 << i | 1 << j))
+        by_mask.setdefault(1 << i | 1 << j, []).append(
+            (cls.with_certificate(CompletingBasis(held)), (i, v, j)))
 
-    certified = [c for c, _, _ in placed]
+    certified = [c for placed in by_mask.values() for c, _ in placed]
     elements: set[frozenset[CanonicalClass]] = {frozenset([c]) for c in certified}
     unplaced = 0
     for size in range(2, n // 2 + 1):
-        for combo in itertools.combinations(placed, size):
-            if any(p[2] & q[2] for p, q in itertools.combinations(combo, 2)):
+        for masks in itertools.combinations(by_mask, size):
+            if any(a & b for a, b in itertools.combinations(masks, 2)):
                 continue
-            basis = _descend(n, [path for _, path, _ in combo], table)
-            if basis is None:
-                unplaced += 1
-                continue
-            if not membership.is_basis(basis) or any(
-                    core_path(basis[i - 1], basis[j - 1]) != (i, v, j)
-                    for _, (i, v, j), _ in combo):
-                raise CertificationError(
-                    f"descent basis does not hold {tuple(c for c, _, _ in combo)}")
-            for sub in range(2, size + 1):
-                elements.update(frozenset(c for c, _, _ in picked)
-                                for picked in itertools.combinations(combo, sub))
+            for combo in itertools.product(*(by_mask[m] for m in masks)):
+                basis = descent.descend([path for _, path in combo])
+                if basis is None:
+                    unplaced += 1
+                    continue
+                if not membership.is_basis(basis) or any(
+                        core_path(basis[i - 1], basis[j - 1]) != (i, v, j)
+                        for _, (i, v, j) in combo):
+                    raise CertificationError(
+                        f"descent basis does not hold {tuple(c for c, _ in combo)}")
+                for sub in range(2, size + 1):
+                    elements.update(frozenset(c for c, _ in picked)
+                                    for picked in itertools.combinations(combo, sub))
     params = {"radius": radius, "uncertified": sorted(uncertified), "unplaced": unplaced}
     return PartialBasisComplex(n, False, params,
                                sorted(certified, key=lambda c: (c.a.key(), c.b.key())),

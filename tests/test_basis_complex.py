@@ -22,7 +22,7 @@ from grushko import basis_complex
 from grushko.basis_complex import (
     ConnectivityReport,
     PartialBasisComplex,
-    _descend,
+    _Descent,
     _move,
     _reduced_words_upto,
     build_from_trees,
@@ -115,14 +115,14 @@ def test_retraction_test_skips_uncertified_classes(monkeypatch, n, radius, uncer
     """(f) spares the descent of most uncertified classes, and of no
     certified one."""
     searched = []
-    descend = basis_complex._descend
+    descend = basis_complex._Descent.descend
 
-    def record(n, system, table):
+    def record(self, system):
         if len(system) == 1:
             searched.append(system[0])
-        return descend(n, system, table)
+        return descend(self, system)
 
-    monkeypatch.setattr(basis_complex, "_descend", record)
+    monkeypatch.setattr(basis_complex._Descent, "descend", record)
     sub = build_unpaired_radius(n, radius)
     assert len(sub.params["uncertified"]) == uncertified
     assert {c.path for c in sub.classes} <= set(searched)
@@ -149,13 +149,14 @@ def test_descent_places_the_missed_joint_element():
     texts = ["W2[a=x1;b=x3*x4*x2*x3*x2*x3*x2*x4*x3;pair=1]", "W2[a=x3;b=x4*x2*x4*x2*x4;pair=2]"]
     system = [parse_class(t, 4).path for t in texts]
     assert system == [(1, (3, 4, 2, 3), 2), (3, (4, 2), 4)]
-    basis = _descend(4, system, {})
+    basis = _Descent(4).descend(system)
     assert basis is not None and _holds(basis, system)
     assert basis == _descend_plain(4, system)
 
 
 def _descend_plain(n, system):
-    """Descent with every move recomputed: the reference for the move table."""
+    """Descent with every move recomputed and no memo: the reference for
+    the move table and the fates."""
     moves = []
     cost = sum(len(v) for _, v, _ in system)
     while cost:
@@ -180,14 +181,14 @@ def _random_path(rng, n, i, j, length):
 
 def test_descent_bases_check():
     """Whenever descent returns a basis, it holds every class of the system,
-    and reading the moves from a table shared by all systems of a rank gives
-    the same basis, or None, as recomputing every move.
+    and reading the moves and fates from one descent shared by all systems
+    of a rank gives the same basis, or None, as recomputing every move.
 
     Systems are images of standard ones under random products of partial
     conjugations, and random systems that need not be partial bases.
     """
     rng = random.Random(29)
-    tables = {n: {} for n in (3, 4, 5)}
+    descents = {n: _Descent(n) for n in (3, 4, 5)}
     placed = {True: 0, False: 0}
     for _ in range(300):
         n = rng.choice([3, 4, 5])
@@ -203,12 +204,29 @@ def test_descent_bases_check():
                       for i, j in pairs]
         else:
             system = [_random_path(rng, n, i, j, rng.randrange(0, 8)) for i, j in pairs]
-        basis = _descend(n, system, tables[n])
+        basis = descents[n].descend(system)
         assert basis == _descend_plain(n, system), system
         if basis is not None:
             assert _holds(basis, system), system
             placed[image] += 1
     assert placed[True] > 100 and placed[False] > 10, placed
+
+
+def test_descent_expands_each_system_once(monkeypatch):
+    """At (4, 1) the 243 combination descents visit 878 systems, only 243
+    of them distinct; with the fates, each is expanded at most once, and
+    the three standard pairings (cost 0) are never expanded."""
+    expanded = []
+    step = basis_complex._Descent._step
+
+    def record(self, system, cost):
+        expanded.append(system)
+        return step(self, system, cost)
+
+    monkeypatch.setattr(basis_complex._Descent, "_step", record)
+    build_unpaired_radius(4, 1)
+    assert len(expanded) == len(set(expanded))
+    assert sum(len(system) == 2 for system in expanded) == 240
 
 
 def test_radius_zero_rank4():

@@ -24,7 +24,7 @@ from grushko.membership import (
     semidirect_embed,
     _Folder,
 )
-from grushko.basis_complex import _descend, _retraction_generates
+from grushko.basis_complex import _Descent, _retraction_generates
 from letter_fold import add_involution_by_letters
 
 W = parse
@@ -259,7 +259,7 @@ def test_is_basis_reads_the_fold_basepoint():
         cands = None
         if kind < 2:
             v = random_reduced_word(rng, n, rng.randrange(0, 6)).letters
-            cands = _descend(n, [(i, v, j)], {})
+            cands = _Descent(n).descend([(i, v, j)])
         if cands is None:
             cands = [conjugate(generators(n)[rng.randrange(n)],
                                random_reduced_word(rng, n, rng.randrange(0, 4)))
