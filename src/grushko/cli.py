@@ -176,29 +176,17 @@ def cmd_certify(args) -> int:
 
 
 def cmd_shapes(args) -> int:
-    if args.poset:
-        sp = shape_poset(args.n)
-        _emit({
-            "n": args.n,
-            "shapes": [
-                {"slots": s.slot_of, "edges": [list(e) for e in s.edges]}
-                for s in sp.shapes
-            ],
-            "relations": sp.relation_pairs(),
-            "longest_chain": sp.longest_chain(),
-        })
-        _note(f"{len(sp.shapes)} shapes, longest chain {sp.longest_chain()} "
-              f"(spine dimension {sp.longest_chain() - 1})")
-    else:
-        shapes = enumerate_shapes(args.n, up_to_relabeling=args.up_to_relabeling)
-        _emit({
-            "n": args.n,
-            "shapes": [
-                {"slots": s.slot_of, "edges": [list(e) for e in s.edges]}
-                for s in shapes
-            ],
-        })
-        _note(f"{len(shapes)} shapes")
+    sp = shape_poset(args.n) if args.poset else None
+    shapes = sp.shapes if sp else enumerate_shapes(args.n, up_to_relabeling=args.up_to_relabeling)
+    out = {"n": args.n,
+           "shapes": [{"slots": s.slot_of, "edges": [list(e) for e in s.edges]} for s in shapes]}
+    note = f"{len(shapes)} shapes"
+    if sp:
+        chain = sp.longest_chain()
+        out.update(relations=sp.relation_pairs(), longest_chain=chain)
+        note += f", longest chain {chain} (spine dimension {chain - 1})"
+    _emit(out)
+    _note(note)
     return 0
 
 

@@ -89,9 +89,6 @@ class Poset:
     def __len__(self) -> int:
         return len(self.elements)
 
-    def less(self, a, b) -> bool:
-        return self.index[b] in self.above[self.index[a]]
-
     def chains(self) -> list[tuple[int, ...]]:  # kept for perfbench's Δ(P) checks
         """All nonempty chains, each a tuple of element indices listed upward.
 

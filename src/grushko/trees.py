@@ -7,6 +7,9 @@ tree attaches to slot j an involution with generator core x_j; the marking
 tuple is a basis, and it consists of the stabilizers of the vertices of a
 connected fundamental domain L of the Bass-Serre tree, so it is adapted.
 
+Labeled shapes have one canonical form, _canonical(n, slot_of, edges);
+unlabeled ones (marked vertices indistinct) have one, _ahu_key.
+
 The Bass-Serre tree is navigated lazily: it is tiled by translates g.L
 glued along marked vertices, with tile adjacency the Cayley graph of W_n
 over the marking basis.  bs_path searches it bidirectionally under a vertex
@@ -51,7 +54,7 @@ class TreeShape:
         if len(self.edges) != V - 1:
             raise ValueError("not a tree: wrong edge count")
         seen = [False] * V
-        adj = self.adjacency()
+        adj = self.adjacency
         stack = [0]
         seen[0] = True
         while stack:
@@ -65,25 +68,22 @@ class TreeShape:
         slots = sorted(s for s in self.slot_of if s)
         if slots != list(range(1, self.n + 1)):
             raise ValueError("slots must be exactly 1..n")
-        deg = [0] * V
-        for u, v in self.edges:
-            deg[u] += 1
-            deg[v] += 1
         for v in range(V):
-            if self.slot_of[v] == 0 and deg[v] < 3:
+            if self.slot_of[v] == 0 and len(adj[v]) < 3:
                 raise ValueError("trivial vertices need valence >= 3")
 
     @property
     def num_vertices(self) -> int:
         return len(self.slot_of)
 
-    def adjacency(self) -> list[list[tuple[int, int]]]:
-        """Per-vertex list of (neighbor, edge index)."""
+    @cached_property
+    def adjacency(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Per-vertex (neighbor, edge index) pairs, built once per shape."""
         adj: list[list[tuple[int, int]]] = [[] for _ in self.slot_of]
         for i, (u, v) in enumerate(self.edges):
             adj[u].append((v, i))
             adj[v].append((u, i))
-        return adj
+        return tuple(map(tuple, adj))
 
     def vertex_of_slot(self, k: int) -> int:
         return self.slot_of.index(k)
@@ -92,7 +92,7 @@ class TreeShape:
         """Unique path u -> v as a list of (edge index, far vertex)."""
         if u == v:
             return []
-        adj = self.adjacency()
+        adj = self.adjacency
         prev: dict[int, tuple[int, int]] = {u: (-1, -1)}
         queue = deque([u])
         while queue:
@@ -120,7 +120,7 @@ class TreeShape:
         path; row and column 0 and the diagonal are 0.  One traversal from
         each marked vertex fills its row.
         """
-        adj = self.adjacency()
+        adj = self.adjacency
         rows = [(0,) * (self.n + 1)]
         for a in range(1, self.n + 1):
             row = [0] * (self.n + 1)
@@ -143,7 +143,7 @@ class TreeShape:
         is a leaf of the convex hull of the remaining marked vertices; the
         reversed peel sequence has the prefix-hull property.
         """
-        adj = self.adjacency()
+        adj = self.adjacency
         alive = [True] * self.num_vertices
         deg = [len(a) for a in adj]
         remaining = set(range(1, self.n + 1))
@@ -171,55 +171,43 @@ class TreeShape:
         return tuple(reversed(peeled))
 
     def canonical_key(self) -> tuple:
-        """Key invariant under relabeling of trivial vertices.
+        """Key invariant under relabeling of trivial vertices (see _canonical)."""
+        return _canonical(self.n, self.slot_of, self.edges)
 
-        A vertex is pinned down by its distance vector to the marked
-        vertices (two distinct vertices always differ toward some leaf),
-        so sorting by (slot, distance vector) is a canonical order.
-        """
-        dist = self._distance_matrix()
-        marked = [self.vertex_of_slot(k) for k in range(1, self.n + 1)]
-        keys = []
-        for v in range(self.num_vertices):
-            keys.append((self.slot_of[v], tuple(dist[v][m] for m in marked), v))
-        order = sorted(keys)
-        relabel = {old: new for new, (_, _, old) in enumerate(order)}
-        slots = tuple(s for s, _, _ in order)
-        edges = tuple(sorted(tuple(sorted((relabel[u], relabel[v]))) for u, v in self.edges))
-        return (self.n, slots, edges)
 
-    def relabeled_canonical(self) -> "TreeShape":
-        n, slots, edges = self.canonical_key()
-        return TreeShape(n, slots, edges)
+def _canonical(n: int, slot_of, edges) -> tuple:
+    """Canonical (n, slot_of, edges) of a labeled reduced tree.
 
-    def _distance_matrix(self) -> list[list[int]]:
-        V = self.num_vertices
-        adj = self.adjacency()
-        dist = []
-        for s in range(V):
-            d = [-1] * V
-            d[s] = 0
-            queue = deque([s])
-            while queue:
-                u = queue.popleft()
-                for v, _ in adj[u]:
-                    if d[v] < 0:
-                        d[v] = d[u] + 1
-                        queue.append(v)
-            dist.append(d)
-        return dist
-
-    def to_dot(self) -> str:
-        lines = ["graph shape {"]
-        for v, s in enumerate(self.slot_of):
-            if s:
-                lines.append(f'  {v} [label="x{s}"];')
-            else:
-                lines.append(f'  {v} [label="" shape=point];')
-        for i, (u, v) in enumerate(self.edges):
-            lines.append(f'  {u} -- {v} [label="e{i + 1}"];')
-        lines.append("}")
-        return "\n".join(lines)
+    A vertex is pinned down by its distance vector to the marked vertices:
+    distinct vertices differ toward some leaf.  For u != w, walk from w away
+    from u to a leaf m (m = w if w is a leaf); leaves of a reduced tree are
+    marked, and d(u, m) = d(u, w) + d(w, m) > d(w, m).  So sorting by (slot,
+    distance vector) is a canonical order.  One BFS from each marked vertex
+    gives the vectors, and the edges are renumbered by the order.  The key
+    of a canonical shape is the shape itself.
+    """
+    V = len(slot_of)
+    adj: list[list[int]] = [[] for _ in range(V)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    dists = []
+    for k in range(1, n + 1):
+        dist = [-1] * V
+        m = slot_of.index(k)
+        dist[m] = 0
+        queue = deque([m])
+        while queue:
+            u = queue.popleft()
+            for v in adj[u]:
+                if dist[v] < 0:
+                    dist[v] = dist[u] + 1
+                    queue.append(v)
+        dists.append(dist)
+    order = sorted(range(V), key=lambda v: (slot_of[v], [d[v] for d in dists]))
+    relabel = {old: new for new, old in enumerate(order)}
+    return (n, tuple(slot_of[v] for v in order),
+            tuple(sorted(tuple(sorted((relabel[u], relabel[v]))) for u, v in edges)))
 
 
 def path_shape(order: tuple[int, ...]) -> TreeShape:
@@ -372,7 +360,7 @@ def fixed_point(tree: MarkedTree, a: Word) -> BSVertex:
 
 def _bs_neighbors(tree: MarkedTree, p: BSVertex):
     """Adjacent Bass-Serre vertices with (edge label, translate) decorations."""
-    adj = tree.shape.adjacency()
+    adj = tree.shape.adjacency
     w, v = p.word, p.vertex
     s = tree.shape.slot_of[v]
     translates = [w] if s == 0 else [w, w * tree.marking_word(s)]
@@ -559,7 +547,7 @@ def enumerate_shapes(n: int, up_to_relabeling: bool = False) -> list[TreeShape]:
         raise ValueError("need n >= 2")
     if n > 6:
         raise ValueError("desk scale exceeded: n <= 6")
-    out = {}
+    keys = set()
     for slot_of, edges in _anonymous_shapes(n):
         marked = [v for v, s in enumerate(slot_of) if s]
         perms = [tuple(range(1, n + 1))] if up_to_relabeling else itertools.permutations(range(1, n + 1))
@@ -567,11 +555,8 @@ def enumerate_shapes(n: int, up_to_relabeling: bool = False) -> list[TreeShape]:
             assigned = list(slot_of)
             for v, s in zip(marked, perm):
                 assigned[v] = s
-            shape = TreeShape(n, tuple(assigned), tuple(tuple(sorted(e)) for e in edges))
-            key = shape.canonical_key()
-            if key not in out:
-                out[key] = shape.relabeled_canonical()
-    return sorted(out.values(), key=lambda s: s.canonical_key())
+            keys.add(_canonical(n, assigned, edges))
+    return [TreeShape(*key) for key in sorted(keys)]
 
 
 @dataclass

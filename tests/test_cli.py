@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -58,6 +59,18 @@ def test_shapes_poset(capsys):
     data = json.loads(out)
     assert len(data["shapes"]) == 4
     assert data["longest_chain"] == 2
+
+
+@pytest.mark.parametrize("flag, digest", [
+    (None, "d9feb4f4a1780fdcabd649bfd6e988d177e750e2afef3062d79db0fcfc6f109f"),
+    ("--up-to-relabeling", "52cbbf536f9f3cc45522c6ee2d522e20358edc82b386bd5bc79dc19972d19a1b"),
+    ("--poset", "2ea72689252f6d0bcfd5e086b18608d1bd02a1f827d721f19461e1cf5a95b5ef"),
+])
+def test_shapes_output_is_pinned(capsys, flag, digest):
+    """The rank-4 shape list, its order and its vertex numbering, byte for byte."""
+    code, out, _ = run_cli(capsys, "shapes", "--n", "4", *([flag] if flag else []))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_visible_and_certify(tmp_path, capsys):

@@ -139,7 +139,10 @@ def test_join_poset_sizes():
 
 def _isomorphic_pairwise(p, q, mapping):
     """Reference: the order compared on every pair of distinct elements."""
-    return all(p.less(a, b) == q.less(mapping[a], mapping[b])
+    def less(poset, a, b):
+        return poset.index[b] in poset.above[poset.index[a]]
+
+    return all(less(p, a, b) == less(q, mapping[a], mapping[b])
                for a in p.elements for b in p.elements if a != b)
 
 

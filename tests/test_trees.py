@@ -152,9 +152,35 @@ def test_enumerate_shapes_rank_bound():
             shape_poset(n)
 
 
+def test_enumerate_shapes_builds_each_shape_once(monkeypatch):
+    """One validated TreeShape per distinct shape, none per slot assignment."""
+    built = []
+    post_init = TreeShape.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(TreeShape, "__post_init__", counting)
+    for n, expected in [(4, 32), (5, 396)]:
+        built.clear()
+        enumerate_shapes(n)
+        assert len(built) == expected
+
+
+def test_enumerate_shapes_returns_canonical_shapes_in_key_order():
+    for n in range(2, 6):
+        shapes = enumerate_shapes(n)
+        for shape in shapes:
+            assert shape == TreeShape(*shape.canonical_key())
+        keys = [s.canonical_key() for s in shapes]
+        assert all(a < b for a, b in zip(keys, keys[1:]))
+
+
 def test_canonical_key_relabeling_invariant():
     rng = random.Random(23)
-    for shape in enumerate_shapes(4)[::3]:
+    rank5 = random.Random(5).sample(enumerate_shapes(5), 40)
+    for shape in enumerate_shapes(4)[::3] + rank5:
         V = shape.num_vertices
         perm = list(range(V))
         rng.shuffle(perm)
@@ -162,7 +188,7 @@ def test_canonical_key_relabeling_invariant():
         for v in range(V):
             slot_of[perm[v]] = shape.slot_of[v]
         edges = tuple(tuple(sorted((perm[u], perm[v]))) for u, v in shape.edges)
-        moved = TreeShape(4, tuple(slot_of), edges)
+        moved = TreeShape(shape.n, tuple(slot_of), edges)
         assert moved.canonical_key() == shape.canonical_key()
 
 
@@ -199,7 +225,7 @@ def convex_hull_vertices(shape, vertices):
     if not want:
         return set()
     alive = set(range(shape.num_vertices))
-    adj = shape.adjacency()
+    adj = shape.adjacency
     deg = {v: len(adj[v]) for v in alive}
     changed = True
     while changed:
@@ -247,7 +273,3 @@ def test_tree_json_roundtrip():
     t2 = MarkedTree(path_shape((1, 3, 2)), mk)
     assert MarkedTree.from_json(t2.to_json()) == t2
 
-
-def test_shape_dot():
-    dot = caterpillar(3).shape.to_dot()
-    assert "x1" in dot and "e1" in dot
