@@ -2,7 +2,10 @@
 
 A complex keeps its simplices grouped by degree and sorted (`grades`).  Every
 complex is built through the one constructor, which checks its simplices
-(distinct vertices, face-closed).  A downward-closed family of nonempty
+(distinct vertices, face-closed).  The face check is the boundary-row
+lookup: each k-simplex's facets are looked up among the (k-1)-simplices,
+and the rows found are kept (`faces`) for the chain complex, so each complex
+enumerates its faces once.  A downward-closed family of nonempty
 sets is the face poset of the simplicial complex K whose simplices are its
 members (`SimplicialComplex.from_face_poset`); the criteria take homology
 on K rather than on the poset's order complex.  The order complex is the
@@ -135,7 +138,9 @@ class Poset:
 class SimplicialComplex:
     """Face-closed set of simplices over integer vertex ids.
 
-    `grades[k]` lists the k-simplices in sorted order, each a sorted tuple.
+    `grades[k]` lists the k-simplices in sorted order, each a sorted tuple;
+    `faces[k][c]` holds the rows in `grades[k - 1]` of the facets of
+    `grades[k][c]` (for a vertex, row 0: the empty simplex).
     """
 
     def __init__(self, simplices):
@@ -143,17 +148,28 @@ class SimplicialComplex:
         for s in simplices:
             if not s or len(set(s)) != len(s):
                 raise ValueError(f"degenerate simplex {s}")
-            if len(s) > 1 and not simplices.issuperset(itertools.combinations(s, len(s) - 1)):
-                face = next(f for f in itertools.combinations(s, len(s) - 1)
-                            if f not in simplices)
-                raise ValueError(f"missing face {face} of {s}")
         grades: list[list[tuple]] = [[] for _ in range(max(map(len, simplices), default=0))]
         for s in simplices:
             grades[len(s) - 1].append(s)
         for grade in grades:
             grade.sort()
+        # facets drop the vertices last to first; the one facet in degree 0
+        # is the empty simplex, row 0.  A facet with no row is missing: the
+        # first simplex lacking one, by degree and then in sorted order, is
+        # reported.
+        faces = [[(0,)] * len(grades[0])] if grades else []
+        for k in range(1, len(grades)):
+            row = {s: i for i, s in enumerate(grades[k - 1])}
+            try:
+                faces.append([tuple(map(row.__getitem__, itertools.combinations(s, k)))
+                              for s in grades[k]])
+            except KeyError:
+                s, face = next((s, f) for s in grades[k]
+                               for f in itertools.combinations(s, k) if f not in row)
+                raise ValueError(f"missing face {face} of {s}") from None
         self.simplices = simplices
         self.grades = grades
+        self.faces: list[list[tuple[int, ...]]] = faces
         self.vertices = [s[0] for s in grades[0]] if grades else []
 
     @classmethod
@@ -232,7 +248,7 @@ class ChainComplex:
 
     def __init__(self, complex_: SimplicialComplex):
         self.complex = complex_
-        faces = _faces(complex_.grades)
+        faces = complex_.faces
         alive = _coreduce(faces)
         self.grades: list[list[tuple]] = [
             list(itertools.compress(grade, live)) for grade, live in zip(complex_.grades, alive)]
@@ -249,7 +265,7 @@ class ChainComplex:
 
     def boundary_squared_is_zero(self) -> bool:
         """d d = 0, on the full augmented boundaries and on the coreduced ones."""
-        faces = _faces(self.complex.grades)
+        faces = self.complex.faces
         full = _restricted(faces, [b"\x01", *(b"\x01" * len(cells) for cells in faces)])
         for boundaries in (full, self.boundaries):
             for k in range(1, len(boundaries)):
@@ -262,16 +278,6 @@ class ChainComplex:
                     if any(acc.values()):
                         return False
         return True
-
-
-def _faces(grades: list[list[tuple]]) -> list[list[tuple[int, ...]]]:
-    """faces[k][c]: rows of the faces of k-simplex c, its vertices dropped last
-    to first; the one face in degree 0 is the empty simplex, row 0."""
-    faces = [[(0,)] * len(grades[0])] if grades else []
-    for k in range(1, len(grades)):
-        row = {s: i for i, s in enumerate(grades[k - 1])}.__getitem__
-        faces.append([tuple(map(row, itertools.combinations(s, k))) for s in grades[k]])
-    return faces
 
 
 def _restricted(faces: list[list[tuple[int, ...]]], live: list) -> list[dict[int, dict[int, int]]]:
@@ -500,9 +506,8 @@ def components(complex_: SimplicialComplex) -> list[set]:
             v = parent[v]
         return v
 
-    for s in complex_.simplices:
-        if len(s) == 2:
-            parent[find(s[0])] = find(s[1])
+    for u, v in complex_.grades[1] if len(complex_.grades) > 1 else ():
+        parent[find(u)] = find(v)
     groups: dict = {}
     for v in complex_.vertices:
         groups.setdefault(find(v), set()).add(v)
@@ -530,20 +535,19 @@ def join_poset(sizes: list[int]) -> Poset:
     return Poset.by_inclusion(_selections(sizes))
 
 
-def _selections(sizes: list[int]) -> list[frozenset]:
-    """The elements of join_poset(sizes): sets of (block, item) pairs."""
+def _check_sizes(sizes) -> None:
     if not sizes or any(s < 1 for s in sizes):
         raise ValueError("sizes must be positive")
-    total = 1
-    for s in sizes:
-        total *= s
-    if total > 10 ** 4:
+    if math.prod(sizes) > 10 ** 4:
         raise ValueError("desk scale exceeded: product of sizes > 10^4")
-    items = []
-    for block, size in enumerate(sizes):
-        items.append([(block, i) for i in range(size)])
+
+
+def _selections(sizes: list[int]) -> list[frozenset]:
+    """The elements of join_poset(sizes): sets of (block, item) pairs."""
+    _check_sizes(sizes)
+    blocks = [[None, *((block, i) for i in range(size))] for block, size in enumerate(sizes)]
     elements = []
-    for combo in itertools.product(*[[None, *blk] for blk in items]):
+    for combo in itertools.product(*blocks):
         chosen = frozenset(x for x in combo if x is not None)
         if chosen:
             elements.append(chosen)
@@ -577,7 +581,15 @@ def verify_wedge(sizes) -> WedgeReport:
     complex they are the face poset of: the join of discrete sets.
     """
     sizes = tuple(sizes)
-    complex_ = SimplicialComplex.from_face_poset(_selections(list(sizes)))
+    _check_sizes(sizes)
+    # item i of block b is vertex offset[b] + i: the selections from a
+    # nonempty set of blocks are the products of their ranges, each already
+    # a sorted tuple of integers
+    ranges = [range(start, start + size)
+              for start, size in zip(itertools.accumulate(sizes, initial=0), sizes)]
+    complex_ = SimplicialComplex(itertools.chain.from_iterable(
+        itertools.product(*chosen)
+        for k in range(1, len(ranges) + 1) for chosen in itertools.combinations(ranges, k)))
     bq = betti(complex_, "Q")
     b2 = betti(complex_, 2)
     b3 = betti(complex_, 3)

@@ -431,6 +431,11 @@ def collapse(shape: TreeShape, edge_set) -> TreeShape:
     The result is reduced again: a component of k >= 1 trivial vertices and
     no marked one keeps valence >= 3k - 2(k - 1) = k + 2 >= 3.
     """
+    return TreeShape(shape.n, *_collapse(shape, edge_set))
+
+
+def _collapse(shape: TreeShape, edge_set) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
+    """The raw (slot_of, edges) of collapse(shape, edge_set), not validated."""
     edge_set = set(edge_set)
     for e in edge_set:
         if not 0 <= e < len(shape.edges):
@@ -464,7 +469,7 @@ def collapse(shape: TreeShape, edge_set) -> TreeShape:
         if i in edge_set:
             continue
         edges.append((index[find(u)], index[find(v)]))
-    return TreeShape(shape.n, tuple(slot_of), tuple(tuple(sorted(e)) for e in edges))
+    return tuple(slot_of), tuple(tuple(sorted(e)) for e in edges)
 
 
 def _anonymous_shapes(n: int) -> list[tuple[tuple[int, ...], tuple[tuple[int, int], ...]]]:
@@ -582,7 +587,9 @@ def shape_poset(n: int) -> ShapePoset:
     """The spine poset at rank n: S <= T when T collapses onto S.
 
     Collapsing S and then S' is collapsing S | S', which the subset loop
-    visits too, so the relation is transitive as built.
+    visits too, so the relation is transitive as built.  A collapse is
+    looked up by the canonical form of its raw (slot_of, edges); a collapse
+    of a reduced shape is reduced (see collapse), so none is validated.
     """
     shapes = enumerate_shapes(n)
     index = {s.canonical_key(): i for i, s in enumerate(shapes)}
@@ -592,8 +599,8 @@ def shape_poset(n: int) -> ShapePoset:
         for r in range(1, m):
             for subset in itertools.combinations(range(m), r):
                 try:
-                    smaller = collapse(shape, subset)
+                    smaller = _collapse(shape, subset)
                 except CollapseError:
                     continue
-                below[i].add(index[smaller.canonical_key()])
+                below[i].add(index[_canonical(n, *smaller)])
     return ShapePoset(shapes, below)

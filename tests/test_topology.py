@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import random
@@ -5,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from face_rows import face_rows
 from grushko.basis_complex import build_unpaired_radius
 from grushko.trees import MarkedTree, enumerate_shapes, standard_marking
 from grushko.visibility import bp_fiber
@@ -21,7 +23,7 @@ from grushko.topology import (
     matrix_snf,
     verify_wedge,
 )
-from grushko.topology import _dense_snf
+from grushko.topology import _dense_snf, _selections
 
 TRIANGLE = SimplicialComplex.from_maximal([(0, 1), (1, 2), (0, 2)])
 DISK = SimplicialComplex.from_maximal([(0, 1, 2)])
@@ -107,7 +109,9 @@ def test_components():
     pieces = SimplicialComplex.from_maximal([(0, 1), (1, 2), (0, 2), (5, 6), (7,)])
     assert len(components(pieces)) == 3
     isolated = SimplicialComplex.from_maximal([(0,), (1,), (2,)])
-    assert len(components(isolated)) == 3
+    assert components(isolated) == [{0}, {1}, {2}]
+    assert components(SimplicialComplex([])) == []
+    assert components(SimplicialComplex([(4,), (2, 3), (2,), (3,)])) == [{2, 3}, {4}]
 
 
 def test_order_complex_shapes():
@@ -546,3 +550,73 @@ def test_face_complex_refuses_families_that_are_not_downward_closed():
         SimplicialComplex.from_face_poset([{1}, {1, 2}])
     with pytest.raises(ValueError, match="degenerate"):
         SimplicialComplex.from_face_poset([set()])
+
+
+# ---------------------------------------------------------------------------
+# the constructor's facet rows, and c03's K on integer vertices
+# ---------------------------------------------------------------------------
+
+C03_SIZES = [s for k in range(1, 5) for s in itertools.product(range(1, 5), repeat=k)]
+
+
+@functools.cache
+def _wedge_complexes():
+    """The complex K that verify_wedge takes homology on, per c03 size vector."""
+    built = {}
+    init = ChainComplex.__init__
+
+    def recording_init(self, complex_):
+        built[sizes] = complex_
+        init(self, complex_)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ChainComplex, "__init__", recording_init)
+        for sizes in C03_SIZES:
+            assert verify_wedge(sizes).ok
+    return built
+
+
+def test_face_rows_equal_the_reference():
+    rng = random.Random(20261019)
+    randoms = [_random_complex(rng, rng.randrange(4, 9)) for _ in range(150)]
+    complexes = [*_fixture_complexes(), *randoms, *_wedge_complexes().values(),
+                 build_unpaired_radius(4, 1).order_complex(), SimplicialComplex([])]
+    for cx in complexes:
+        assert cx.faces == face_rows(cx.grades), sorted(cx.simplices)
+    assert len(_wedge_complexes()) == 340
+
+
+def test_missing_faces_are_reported_lowest_degree_first():
+    # (4,) and (5,) are missing below edges, (1, 2) and (0, 2) below a triangle
+    family = [(0,), (1,), (2,), (3,), (0, 1), (0, 1, 2), (2, 5), (0, 4), (1, 3)]
+    rng = random.Random(3)
+    for _ in range(20):
+        rng.shuffle(family)
+        with pytest.raises(ValueError, match=r"^missing face \(4,\) of \(0, 4\)$"):
+            SimplicialComplex(family)
+    family += [(4,), (5,)]
+    for _ in range(20):
+        rng.shuffle(family)
+        with pytest.raises(ValueError, match=r"^missing face \(0, 2\) of \(0, 1, 2\)$"):
+            SimplicialComplex(family)
+    SimplicialComplex(family + [(0, 2), (1, 2)])
+
+
+def test_wedge_complex_matches_the_face_poset_route():
+    for sizes, cx in _wedge_complexes().items():
+        ref = SimplicialComplex.from_face_poset(_selections(list(sizes)))
+        # item i of block b is vertex offset[b] + i
+        assert cx.vertices == list(range(sum(sizes))), sizes
+        assert cx.f_vector() == ref.f_vector(), sizes
+        assert ([len(g) for g in cx.chain_complex.grades]
+                == [len(g) for g in ref.chain_complex.grades]), sizes
+        assert _invariants(cx) == _invariants(ref), sizes
+
+
+@pytest.mark.parametrize("sizes", [[0, 2], [2, -1], [], [101, 101], [10, 10, 10, 11]])
+def test_wedge_refuses_bad_sizes_as_join_poset_does(sizes):
+    with pytest.raises(ValueError) as want:
+        join_poset(sizes)
+    with pytest.raises(ValueError) as got:
+        verify_wedge(sizes)
+    assert str(got.value) == str(want.value)

@@ -211,6 +211,37 @@ def test_shape_poset_chains():
         assert sp.longest_chain() == chain
 
 
+def _below_by_validated_collapses(n):
+    """shape_poset(n).below with every collapse built as a validated TreeShape."""
+    shapes = enumerate_shapes(n)
+    index = {s.canonical_key(): i for i, s in enumerate(shapes)}
+    below = [set() for _ in shapes]
+    for i, shape in enumerate(shapes):
+        m = len(shape.edges)
+        for subset in itertools.chain.from_iterable(
+                itertools.combinations(range(m), r) for r in range(1, m)):
+            try:
+                below[i].add(index[collapse(shape, subset).canonical_key()])
+            except CollapseError:
+                pass
+    return below
+
+
+def test_shape_poset_validates_only_the_shapes(monkeypatch):
+    for n in range(2, 6):
+        assert shape_poset(n).below == _below_by_validated_collapses(n)
+    built = []
+    post_init = TreeShape.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(TreeShape, "__post_init__", counting)
+    shape_poset(5)
+    assert len(built) == 396
+
+
 def test_poset_relation_is_transitive_by_construction():
     for n in (3, 4, 5):
         sp = shape_poset(n)
