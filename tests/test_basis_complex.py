@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import itertools
 import random
 
@@ -107,6 +108,40 @@ def test_unpaired_build_matches_plain_search(n, radius):
     for cls in sub.classes:
         basis = cls.certificate.basis
         assert cls.a in basis and cls.b in basis and is_basis(list(basis))
+
+
+UNPAIRED_DIGESTS = [
+    ((3, 0), "136372ebc910896736a7d915180acf8d895b4eaa4975d03d5f6fa4a516f2a2d1",
+     "a1bed30a908633c83edcaeb4551e06dc339262415d5e85ecda33d0fee7a7470c"),
+    ((3, 1), "cd45775a7406f6c1bf969c9653da03cdd4b8e9066ffafb7eb426bc8e73e8aa56",
+     "60352ff32178ca9c53d385cecf3987b88ff801807a0a7c56594423aa11bb65eb"),
+    ((3, 2), "8398344b663a18233419a9f7d84643d3e794eeaed8dfb94334cb68de53d317a1",
+     "0258a3e41c15cfb7ae520f5921f00f71546618e1ebcce14830b01f2078609886"),
+    ((3, 3), "06a9108ea1aec1fa41ece207f5c70a862b6016c859886d4b8bb09b19ed5edc00",
+     "5fb0ccf2539e0809832c75f8c1d4495812dfb782b994e82894f4c64f03d01fbe"),
+    ((3, 4), "73a72effaa74b54161f0debbaf4d1695381ee1dd9f39686bc2f98e3daadca7b1",
+     "52edd2da63709c667162eaa33e69ba4c86d9e30abbe5a13cc163e6c80f885b21"),
+    ((4, 0), "4d12b4c57799e9903a4b05b59028da6646c0764947b0bef5848995603628748a",
+     "92cc74158b13f645705253854022aa1a76170038c655f9b68662bcee1e4b297d"),
+    ((4, 1), "2f082da1b3e78e0f1ba672b34b0c5b17d49730e9e8c20aec966c86f0e6e0500b",
+     "952c41c02e0f94b1a274a93e315c44e0f13b2ddb3f35640b4d8b8bb533f2acde"),
+    ((4, 2), "707536551c1e841f46133df299075468bc505ee6d387608459267a4a723ac49b",
+     "dbb1e7b0d0de01e7f1481db348df2f1fcfeaf255ada3e1ecf350be1e419f5679"),
+    ((5, 0), "7d1ed01551fcaec716596107b090340cbf5e2e80838cd7755405cd2ddad86343",
+     "5f7f85384dc291f9b9439abdf637cd7ca5d09b356f99c81ba1aedd8d7e327845"),
+    ((5, 1), "38a17c0822e1fef9253768da53ef4fd909587fbc2f50e6d5299e7bd5fcbfe5f4",
+     "66a12aec51eb94e253ed9e02957c67e606fa76b0f6fa7ff62816641f2fa313d2"),
+]
+
+
+@pytest.mark.parametrize("build, complex_digest, report_digest", UNPAIRED_DIGESTS)
+def test_unpaired_output_is_pinned(build, complex_digest, report_digest):
+    """The unpaired build's JSON and its report's JSON, byte for byte: its
+    classes, their order and text, the elements and the params."""
+    sub = _unpaired(*build)
+    assert hashlib.sha256(sub.to_json().encode()).hexdigest() == complex_digest
+    assert hashlib.sha256(connectivity_report(sub).to_json().encode()).hexdigest() \
+        == report_digest
 
 
 @pytest.mark.parametrize("n,radius,uncertified,skipped", [(4, 1, 6, 6), (3, 2, 33, 30)])
