@@ -14,7 +14,7 @@ import itertools
 import json
 from dataclasses import dataclass
 
-from .words import Word, conjugate, generator, generators, identity, involution_core, reduce
+from .words import Word, _reduce_into, conjugate, generator, generators, involution_core, reduce
 from .factors import (
     CanonicalClass,
     CompletingBasis,
@@ -22,8 +22,10 @@ from .factors import (
     VisibleIn,
     W2Factor,
     canonical_class,
+    core_pair_index,
     core_path,
     parse_class,
+    path_text,
     same_class_oracle,
     strip,
 )
@@ -119,18 +121,19 @@ def _element_key(e: frozenset) -> tuple:
 # conjugator radius budget of build_unpaired_radius
 MAX_RADIUS = 8
 
-def _reduced_words_upto(n: int, max_len: int) -> list[Word]:
-    out = [identity(n)]
-    frontier = [()]
-    for _ in range(max_len):
-        nxt = []
-        for letters in frontier:
-            for k in range(1, n + 1):
-                if not letters or letters[-1] != k:
-                    nxt.append(letters + (k,))
-        out.extend(Word(l, n) for l in nxt)
-        frontier = nxt
-    return out
+def _core_paths(n: int, max_len: int):
+    """The paths (i, v, j), i < j, with v reduced, |v| <= max_len, neither
+    starting with x_i nor ending with x_j; by (i, j), then |v|, then letters.
+    Each is the core path of its class (factors.core_path): strip drops
+    nothing, and the reverse (j, v^-1, i) is the larger.
+    """
+    for i, j in itertools.combinations(range(1, n + 1), 2):
+        yield i, (), j
+        level: list[tuple[int, ...]] = [()]
+        for _ in range(max_len):
+            level = [v + (a,) for v in level for a in range(1, n + 1)
+                     if a != (v[-1] if v else i)]
+            yield from ((i, v, j) for v in level if v[-1] != j)
 
 
 def _move(path: Path, m: int, k: int) -> Path:
@@ -140,16 +143,15 @@ def _move(path: Path, m: int, k: int) -> Path:
     x_m^[i=k] it is <x_i, v' x_j v'^-1> with v' = x_m^[i=k] s(v) x_m^[j=k],
     stripped (factors.strip).  The path is left unoriented: descent reads
     only |v| and the cores.
+
+    As v is reduced, only x_m's cancel in v', in runs of two or three, and
+    dropping two never brings equal letters together: dropping each x_m x_m
+    once, left to right, reduces v'.
     """
     i, v, j = path
-    w: list[int] = []
-    for a in [m] * (i == k) + [b for a in v for b in ((m, k, m) if a == k else (a,))] \
-            + [m] * (j == k):
-        if w and w[-1] == a:
-            w.pop()
-        else:
-            w.append(a)
-    return strip(i, tuple(w), j)
+    w = bytes((m,)) * (i == k) + bytes(v).replace(bytes((k,)), bytes((m, k, m))) \
+        + bytes((m,)) * (j == k)
+    return strip(i, tuple(w.replace(bytes((m, m)), b"")), j)
 
 
 class _Descent:
@@ -227,18 +229,20 @@ class _Descent:
         return basis
 
 
-def _retraction_generates(a: Word, b: Word, i: int, j: int) -> bool:
-    """(f) False when no basis of W_n contains a (core i) and b (core j).
+def _retraction_generates(path: Path) -> bool:
+    """(f) False when no basis of W_n holds a conjugate of the class of path.
 
     Deleting every letter other than x_i and x_j is a homomorphism rho onto
     <x_i, x_j>, the infinite dihedral group, since W_n is a free product.
     The cores of a basis are a permutation of 1..n (its image in (Z/2)^n is
-    a basis), so rho sends every other member to 1, and rho(a), rho(b) must
-    generate.  Two reflections of the infinite dihedral group generate it
-    only when they are adjacent: their product has length 2.
+    a basis), so rho sends every other member to 1, and <rho(x_i),
+    rho(v x_j v^-1)>, conjugate to the image of the members of cores i and
+    j, must be all of <x_i, x_j>.  Two reflections of the infinite dihedral
+    group generate it only when they are adjacent: their product has length 2.
     """
-    kept = [x for x in a.letters + b.letters if x == i or x == j]
-    return len(reduce(kept, a.rank)) == 2
+    i, v, j = path
+    kept = [x for x in v if x == i or x == j]
+    return len(_reduce_into([i], kept + [j] + kept[::-1])) == 2
 
 
 def build_unpaired_radius(n: int, radius: int) -> PartialBasisComplex:
@@ -254,8 +258,9 @@ def build_unpaired_radius(n: int, radius: int) -> PartialBasisComplex:
     <x_i, v x_j v^-1>, and x_i v or v x_j give the same class.  The words
     g^-1 h are exactly the reduced words of length <= 2 radius, and with a
     leading x_i and a trailing x_j stripped they are exactly those that
-    neither start with x_i nor end with x_j.  So the classes are computed
-    once per such v.  A class that fails (f) gets no descent.
+    neither start with x_i nor end with x_j.  So the classes are the paths
+    _core_paths yields, each once.  A path that fails (f) gets no descent,
+    and only a placed one is made a CanonicalClass.
 
     A single class keeps its basis as a CompletingBasis holding cls.a and
     cls.b literally: with basis[i-1] = p x_i p^-1, the basis conjugated by
@@ -266,33 +271,23 @@ def build_unpaired_radius(n: int, radius: int) -> PartialBasisComplex:
         raise ValueError(f"radius must be >= 0, got {radius}")
     if n > 5 or radius > MAX_RADIUS:
         raise ValueError(f"budgeted construction: n <= 5 and radius <= {MAX_RADIUS}")
-    relative = _reduced_words_upto(n, 2 * radius)
     descent = _Descent(n)
-    classes: dict[CanonicalClass, tuple] = {}
-    for i, j in itertools.combinations(range(1, n + 1), 2):
-        for v in relative:
-            if v.letters[:1] == (i,) or v.letters[-1:] == (j,):
-                continue
-            cls = canonical_class(W2Factor(generator(i, n), conjugate(generator(j, n), v)))
-            classes.setdefault(cls, cls.path)
-
     by_mask: dict[int, list[tuple]] = {}  # core mask -> [(certified class, core path)]
     uncertified: list[str] = []
-    for cls, (i, v, j) in classes.items():
-        basis = descent.descend([(i, v, j)]) \
-            if _retraction_generates(cls.a, cls.b, i, j) else None
+    for path in _core_paths(n, 2 * radius):
+        basis = descent.descend([path]) if _retraction_generates(path) else None
         if basis is None:
-            uncertified.append(str(cls))
+            uncertified.append(path_text(path, n))
             continue
+        i, v, j = path
+        b = Word(v + (j,) + v[::-1], n)
         p = involution_core(basis[i - 1])[1]
-        for g in (~p, generator(i, n) * ~p):
-            held = tuple(conjugate(x, g) for x in basis)
-            if held[j - 1] == cls.b:
-                break
-        else:
-            raise CertificationError(f"descent basis does not conjugate onto {cls}")
-        by_mask.setdefault(1 << i | 1 << j, []).append(
-            (cls.with_certificate(CompletingBasis(held)), (i, v, j)))
+        g = ~p if conjugate(basis[j - 1], ~p) == b else generator(i, n) * ~p
+        held = tuple(conjugate(x, g) for x in basis)
+        if held[j - 1] != b:
+            raise CertificationError(f"descent basis does not conjugate onto {path}")
+        cls = CanonicalClass(generator(i, n), b, core_pair_index(i, j, n), CompletingBasis(held))
+        by_mask.setdefault(1 << i | 1 << j, []).append((cls, path))
 
     certified = [c for placed in by_mask.values() for c, _ in placed]
     elements: set[frozenset[CanonicalClass]] = {frozenset([c]) for c in certified}

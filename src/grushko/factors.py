@@ -172,8 +172,16 @@ class CanonicalClass:
         return CanonicalClass(self.a, self.b, self.pair_index, cert)
 
     def __str__(self) -> str:
-        p = "none" if self.pair_index is None else str(self.pair_index)
-        return f"W2[a={self.a};b={self.b};pair={p}]"
+        return path_text(self.path, self.rank)
+
+
+def path_text(path: Path, n: int) -> str:
+    """The stable text W2[a=...;b=...;pair=...] of the class of a core path
+    (i, v, j) at rank n: its canonical pair (x_i, v x_j v^-1) and pair index."""
+    i, v, j = path
+    pair = core_pair_index(i, j, n)
+    b = "*".join([f"x{x}" for x in v + (j,) + v[::-1]])
+    return f"W2[a=x{i};b={b};pair={'none' if pair is None else pair}]"
 
 
 def parse_class(text: str, rank: int) -> CanonicalClass:
@@ -210,12 +218,13 @@ def pair_index(f: W2Factor, n: int) -> int | None:
     The unordered core pair is invariant under swapping, adjacent-reflection
     moves and conjugation, so it is computed from any generating pair.
     """
-    r = involution_core(f.a)[0]
-    s = involution_core(f.b)[0]
-    lo, hi = min(r, s), max(r, s)
-    if hi == lo + 1 and lo % 2 == 1 and hi <= 2 * (n // 2):
-        return (lo + 1) // 2
-    return None
+    return core_pair_index(involution_core(f.a)[0], involution_core(f.b)[0], n)
+
+
+def core_pair_index(r: int, s: int, n: int) -> int | None:
+    """The pair index of a class with generator cores r and s (pair_index)."""
+    lo, hi = sorted((r, s))
+    return (lo + 1) // 2 if hi == lo + 1 and lo % 2 == 1 and hi <= 2 * (n // 2) else None
 
 
 def same_class_oracle(f: W2Factor, g: W2Factor) -> bool:

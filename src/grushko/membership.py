@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from .words import (
     Word,
     RankMismatchError,
+    _reduce_into,
     conjugate,
     generators,
     reduce,
@@ -298,16 +299,10 @@ def is_basis(candidates: list[Word]) -> bool:
 # ---------------------------------------------------------------------------
 
 def _apply_images(images: tuple[Word, ...], w: Word) -> Word:
-    rank = images[0].rank
     stack: list[int] = []
     for j in w.letters:
-        img = images[j - 1]
-        for a in img.letters:
-            if stack and stack[-1] == a:
-                stack.pop()
-            else:
-                stack.append(a)
-    return Word(tuple(stack), rank)
+        _reduce_into(stack, images[j - 1].letters)
+    return Word(tuple(stack), images[0].rank)
 
 
 @dataclass(frozen=True)

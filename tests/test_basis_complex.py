@@ -13,8 +13,16 @@ from grushko.words import (
     identity,
     parse,
     random_reduced_word,
+    reduce,
 )
-from grushko.factors import W2Factor, canonical_class, parse_class, same_class_oracle, strip
+from grushko.factors import (
+    W2Factor,
+    canonical_class,
+    parse_class,
+    path_text,
+    same_class_oracle,
+    strip,
+)
 from grushko.membership import is_basis
 from grushko.topology import betti, components
 from grushko.trees import MarkedTree, caterpillar, collapse, enumerate_shapes, standard_marking
@@ -24,8 +32,8 @@ from grushko.basis_complex import (
     ConnectivityReport,
     PartialBasisComplex,
     _Descent,
+    _core_paths,
     _move,
-    _reduced_words_upto,
     build_from_trees,
     build_unpaired_radius,
     connectivity_report,
@@ -39,6 +47,20 @@ W = parse
 @functools.cache
 def _unpaired(n, radius):
     return build_unpaired_radius(n, radius)
+
+
+def _reduced_words_upto(n, max_len):
+    out = [identity(n)]
+    frontier = [()]
+    for _ in range(max_len):
+        nxt = []
+        for letters in frontier:
+            for k in range(1, n + 1):
+                if not letters or letters[-1] != k:
+                    nxt.append(letters + (k,))
+        out.extend(Word(l, n) for l in nxt)
+        frontier = nxt
+    return out
 
 
 def _plain_unpaired(n, radius):
@@ -169,6 +191,24 @@ def test_unplaced_combinations_are_counted(n, radius, unplaced):
     assert _unpaired(n, radius).params["unplaced"] == unplaced
 
 
+@pytest.mark.parametrize("n,radius", [(3, 3), (4, 1)])
+def test_core_paths_are_the_classes_of_the_word_route(n, radius):
+    """_core_paths yields each class <x_i, v x_j v^-1>, over every reduced v
+    with |v| <= 2 radius, once, as its canonical path, ordered by (i, j),
+    |v| and letters; and each path's text is that of its class."""
+    paths = list(_core_paths(n, 2 * radius))
+    words = _reduced_words_upto(n, 2 * radius)
+    classes = {canonical_class(W2Factor(generator(i, n), conjugate(generator(j, n), v)))
+               for i, j in itertools.combinations(range(1, n + 1), 2) for v in words}
+    assert len(paths) == len(classes)
+    assert set(paths) == {c.path for c in classes}
+    assert paths == sorted(paths, key=lambda p: (p[0], p[2], len(p[1]), p[1]))
+    for i, v, j in paths:
+        cls = canonical_class(W2Factor(generator(i, n), conjugate(generator(j, n), Word(v, n))))
+        pair = "none" if cls.pair_index is None else cls.pair_index
+        assert path_text((i, v, j), n) == str(cls) == f"W2[a={cls.a};b={cls.b};pair={pair}]"
+
+
 def _holds(basis, system):
     """basis is a basis whose members i and j generate each class (i, v, j)."""
     n = len(basis)
@@ -212,6 +252,20 @@ def _descend_plain(n, system):
 
 def _random_path(rng, n, i, j, length):
     return strip(i, random_reduced_word(rng, n, length).letters, j)
+
+
+def test_move_equals_the_image_reduced_letter_by_letter():
+    """_move drops each x_m x_m of x_m^[i=k] s(v) x_m^[j=k] once; a full
+    push/pop reduction of that word gives the same path."""
+    rng = random.Random(37)
+    for _ in range(500):
+        n = rng.choice([3, 4, 5])
+        i, j = rng.sample(range(1, n + 1), 2)
+        path = _random_path(rng, n, i, j, rng.randrange(0, 12))
+        for m, k in itertools.permutations(range(1, n + 1), 2):
+            image = [m] * (i == k) + [b for a in path[1] for b in ((m, k, m) if a == k else (a,))] \
+                + [m] * (j == k)
+            assert _move(path, m, k) == strip(i, reduce(image, n).letters, j), (path, m, k)
 
 
 def test_descent_bases_check():
