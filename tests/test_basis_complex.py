@@ -166,6 +166,26 @@ def test_unpaired_output_is_pinned(build, complex_digest, report_digest):
         == report_digest
 
 
+FIXTURE_DIGESTS = [
+    (3, "e3ab3dbc864206acadbce5cd27f3aea33fe97548bd2332b35694951137c91ed5",
+     "eca3fdfaf3793c1aaf0dd841d923fafa8a4c6e8704118e54c933dfd5b6facdfe"),
+    (4, "79245303881e7d529ccccc9867c9b3b44e8cec730903ac5b19d580bee143a725",
+     "992fb20166c77a06d5acdb30337f681ef24fd3712ee7c2c8bb03a50d5652d2e1"),
+]
+
+
+@pytest.mark.parametrize("n, complex_digest, report_digest", FIXTURE_DIGESTS)
+def test_fixture_tree_output_is_pinned(n, complex_digest, report_digest):
+    """build_from_trees over every rank-n shape in standard marking: its JSON
+    (classes in CanonicalClass order, their text, the elements) and its
+    report's JSON, byte for byte."""
+    trees = [MarkedTree(shape, standard_marking(n)) for shape in enumerate_shapes(n)]
+    sub = build_from_trees(trees)
+    assert hashlib.sha256(sub.to_json().encode()).hexdigest() == complex_digest
+    assert hashlib.sha256(connectivity_report(sub).to_json().encode()).hexdigest() \
+        == report_digest
+
+
 @pytest.mark.parametrize("n,radius,uncertified,skipped", [(4, 1, 6, 6), (3, 2, 33, 30)])
 def test_retraction_test_skips_uncertified_classes(monkeypatch, n, radius, uncertified,
                                                    skipped):
