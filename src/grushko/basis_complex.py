@@ -22,7 +22,6 @@ from .factors import (
     VisibleIn,
     W2Factor,
     canonical_class,
-    core_pair_index,
     core_path,
     parse_class,
     path_text,
@@ -62,7 +61,7 @@ class PartialBasisComplex:
 
     def to_json(self) -> str:
         cls_list = sorted({c for e in self.elements for c in e} | set(self.classes),
-                          key=lambda c: (c.a.key(), c.b.key()))
+                          key=CanonicalClass.key)
         ids = {c: i for i, c in enumerate(cls_list)}
         return json.dumps({
             "n": self.n,
@@ -106,12 +105,12 @@ def build_from_trees(trees: list[MarkedTree]) -> PartialBasisComplex:
         for fam in fiber.families:
             classes.update(fam.classes)
     return PartialBasisComplex(n, True, {"trees": [t.to_json() for t in trees]},
-                               sorted(classes, key=lambda c: (c.a.key(), c.b.key())),
+                               sorted(classes, key=CanonicalClass.key),
                                sorted(elements, key=_element_key))
 
 
 def _element_key(e: frozenset) -> tuple:
-    return tuple(sorted((c.a.key(), c.b.key()) for c in e))
+    return tuple(sorted(c.key() for c in e))
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +285,7 @@ def build_unpaired_radius(n: int, radius: int) -> PartialBasisComplex:
         held = tuple(conjugate(x, g) for x in basis)
         if held[j - 1] != b:
             raise CertificationError(f"descent basis does not conjugate onto {path}")
-        cls = CanonicalClass(generator(i, n), b, core_pair_index(i, j, n), CompletingBasis(held))
+        cls = CanonicalClass(path, n, CompletingBasis(held))
         by_mask.setdefault(1 << i | 1 << j, []).append((cls, path))
 
     certified = [c for placed in by_mask.values() for c, _ in placed]
@@ -311,7 +310,7 @@ def build_unpaired_radius(n: int, radius: int) -> PartialBasisComplex:
                                     for picked in itertools.combinations(combo, sub))
     params = {"radius": radius, "uncertified": sorted(uncertified), "unplaced": unplaced}
     return PartialBasisComplex(n, False, params,
-                               sorted(certified, key=lambda c: (c.a.key(), c.b.key())),
+                               sorted(certified, key=CanonicalClass.key),
                                sorted(elements, key=_element_key))
 
 

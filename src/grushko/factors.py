@@ -24,9 +24,10 @@ canonical representative pair read off the core path of the subgroup:
     smaller of (x_i, v x_j v^-1) and (x_j, v^-1 x_i v), compared by (i, v)
     against (j, reversed v), in O(|v|) time.
 
-strip and core_path are the one definition of the path (i, v, j): the
-unpaired builds and tree certification read classes through them, and
-canonical_pair renders the oriented path as a pair.
+strip and core_path are the one definition of the path (i, v, j), and a
+CanonicalClass is stored as its path: its pair index and order are read
+off the path, and CanonicalClass.a/.b and canonical_pair render it as the
+pair (x_i, v x_j v^-1).
 
 The same_class_oracle is an independent exact decision kept as test-time
 ground truth: if it ever disagrees with the canonical form, the canonical
@@ -142,34 +143,43 @@ def canonical_pair(a: Word, b: Word) -> tuple[Word, Word]:
     The _pair_key minimum over the class, (x_i, v x_j v^-1) for the core
     path (i, v, j) = core_path(a, b), as the module docstring shows.
     """
-    i, v, j = core_path(a, b)
-    return Word((i,), a.rank), Word(v + (j,) + v[::-1], a.rank)
+    cls = CanonicalClass(core_path(a, b), a.rank)
+    return cls.a, cls.b
 
 
 @dataclass(frozen=True)
 class CanonicalClass:
-    """Conjugacy class of a dihedral factor, keyed by its canonical pair."""
+    """The conjugacy class of <x_i, v x_j v^-1>, stored as its core path (i, v, j)."""
 
-    a: Word
-    b: Word
-    pair_index: int | None = field(default=None, compare=False)
+    path: Path
+    rank: int
     certificate: Certificate = field(default_factory=Axiomatic, compare=False)
 
     @property
-    def rank(self) -> int:
-        return self.a.rank
+    def a(self) -> Word:
+        return Word((self.path[0],), self.rank)
 
     @property
-    def path(self) -> Path:
-        """The core path (i, v, j): the class is <x_i, v x_j v^-1>."""
-        return core_path(self.a, self.b)
+    def b(self) -> Word:
+        _, v, j = self.path
+        return Word(v + (j,) + v[::-1], self.rank)
+
+    @property
+    def pair_index(self) -> int | None:
+        return core_pair_index(self.path[0], self.path[2], self.rank)
 
     def cores(self) -> tuple[int, int]:
         """Generator cores of the two reflection families (unordered as a set)."""
-        return involution_core(self.a)[0], involution_core(self.b)[0]
+        return self.path[0], self.path[2]
+
+    def key(self) -> tuple:
+        """Sort key, the order of (a.key(), b.key()): a = x_i, and b has
+        length 2|v| + 1 and starts with v, then x_j."""
+        i, v, j = self.path
+        return i, len(v), v, j
 
     def with_certificate(self, cert: Certificate) -> "CanonicalClass":
-        return CanonicalClass(self.a, self.b, self.pair_index, cert)
+        return CanonicalClass(self.path, self.rank, cert)
 
     def __str__(self) -> str:
         return path_text(self.path, self.rank)
@@ -208,21 +218,11 @@ def parse_class(text: str, rank: int) -> CanonicalClass:
 
 def canonical_class(f: W2Factor) -> CanonicalClass:
     """The class of f, with no certificate (Axiomatic)."""
-    a0, b0 = canonical_pair(f.a, f.b)
-    return CanonicalClass(a0, b0, pair_index(f, f.rank))
-
-
-def pair_index(f: W2Factor, n: int) -> int | None:
-    """i when the generator cores are exactly {x_{2i-1}, x_{2i}}, else None.
-
-    The unordered core pair is invariant under swapping, adjacent-reflection
-    moves and conjugation, so it is computed from any generating pair.
-    """
-    return core_pair_index(involution_core(f.a)[0], involution_core(f.b)[0], n)
+    return CanonicalClass(core_path(f.a, f.b), f.rank)
 
 
 def core_pair_index(r: int, s: int, n: int) -> int | None:
-    """The pair index of a class with generator cores r and s (pair_index)."""
+    """The pair index at rank n of the cores {r, s}: i if they are {2i-1, 2i}, else None."""
     lo, hi = sorted((r, s))
     return (lo + 1) // 2 if hi == lo + 1 and lo % 2 == 1 and hi <= 2 * (n // 2) else None
 

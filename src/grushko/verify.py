@@ -15,7 +15,7 @@ import time
 from dataclasses import dataclass, field
 
 from .words import conjugate, generator, generators, random_reduced_word, reduce
-from .factors import W2Factor, canonical_class
+from .factors import CanonicalClass, W2Factor, canonical_class
 from .membership import compose, is_basis, make_automorphism, semidirect_embed
 from .trees import (
     BudgetExceededError,
@@ -201,8 +201,7 @@ def check_4_unpaired_components(config: RunConfig) -> dict:
         comp_of = {v: ci for ci, vs in enumerate(comps) for v in vs}
         seen = set()
         for m in matchings:
-            element = frozenset(
-                canonical_class(W2Factor(generator(a, 4), generator(b, 4))) for a, b in m)
+            element = frozenset(CanonicalClass((a, (), b), 4) for a, b in m)
             if element not in sub.elements:
                 raise CheckFailure(f"radius {L}: pairing {m} missing from the complex")
             seen.add(comp_of[sub.classes.index(next(iter(element)))])

@@ -115,7 +115,7 @@ def visible_classes(tree: MarkedTree, i: int) -> VisibleFamily:
             continue
         cls = canonical_class(f).with_certificate(VisibleIn(tree))
         seen.setdefault(cls, cls)
-    classes = tuple(sorted(seen.values(), key=lambda c: (c.a.key(), c.b.key())))
+    classes = tuple(sorted(seen.values(), key=CanonicalClass.key))
     return VisibleFamily(tree, i, classes)
 
 

@@ -16,11 +16,12 @@ from grushko.factors import (
     canonical_pair,
     core_path,
     make_factor,
-    pair_index,
     parse_class,
     same_class_oracle,
 )
-from grushko.trees import caterpillar
+from grushko.basis_complex import build_unpaired_radius
+from grushko.trees import MarkedTree, caterpillar, enumerate_shapes, standard_marking
+from grushko.visibility import visible_classes
 from window_search import letters_key, reduce_letters, window_pairs
 
 W = parse
@@ -186,7 +187,7 @@ def test_pair_index():
     rng = random.Random(14)
     g = random_reduced_word(rng, 4, 5)
     f = W2Factor(W("x3", 4), conjugate(W("x4", 4), g))
-    assert pair_index(f, 4) == 2
+    assert canonical_class(f).pair_index == 2
     # odd rank: the last generator stays unpaired
     assert canonical_class(W2Factor(W("x3", 3), W("x2", 3))).pair_index is None
 
@@ -199,7 +200,37 @@ def test_pair_index_conjugation_invariant():
         f = W2Factor(conjugate(generator(i, n), random_reduced_word(rng, n, 2)),
                      conjugate(generator(j, n), random_reduced_word(rng, n, 2)))
         w = random_reduced_word(rng, n, rng.randrange(0, 4))
-        assert pair_index(f, n) == pair_index(W2Factor(conjugate(f.a, w), conjugate(f.b, w)), n)
+        g = W2Factor(conjugate(f.a, w), conjugate(f.b, w))
+        assert canonical_class(f).pair_index == canonical_class(g).pair_index
+
+
+def _classes_by_rank():
+    """Every visible class of every rank 2-5 fixture tree (each shape in
+    standard marking), and the placed classes of two unpaired builds."""
+    by_rank = {n: set() for n in range(2, 6)}
+    for n in by_rank:
+        for shape in enumerate_shapes(n):
+            tree = MarkedTree(shape, standard_marking(n))
+            for i in range(1, n // 2 + 1):
+                by_rank[n].update(visible_classes(tree, i).classes)
+    for n, radius in ((3, 3), (4, 1)):
+        by_rank[n].update(build_unpaired_radius(n, radius).classes)
+    return by_rank
+
+
+def test_class_key_is_the_pair_order_and_the_path_round_trips():
+    """CanonicalClass.key sorts as the canonical pairs' (a.key(), b.key())
+    do; a class is rebuilt from its path and rank alone, and renders as its
+    own canonical pair."""
+    rng = random.Random(16)
+    for n, classes in _classes_by_rank().items():
+        classes = sorted(classes, key=str)
+        rng.shuffle(classes)
+        reference = sorted(classes, key=lambda c: (c.a.key(), c.b.key()))
+        assert sorted(classes, key=CanonicalClass.key) == reference, n
+        for c in classes:
+            assert CanonicalClass(c.path, c.rank) == c, c
+            assert (c.a, c.b) == canonical_pair(c.a, c.b), c
 
 
 def test_same_class_oracle_examples():
