@@ -38,3 +38,17 @@ def test_criterion(cid, name):
     assert result.seconds <= result.budget
     details = json.dumps(result.details, sort_keys=True).encode()
     assert hashlib.sha256(details).hexdigest() == DETAILS_DIGESTS[cid]
+
+
+# the same digest at radius 2 for c04, the one criterion that reads the radius
+RADIUS_2_DIGESTS = {
+    4: "1a71e08431da4b7e97d0837e783252d4e360ab86a681f208e9aeedf7e4ba0860",
+}
+
+
+@pytest.mark.parametrize("cid", sorted(RADIUS_2_DIGESTS))
+def test_criterion_at_radius_2(cid):
+    result = run_criterion(cid, RunConfig(radius=2))
+    assert result.status == "pass", result.details
+    details = json.dumps(result.details, sort_keys=True).encode()
+    assert hashlib.sha256(details).hexdigest() == RADIUS_2_DIGESTS[cid]

@@ -423,6 +423,11 @@ def test_rank3_family_distinct_and_certified():
         assert not same_class_oracle(W2Factor(c1.a, c1.b), W2Factor(c2.a, c2.b))
     sub = PartialBasisComplex(3, True, {}, list(fam), [frozenset([c]) for c in fam])
     assert connectivity_report(sub).num_components == 6
+    # c05's complex and its report, byte for byte
+    assert hashlib.sha256(sub.to_json().encode()).hexdigest() == \
+        "f0737d89abd4aeefb614f537e81a0d2a53a82bea3d60f57ea9ac7c1e1328225e"
+    assert hashlib.sha256(connectivity_report(sub).to_json().encode()).hexdigest() == \
+        "b9c0175588140daf5689d4e0d7d86f429051d23845b17f351626e03e38296f19"
 
 
 def test_build_from_single_tree():

@@ -4,7 +4,8 @@ import random
 import pytest
 
 from grushko.words import (
-    Word, conjugate, generator, involution_core, parse, random_reduced_word,
+    NotInvolutionError, RankMismatchError, Word, conjugate, generator, involution_core, parse,
+    random_reduced_word,
 )
 from grushko.factors import (
     Axiomatic,
@@ -128,6 +129,26 @@ def test_closed_form_matches_window_search():
         assert core_path(a, b) == core_path(b, a), (a, b)
     with pytest.raises(ValueError, match="degenerate factor"):
         canonical_pair(W("x2.x1.x2", 4), W("x2.x1.x2", 4))
+
+
+def test_core_path_error_contract():
+    """a == b is checked first, then that a and then b is an involution,
+    then that the ranks agree."""
+    with pytest.raises(ValueError, match="degenerate factor"):
+        core_path(W("x1.x2", 4), W("x1.x2", 4))
+    with pytest.raises(NotInvolutionError, match="x1\\*x2 is not an involution"):
+        core_path(W("x1.x2", 4), W("x1", 4))
+    with pytest.raises(NotInvolutionError, match="x2\\*x1 is not an involution"):
+        core_path(W("x1", 4), W("x2.x1", 4))
+    with pytest.raises(NotInvolutionError, match="x1\\*x2 is not an involution"):
+        core_path(W("x1.x2", 4), W("x3.x2", 3))
+    with pytest.raises(NotInvolutionError, match="x3\\*x2 is not an involution"):
+        core_path(W("x1", 4), W("x3.x2", 3))
+    for a, b in (("x1", "x2"), ("x1", "x1"), ("x2.x1.x2", "x1.x2.x1")):
+        with pytest.raises(RankMismatchError):
+            core_path(W(a, 4), W(b, 3))
+        with pytest.raises(RankMismatchError):
+            core_path(W(b, 3), W(a, 4))
 
 
 def test_length_bound_keeps_the_full_scan_minimum():

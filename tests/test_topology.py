@@ -74,6 +74,9 @@ def test_face_closure_enforced():
         SimplicialComplex(frozenset([(0, 1, 2)]))
     with pytest.raises(ValueError, match="degenerate"):
         SimplicialComplex(frozenset([(0,), ()]))
+    # a degenerate triangle whose degenerate facet (0, 0) is missing
+    with pytest.raises(ValueError, match=r"^degenerate simplex \(0, 0, 1\)$"):
+        SimplicialComplex([(0,), (1,), (0, 1), (0, 0, 1)])
 
 
 def test_boundary_squared_zero():

@@ -219,7 +219,7 @@ def test_nonstandard_marking_route():
 
 
 def test_segment_masks_match_shape_paths():
-    for n in range(2, 6):
+    for n in range(2, 7):
         for shape in enumerate_shapes(n):
             masks = shape.segment_masks
             assert masks[0] == (0,) * (n + 1)
@@ -254,6 +254,27 @@ def test_unbounded_oracle_equals_segment_family_in_random_markings():
             assert visible_classes_brute(tree, i) == fam
             assert visible_classes_brute(tree, i, 2) <= fam
             sweeps += 1
+
+
+def test_visible_classes_share_the_tree_certificate():
+    """Both enumerations certify every class VisibleIn the very tree object
+    they searched, which certify_partial_basis trusts without a check."""
+    trees = [MarkedTree(shape, standard_marking(n))
+             for n in range(2, 6) for shape in enumerate_shapes(n)]
+    rng = random.Random(38)
+    shapes = {n: enumerate_shapes(n) for n in (3, 4, 5)}
+    while len(trees) < 60:
+        n = rng.choice([3, 4, 5])
+        tree = MarkedTree(shapes[n][rng.randrange(len(shapes[n]))], _random_marking(rng, n))
+        if not tree.standard:
+            trees.append(tree)
+    for tree in trees:
+        for i in range(1, tree.n // 2 + 1):
+            fam = visible_classes(tree, i)
+            assert fam.tree is tree and fam.classes
+            for cls in (*fam.classes, *visible_classes_brute(tree, i)):
+                assert isinstance(cls.certificate, VisibleIn)
+                assert cls.certificate.tree is tree, (tree, i, cls)
 
 
 def _segment_route_classes(tree, r, s):
