@@ -73,6 +73,35 @@ def test_shapes_output_is_pinned(capsys, flag, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+HOMOLOGY_FIXTURES = {
+    "edge": {"vertices": [0, 1], "simplices": [[0, 1]]},
+    "rp2": {"vertices": [], "simplices": [[1, 2, 3], [1, 2, 4], [1, 3, 5], [1, 4, 6], [1, 5, 6],
+                                         [2, 3, 6], [2, 4, 5], [2, 5, 6], [3, 4, 5], [3, 4, 6]]},
+    "three_pieces": {"vertices": [7], "simplices": [[0, 1, 2], [3, 4]]},
+    "open_edge": {"vertices": [], "simplices": [[0, 1]]},
+    "empty": {"vertices": [], "simplices": []},
+}
+
+
+@pytest.mark.parametrize("name, digest", [
+    ("edge", "4820ccd5896e86ba6b522f867c534a4b320b109002eeb7a98bfb95160db7d721"),
+    ("rp2", "4a8ab2f2ef42c5262bc35bc6eaaac82777f620905aa38924194f177b0f8b471b"),
+    ("three_pieces", "fde623c4f8c1c6f28f98fdd5eba302fdfb0edd414c0a296344865c9a70978fd6"),
+    ("open_edge", "4820ccd5896e86ba6b522f867c534a4b320b109002eeb7a98bfb95160db7d721"),
+    ("empty", "4cce6abfdb287027f2e3b143e662f5b9f3ae557ef86db182377cde6c43c04967"),
+])
+def test_homology_output_is_pinned(tmp_path, capsys, name, digest):
+    """stdout and stderr of `homology --field F` for F = Q, 2, 3, byte for byte."""
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(HOMOLOGY_FIXTURES[name]))
+    h = hashlib.sha256()
+    for field in ("Q", "2", "3"):
+        code, out, err = run_cli(capsys, "homology", "--in", str(path), "--field", field)
+        assert code == 0
+        h.update((out + err).encode())
+    assert h.hexdigest() == digest
+
+
 def test_visible_and_certify(tmp_path, capsys):
     tree_path = tmp_path / "t4.json"
     tree_path.write_text(caterpillar(4).to_json())

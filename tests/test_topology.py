@@ -77,6 +77,9 @@ def test_face_closure_enforced():
     # a degenerate triangle whose degenerate facet (0, 0) is missing
     with pytest.raises(ValueError, match=r"^degenerate simplex \(0, 0, 1\)$"):
         SimplicialComplex([(0,), (1,), (0, 1), (0, 0, 1)])
+    # a degenerate edge whose facets are all present
+    with pytest.raises(ValueError, match=r"^degenerate simplex \(0, 0\)$"):
+        SimplicialComplex([(0,), (0, 0)])
 
 
 def test_boundary_squared_zero():
