@@ -14,6 +14,10 @@ canonical representative pair read off the core path of the subgroup:
     basepoint, is the path mirror i, v, mirror j: nothing folds, because v
     is reduced, does not start with x_i and does not end with x_j.
     Conjugate subgroups have the same path;
+  * w needs no word product: p and q are reduced, so p^-1 q cancels only
+    at the junction, where it removes exactly the longest common prefix
+    of p and q.  With k its length, p[k] != q[k] (where both exist), so
+    w is p[k:] reversed followed by q[k:], already reduced;
   * a generating pair (r x_k r^-1, s x_l s^-1) of any conjugate spells two
     paths of |r| and |s| edges from its basepoint.  Folding them gives the
     core path plus a hair and never adds edges, so |r| + |s| >= |v| and
@@ -38,7 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .words import Word, conjugate, identity, involution_core, parse
+from .words import NotInvolutionError, RankMismatchError, Word, conjugate, identity, involution_core, parse
 
 
 # ---------------------------------------------------------------------------
@@ -123,15 +127,26 @@ def core_path(a: Word, b: Word) -> Path:
     """The oriented core path (i, v, j) of <a, b>: its canonical pair is
     (x_i, v x_j v^-1).
 
-    v is the reduced p^-1 q, stripped, for a = p x_i p^-1 and b = q x_j q^-1;
-    of the path and its reverse (j, v^-1, i), the smaller by (i, v) is kept.
+    v is the reduced p^-1 q, stripped, for a = p x_i p^-1 and b = q x_j q^-1,
+    read off the letters (module docstring); of the path and its reverse
+    (j, v^-1, i), the smaller by (i, v) is kept.
     Conjugate factors, and both orders of a pair, give the same path.
     """
     if a == b:
         raise ValueError("degenerate factor: a = b")
-    i, p = involution_core(a)
-    j, q = involution_core(b)
-    i, v, j = strip(i, (~p * q).letters, j)
+    for w in (a, b):
+        if not w.is_involution:
+            raise NotInvolutionError(f"{w} is not an involution")
+    if a.rank != b.rank:
+        raise RankMismatchError(f"rank mismatch: {a.rank} vs {b.rank}")
+    x, y = a.letters, b.letters
+    p, q = x[:len(x) // 2], y[:len(y) // 2]
+    k = 0
+    for s, t in zip(p, q):
+        if s != t:
+            break
+        k += 1
+    i, v, j = strip(x[len(p)], p[k:][::-1] + q[k:], y[len(q)])
     if (j, v[::-1]) < (i, v):
         return j, v[::-1], i
     return i, v, j

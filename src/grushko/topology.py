@@ -135,6 +135,13 @@ class Poset:
 # simplicial complexes
 # ---------------------------------------------------------------------------
 
+def _refuse_degenerate(simplices) -> None:
+    """Raise on the first empty or degenerate simplex met, if any."""
+    for s in simplices:
+        if not s or len(set(s)) != len(s):
+            raise ValueError(f"degenerate simplex {s}")
+
+
 class SimplicialComplex:
     """Face-closed set of simplices over integer vertex ids.
 
@@ -145,14 +152,17 @@ class SimplicialComplex:
 
     def __init__(self, simplices):
         simplices = frozenset(tuple(sorted(s)) for s in simplices)
-        for s in simplices:
-            if not s or len(set(s)) != len(s):
-                raise ValueError(f"degenerate simplex {s}")
+        if () in simplices:
+            _refuse_degenerate(simplices)
         grades: list[list[tuple]] = [[] for _ in range(max(map(len, simplices), default=0))]
         for s in simplices:
             grades[len(s) - 1].append(s)
         for grade in grades:
             grade.sort()
+        # a degenerate simplex of 3 or more vertices has a degenerate facet,
+        # so only edges are checked unless a face turns out to be missing
+        if len(grades) > 1 and any(a == b for a, b in grades[1]):
+            _refuse_degenerate(simplices)
         # facets drop the vertices last to first; the one facet in degree 0
         # is the empty simplex, row 0.  A facet with no row is missing: the
         # first simplex lacking one, by degree and then in sorted order, is
@@ -164,6 +174,7 @@ class SimplicialComplex:
                 faces.append([tuple(map(row.__getitem__, itertools.combinations(s, k)))
                               for s in grades[k]])
             except KeyError:
+                _refuse_degenerate(simplices)
                 s, face = next((s, f) for s in grades[k]
                                for f in itertools.combinations(s, k) if f not in row)
                 raise ValueError(f"missing face {face} of {s}") from None

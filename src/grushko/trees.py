@@ -118,22 +118,22 @@ class TreeShape:
 
         Indexed [a][b] for slots 1..n, with bit e set for each edge e on the
         path; row and column 0 and the diagonal are 0.  One traversal from
-        each marked vertex fills its row.
+        vertex 0 records up[v], the mask of the path from vertex 0 to v.
+        The paths from vertex 0 to u and to v share the edges from vertex 0
+        to the point where they part, and the rest is the path from u to v,
+        so its mask is up[u] ^ up[v].
         """
         adj = self.adjacency
-        rows = [(0,) * (self.n + 1)]
-        for a in range(1, self.n + 1):
-            row = [0] * (self.n + 1)
-            stack = [(self.vertex_of_slot(a), -1, 0)]
-            while stack:
-                u, parent, mask = stack.pop()
-                if self.slot_of[u]:
-                    row[self.slot_of[u]] = mask
-                for v, e in adj[u]:
-                    if v != parent:
-                        stack.append((v, u, mask | 1 << e))
-            rows.append(tuple(row))
-        return tuple(rows)
+        up = [0] * self.num_vertices
+        stack = [(0, -1)]
+        while stack:
+            u, parent = stack.pop()
+            for v, e in adj[u]:
+                if v != parent:
+                    up[v] = up[u] | 1 << e
+                    stack.append((v, u))
+        at = [up[self.vertex_of_slot(a)] for a in range(1, self.n + 1)]
+        return ((0,) * (self.n + 1), *((0, *(x ^ y for y in at)) for x in at))
 
     @cached_property
     def adapted_order(self) -> tuple[int, ...]:

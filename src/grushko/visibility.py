@@ -21,8 +21,8 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import product
 
-from .words import Word, conjugate, identity, involution_core
-from .factors import CanonicalClass, VisibleIn, W2Factor, canonical_class, core_path
+from .words import Word, conjugate, identity, involution_core, reduce
+from .factors import CanonicalClass, VisibleIn, W2Factor, core_path
 from .trees import MarkedTree
 from . import membership
 
@@ -31,15 +31,15 @@ class CertificationError(RuntimeError):
     """A certification search failed; reported loudly, never dropped."""
 
 
-def _slot_walk(tree: MarkedTree, f: W2Factor) -> list[int]:
+def _slot_walk(tree: MarkedTree, f: W2Factor | CanonicalClass) -> list[int]:
     """Slot itinerary of the Bass-Serre path between the two fixed points."""
     ja, ga = involution_core(f.a)
     jb, gb = involution_core(f.b)
-    _, ca = involution_core(tree.marking_word(ja))
-    _, cb = involution_core(tree.marking_word(jb))
-    h = (ca * ~ga) * (gb * ~cb)  # tile move g_a^-1 g_b
-    h = tree.in_marking_letters(h)
-    return [ja, *h.letters, jb]
+    ca = involution_core(tree.marking_word(ja))[1].letters
+    cb = involution_core(tree.marking_word(jb))[1].letters
+    # the tile move g_a^-1 g_b, with g_a = ga ca^-1 and g_b = gb cb^-1
+    h = reduce(ca + ga.letters[::-1] + gb.letters + cb[::-1], tree.n)
+    return [ja, *tree.in_marking_letters(h).letters, jb]
 
 
 def is_visible(tree: MarkedTree, f: W2Factor | CanonicalClass) -> bool:
@@ -48,8 +48,6 @@ def is_visible(tree: MarkedTree, f: W2Factor | CanonicalClass) -> bool:
     Each step of the slot walk is a simple shape path, so no label repeats
     iff the segment masks of the steps are pairwise disjoint.
     """
-    if isinstance(f, CanonicalClass):
-        f = W2Factor(f.a, f.b)
     masks = tree.shape.segment_masks
     walk = _slot_walk(tree, f)
     used = 0
@@ -105,18 +103,14 @@ def visible_classes(tree: MarkedTree, i: int) -> VisibleFamily:
         raise ValueError(f"pair index {i} out of range for rank {n}")
     a = tree.marking_word(2 * i - 1)
     y = tree.marking_word(2 * i)
-    seen: dict[CanonicalClass, CanonicalClass] = {}
+    paths = set()
     for g in _subproducts(tree, _interior_stops(tree, 2 * i - 1, 2 * i)):
         b = conjugate(y, g)
-        if b == a:
-            continue
-        f = W2Factor(a, b)
-        if not is_visible(tree, f):
-            continue
-        cls = canonical_class(f).with_certificate(VisibleIn(tree))
-        seen.setdefault(cls, cls)
-    classes = tuple(sorted(seen.values(), key=CanonicalClass.key))
-    return VisibleFamily(tree, i, classes)
+        if b != a and is_visible(tree, W2Factor(a, b)):
+            paths.add(core_path(a, b))
+    cert = VisibleIn(tree)
+    classes = sorted((CanonicalClass(p, n, cert) for p in paths), key=CanonicalClass.key)
+    return VisibleFamily(tree, i, tuple(classes))
 
 
 def visible_words(masks: Sequence[Sequence[int]], r: int, s: int,
@@ -173,13 +167,13 @@ def visible_classes_brute(tree: MarkedTree, i: int,
     a = tree.marking_word(2 * i - 1)
     y = tree.marking_word(2 * i)
     words, _ = visible_words(tree.shape.segment_masks, 2 * i - 1, 2 * i, max_len)
-    out: set[CanonicalClass] = set()
+    paths = set()
     for h in words:
         b = conjugate(y, tree.marking_product(h))
         if b != a:
-            cls = canonical_class(W2Factor(a, b))
-            out.add(cls.with_certificate(VisibleIn(tree)))
-    return out
+            paths.add(core_path(a, b))
+    cert = VisibleIn(tree)
+    return {CanonicalClass(p, n, cert) for p in paths}
 
 
 # ---------------------------------------------------------------------------
