@@ -263,7 +263,8 @@ def test_visible_classes_share_the_tree_certificate():
              for n in range(2, 6) for shape in enumerate_shapes(n)]
     rng = random.Random(38)
     shapes = {n: enumerate_shapes(n) for n in (3, 4, 5)}
-    while len(trees) < 60:
+    wanted = len(trees) + 20
+    while len(trees) < wanted:
         n = rng.choice([3, 4, 5])
         tree = MarkedTree(shapes[n][rng.randrange(len(shapes[n]))], _random_marking(rng, n))
         if not tree.standard:
