@@ -322,9 +322,6 @@ class Automorphism:
     def inverse(self) -> "Automorphism":
         return Automorphism(self.inverse_images, self.images)
 
-    def __mul__(self, other: "Automorphism") -> "Automorphism":
-        return compose(self, other)
-
 
 def make_automorphism(images: list[Word] | tuple[Word, ...]) -> Automorphism:
     """Build an automorphism from n involution images.

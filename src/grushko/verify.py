@@ -4,6 +4,13 @@ Each criterion states its own tolerance (exact counts, zero exceptions)
 and runtime budget; runners raise CheckFailure on any violation and return
 a details dict for the report.  The CLI command `verify-all` and the test
 module tests/test_acceptance.py drive the same runners.
+
+Criteria c01-c04 check items (a tree and pair, a tree, a size vector, a
+rank and radius), and each is a loop over one public body per item:
+check_visibility, check_fiber, check_wedge and check_unpaired.  The
+bodies take nothing but the item, raise CheckFailure, and return the
+item's figures; perfbench's workloads are to call them rather than keep
+copies of the checks.
 """
 
 from __future__ import annotations
@@ -15,7 +22,7 @@ import time
 from dataclasses import dataclass, field
 
 from .words import conjugate, generator, generators, random_reduced_word, reduce
-from .factors import CanonicalClass, W2Factor, canonical_class
+from .factors import CanonicalClass, CompletingBasis, W2Factor, core_path
 from .membership import compose, is_basis, make_automorphism, semidirect_embed
 from .trees import (
     BudgetExceededError,
@@ -29,6 +36,7 @@ from .trees import (
     standard_marking,
 )
 from .visibility import (
+    CertificationError,
     bp_fiber,
     certify_partial_basis,
     is_visible,
@@ -97,6 +105,29 @@ def _fixture_trees(n_max: int) -> list[MarkedTree]:
     return trees
 
 
+def check_visibility(tree: MarkedTree, i: int) -> int:
+    """c01 on pair i of one tree: the brute-forced visible classes are exactly
+    the segment-conjugator ones, and there is at least one.  Returns their
+    number.
+
+    The brute search runs unbounded: a visible walk r, h, s uses each of the
+    at most 2n - 3 edges of the tree at most once, and only its first and
+    last segments can be empty, so |h| <= 2n - 2.
+    """
+    fam = set(visible_classes(tree, i).classes)
+    if not fam:
+        raise CheckFailure(f"no visible class for pair {i} in {tree!r}")
+    brute = visible_classes_brute(tree, i)
+    if not brute <= fam:
+        extra = next(iter(brute - fam))
+        raise CheckFailure(f"class {extra} visible in {tree!r} escapes the "
+                           f"segment conjugators of pair {i}")
+    if brute != fam:
+        missing = next(iter(fam - brute))
+        raise CheckFailure(f"conjugator class {missing} missed by the search")
+    return len(fam)
+
+
 def check_1_conjugator_completeness(config: RunConfig) -> dict:
     """Exhaustively searched visible classes are exactly the segment-conjugator ones."""
     checked = 0
@@ -104,17 +135,8 @@ def check_1_conjugator_completeness(config: RunConfig) -> dict:
     _crosscheck_tile_route(config)
     for tree in _fixture_trees(config.n_max):
         for i in range(1, tree.n // 2 + 1):
-            fam = set(visible_classes(tree, i).classes)
-            brute = visible_classes_brute(tree, i)
-            if not brute <= fam:
-                extra = next(iter(brute - fam))
-                raise CheckFailure(f"class {extra} visible in {tree!r} escapes the "
-                                   f"segment conjugators of pair {i}")
-            if brute != fam:
-                missing = next(iter(fam - brute))
-                raise CheckFailure(f"conjugator class {missing} missed by the search")
+            classes_seen += check_visibility(tree, i)
             checked += 1
-            classes_seen += len(fam)
     return {"sweeps": checked, "classes": classes_seen}
 
 
@@ -140,41 +162,55 @@ def _crosscheck_tile_route(config: RunConfig) -> None:
             raise CheckFailure(f"tiling route disagrees with the tree search on {f}")
 
 
+def check_fiber(tree: MarkedTree) -> None:
+    """c02 on one tree: the certified fiber is the selection poset of its
+    family sizes, and its homology over Q, F2, F3 and Z is the wedge's."""
+    fiber = bp_fiber(tree, certify=True)
+    sizes = fiber.sizes()
+    if any(s == 0 for s in sizes):
+        raise CheckFailure(f"empty visible family in {tree!r}")
+    target = join_poset(list(sizes))
+    mapping = {}
+    for element in fiber.elements:
+        key = frozenset(
+            (fam_i, fam.classes.index(cls))
+            for cls in element
+            for fam_i, fam in enumerate(fiber.families)
+            if cls in fam.classes)
+        mapping[element] = key
+    poset = Poset.by_inclusion(fiber.elements)
+    if not poset.isomorphic_via(target, mapping):
+        raise CheckFailure(f"fiber of {tree!r} is not the selection poset {sizes}")
+    # the fiber is downward-closed: take homology on the complex it is
+    # the face poset of, not on its barycentric subdivision
+    cx = SimplicialComplex.from_face_poset(fiber.elements)
+    expected = wedge_betti(sizes, cx.dimension)
+    for fieldname in ("Q", 2, 3):
+        got = betti(cx, fieldname)
+        if got != expected:
+            raise CheckFailure(
+                f"fiber homology over {fieldname} is {got}, expected {expected} "
+                f"for sizes {sizes} in {tree!r}")
+    hom = integral_homology(cx)
+    if {d: r for d, (r, _) in hom.items()} != expected or any(t for _, t in hom.values()):
+        raise CheckFailure(f"fiber of {tree!r} has integral homology {hom}, "
+                           f"expected free {expected}")
+
+
 def check_2_fiber_structure(config: RunConfig) -> dict:
     """Fibers are selection posets; homology is the predicted wedge."""
     fibers = 0
     for tree in _fixture_trees(config.n_max):
-        fiber = bp_fiber(tree, certify=True)
-        sizes = fiber.sizes()
-        if any(s == 0 for s in sizes):
-            raise CheckFailure(f"empty visible family in {tree!r}")
-        target = join_poset(list(sizes))
-        mapping = {}
-        for element in fiber.elements:
-            key = frozenset(
-                (fam_i, fam.classes.index(cls))
-                for cls in element
-                for fam_i, fam in enumerate(fiber.families)
-                if cls in fam.classes)
-            mapping[element] = key
-        poset = Poset.by_inclusion(fiber.elements)
-        if not poset.isomorphic_via(target, mapping):
-            raise CheckFailure(f"fiber of {tree!r} is not the selection poset {sizes}")
-        # the fiber is downward-closed: take homology on the complex it is
-        # the face poset of, not on its barycentric subdivision
-        cx = SimplicialComplex.from_face_poset(fiber.elements)
-        expected = wedge_betti(sizes, cx.dimension)
-        for fieldname in ("Q", 2, 3):
-            got = betti(cx, fieldname)
-            if got != expected:
-                raise CheckFailure(
-                    f"fiber homology over {fieldname} is {got}, expected {expected} "
-                    f"for sizes {sizes} in {tree!r}")
-        hom = integral_homology(cx)
-        if any(t for _, t in hom.values()):
-            raise CheckFailure(f"fiber of {tree!r} has integral torsion")
+        check_fiber(tree)
         fibers += 1
     return {"fibers": fibers}
+
+
+def check_wedge(sizes) -> None:
+    """c03 on one size vector: verify_wedge's report holds."""
+    rep = verify_wedge(sizes)
+    if not rep.ok:
+        raise CheckFailure(f"wedge verification failed for sizes {sizes}: {rep}")
 
 
 def check_3_wedge_homology(config: RunConfig) -> dict:
@@ -182,32 +218,55 @@ def check_3_wedge_homology(config: RunConfig) -> dict:
     count = 0
     for k in range(1, 5):
         for sizes in itertools.product(range(1, 5), repeat=k):
-            rep = verify_wedge(sizes)
-            if not rep.ok:
-                raise CheckFailure(f"wedge verification failed for sizes {sizes}: {rep}")
+            check_wedge(sizes)
             count += 1
     return {"size_vectors": count}
 
 
-def check_4_unpaired_components(config: RunConfig) -> dict:
-    """The rank-4 unpaired complex splits into the three pairings."""
-    matchings = [((1, 2), (3, 4)), ((1, 3), (2, 4)), ((1, 4), (2, 3))]
-    details = {}
-    for L in (0, config.radius):
-        sub = build_unpaired_radius(4, L)
-        comps = components(sub.face_complex())
+def check_unpaired(n: int, radius: int) -> dict:
+    """c04 on one unpaired build: every certificate, the dimension, and at
+    rank 4 the split into the three pairings.
+
+    Each class's CompletingBasis must hold cls.a and cls.b and pass
+    is_basis, and K has dimension at most n // 2 - 1.  At rank 4, K has
+    exactly three components, and the pairings <x1, x2> + <x3, x4>,
+    <x1, x3> + <x2, x4> and <x1, x4> + <x2, x3> lie in distinct ones.
+    Returns the numbers of elements, uncertified classes and components.
+    """
+    sub = build_unpaired_radius(n, radius)
+    for cls in sub.classes:
+        cert = cls.certificate
+        if not (isinstance(cert, CompletingBasis) and cls.a in cert.basis
+                and cls.b in cert.basis and is_basis(list(cert.basis))):
+            raise CheckFailure(f"radius {radius}: completing-basis certificate of "
+                               f"{cls} does not check")
+    cx = sub.face_complex()
+    if cx.dimension > n // 2 - 1:
+        raise CheckFailure(f"rank {n} radius {radius}: K has dimension {cx.dimension} "
+                           f"> {n // 2 - 1}")
+    comps = components(cx)
+    if n == 4:
         if len(comps) != 3:
-            raise CheckFailure(f"radius {L}: {len(comps)} components, expected 3")
+            raise CheckFailure(f"radius {radius}: {len(comps)} components, expected 3")
         comp_of = {v: ci for ci, vs in enumerate(comps) for v in vs}
         seen = set()
-        for m in matchings:
+        for m in (((1, 2), (3, 4)), ((1, 3), (2, 4)), ((1, 4), (2, 3))):
             element = frozenset(CanonicalClass((a, (), b), 4) for a, b in m)
             if element not in sub.elements:
-                raise CheckFailure(f"radius {L}: pairing {m} missing from the complex")
+                raise CheckFailure(f"radius {radius}: pairing {m} missing from the complex")
             seen.add(comp_of[sub.classes.index(next(iter(element)))])
         if len(seen) != 3:
-            raise CheckFailure(f"radius {L}: pairings fall into {len(seen)} components")
-        details[f"radius_{L}"] = {"elements": len(sub.elements), "components": 3}
+            raise CheckFailure(f"radius {radius}: pairings fall into {len(seen)} components")
+    return {"elements": len(sub.elements), "uncertified": len(sub.params["uncertified"]),
+            "components": len(comps)}
+
+
+def check_4_unpaired_components(config: RunConfig) -> dict:
+    """The rank-4 unpaired complex splits into the three pairings."""
+    details = {}
+    for L in (0, config.radius):
+        got = check_unpaired(4, L)
+        details[f"radius_{L}"] = {"elements": got["elements"], "components": got["components"]}
     return details
 
 
@@ -258,10 +317,9 @@ def check_6_basis_certification(config: RunConfig) -> dict:
         basis = certify_partial_basis(tree, chosen)
         if not is_basis(list(basis)):
             raise CheckFailure(f"certified tuple fails is_basis on {tree!r}")
-        built = {canonical_class(W2Factor(a, b)): (a, b)
-                 for a, b in itertools.combinations(basis, 2)}
+        built = {core_path(a, b) for a, b in itertools.combinations(basis, 2)}
         for cls in chosen:
-            if cls not in built:
+            if cls.path not in built:
                 raise CheckFailure(f"certified basis misses a representative of {cls}")
         done += 1
     return {"fixtures": done}
@@ -389,7 +447,7 @@ def run_criterion(cid: int, config: RunConfig) -> CriterionResult:
     except BudgetExceededError as exc:
         details = {"error": str(exc)}
         status = "budget-exceeded"
-    except CheckFailure as exc:
+    except (CheckFailure, CertificationError) as exc:
         details = {"error": str(exc)}
         status = "fail"
     seconds = time.monotonic() - start

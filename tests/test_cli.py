@@ -11,9 +11,11 @@ from unittest.mock import patch
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from grushko import verify
 from grushko.cli import main
 from grushko.trees import MarkedTree, caterpillar, enumerate_shapes
 from grushko.verify import RunConfig, run_criterion
+from grushko.visibility import CertificationError
 from grushko.words import conjugate, generator, generators, reduce
 
 
@@ -372,6 +374,28 @@ def test_malformed_input_on_stdin(monkeypatch, capsys):
 def test_vertex_cap_surfaces_as_budget_status():
     result = run_criterion(1, RunConfig(vertex_cap=10))
     assert result.status == "budget-exceeded"
+
+
+def _refuse(tree, classes):
+    raise CertificationError("certification refused")
+
+
+def test_certification_error_fails_its_criterion(monkeypatch):
+    monkeypatch.setattr(verify, "certify_partial_basis", _refuse)
+    result = run_criterion(6, RunConfig())
+    assert result.status == "fail"
+    assert result.details == {"error": "certification refused"}
+
+
+def test_verify_all_reports_a_certification_failure_and_runs_on(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(verify, "certify_partial_basis", _refuse)
+    out = tmp_path / "r.json"
+    code, _, _ = run_cli(capsys, "verify-all", "--n", "3", "--radius", "0", "--out", str(out))
+    assert code == 1
+    criteria = {c["id"]: c for c in json.loads(out.read_text())["criteria"]}
+    assert criteria[6]["status"] == "fail"
+    assert criteria[6]["details"] == {"error": "certification refused"}
+    assert all(criteria[cid]["status"] == "pass" for cid in (7, 8, 9, 10))
 
 
 def test_global_soft_timeout(monkeypatch):
