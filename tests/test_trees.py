@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -134,13 +135,40 @@ def _count_shapes_by_formula(n: int) -> int:
 
 
 def test_enumerate_shapes_counts():
-    for n, expected in [(2, 1), (3, 4), (4, 32), (5, 396)]:
+    for n, expected in [(2, 1), (3, 4), (4, 32), (5, 396), (6, 6692)]:
         got = enumerate_shapes(n)
         assert len(got) == expected
         assert len(got) == _count_shapes_by_formula(n)
         assert len({s.canonical_key() for s in got}) == expected
     assert len(enumerate_shapes(3, up_to_relabeling=True)) == 2
     assert len(enumerate_shapes(4, up_to_relabeling=True)) == 5
+
+
+def _sha(data) -> str:
+    return hashlib.sha256(repr(data).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("n, up_to_relabeling, digest", [
+    (2, False, "38d39da156ff74d4574ddad0d600462fa731bdff375c475ea03e8f028b1f3346"),
+    (3, False, "e40cf9f5430910420a32d92b4961dbe3e79ba975d546fb7c11cc8a106113a390"),
+    (4, False, "b036fb3985d1af6a9f1e65f59420339a5fb7934716544ae84db6bb512e2bc0b8"),
+    (5, False, "df8491513580919b7d3f181db244bc2ad983768d4451ab9e0979f6e9dde32faa"),
+    (6, False, "986e84c3f215c90a0c9316a881528b7fe56b744281848470b785ef5d3642d5df"),
+    (2, True, "38d39da156ff74d4574ddad0d600462fa731bdff375c475ea03e8f028b1f3346"),
+    (3, True, "63102ecdf58949b5303dd89d03ccc19d55e4c7beb15dc10567e2f84c61a9a50c"),
+    (4, True, "25f688817427a539709f0800387af41c3d114bd396b099f2635de2d7a76aef07"),
+    (5, True, "ba3a3e0cea1ff146e39f89c351bd54f50f936db47bf7da225f643e9f345488df"),
+    (6, True, "9e204cfe69703967246df1e35f2d97d65b5669d01c9c72aeb87df1a985bb7ffa"),
+])
+def test_enumerate_shapes_output_is_pinned(n, up_to_relabeling, digest):
+    """The shape list, its order and its vertex numbering, byte for byte."""
+    shapes = enumerate_shapes(n, up_to_relabeling=up_to_relabeling)
+    assert _sha([(s.slot_of, s.edges) for s in shapes]) == digest
+
+
+def test_shape_poset_output_is_pinned():
+    below = [sorted(b) for b in shape_poset(5).below]
+    assert _sha(below) == "37515046f1636b3343e12c1443772e5b3a2d71703244450dfdd6fb57b364a092"
 
 
 def test_enumerate_shapes_rank_bound():
