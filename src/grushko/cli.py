@@ -297,8 +297,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("shapes", help="enumerate reduced shapes / the spine poset")
     p.add_argument("--n", type=_rank, required=True)
-    p.add_argument("--poset", action="store_true")
-    p.add_argument("--up-to-relabeling", action="store_true")
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--poset", action="store_true")
+    mode.add_argument("--up-to-relabeling", action="store_true")
     p.set_defaults(fn=cmd_shapes)
 
     p = sub.add_parser("homology", help="homology report of a complex JSON")

@@ -8,7 +8,9 @@ tuple is a basis, and it consists of the stabilizers of the vertices of a
 connected fundamental domain L of the Bass-Serre tree, so it is adapted.
 
 Labeled shapes have one canonical form, _canonical(n, slot_of, edges);
-unlabeled ones (marked vertices indistinct) have one, _ahu_key.
+unlabeled ones (marked vertices indistinct) have one, _ahu_key.  Labeled
+shapes are generated slot by slot from the rank-2 edge, each exactly once
+(enumerate_shapes), so no two candidates are compared.
 
 The Bass-Serre tree is navigated lazily: it is tiled by translates g.L
 glued along marked vertices, with tile adjacency the Cayley graph of W_n
@@ -178,36 +180,46 @@ class TreeShape:
 def _canonical(n: int, slot_of, edges) -> tuple:
     """Canonical (n, slot_of, edges) of a labeled reduced tree.
 
-    A vertex is pinned down by its distance vector to the marked vertices:
-    distinct vertices differ toward some leaf.  For u != w, walk from w away
-    from u to a leaf m (m = w if w is a leaf); leaves of a reduced tree are
-    marked, and d(u, m) = d(u, w) + d(w, m) > d(w, m).  So sorting by (slot,
-    distance vector) is a canonical order.  One BFS from each marked vertex
-    gives the vectors, and the edges are renumbered by the order.  The key
-    of a canonical shape is the shape itself.
+    A vertex is pinned down by its distance vector to the marked vertices of
+    slots 1..n: distinct vertices differ toward some leaf.  For u != w, walk
+    from w away from u to a leaf m (m = w if w is a leaf); leaves of a
+    reduced tree are marked, and d(u, m) = d(u, w) + d(w, m) > d(w, m).  So
+    sorting by (slot, distance vector) is a canonical order.  Marked
+    vertices already differ by slot, so only the trivial ones (at most
+    n - 2) need a vector, and one BFS from each gives it.  The edges are
+    renumbered by the order.  The key of a canonical shape is the shape
+    itself.
     """
     V = len(slot_of)
     adj: list[list[int]] = [[] for _ in range(V)]
     for u, v in edges:
         adj[u].append(v)
         adj[v].append(u)
-    dists = []
-    for k in range(1, n + 1):
+    marked = [0] * n
+    trivial = []
+    for v, s in enumerate(slot_of):
+        if s:
+            marked[s - 1] = v
+        else:
+            trivial.append(v)
+
+    def vector(t):
         dist = [-1] * V
-        m = slot_of.index(k)
-        dist[m] = 0
-        queue = deque([m])
-        while queue:
-            u = queue.popleft()
-            for v in adj[u]:
-                if dist[v] < 0:
-                    dist[v] = dist[u] + 1
-                    queue.append(v)
-        dists.append(dist)
-    order = sorted(range(V), key=lambda v: (slot_of[v], [d[v] for d in dists]))
-    relabel = {old: new for new, old in enumerate(order)}
-    return (n, tuple(slot_of[v] for v in order),
-            tuple(sorted(tuple(sorted((relabel[u], relabel[v]))) for u, v in edges)))
+        dist[t] = 0
+        queue = [t]
+        for u in queue:
+            for w in adj[u]:
+                if dist[w] < 0:
+                    dist[w] = dist[u] + 1
+                    queue.append(w)
+        return [dist[m] for m in marked]
+
+    relabel = [0] * V
+    for new, old in enumerate(sorted(trivial, key=vector) + marked):
+        relabel[old] = new
+    return (n, (0,) * len(trivial) + tuple(range(1, n + 1)),
+            tuple(sorted((a, b) if a < b else (b, a)
+                         for a, b in ((relabel[u], relabel[v]) for u, v in edges))))
 
 
 def path_shape(order: tuple[int, ...]) -> TreeShape:
@@ -544,6 +556,18 @@ def _ahu_key(colors: tuple[int, ...], edges) -> tuple:
 def enumerate_shapes(n: int, up_to_relabeling: bool = False) -> list[TreeShape]:
     """All reduced shapes for rank n up to label-preserving isomorphism.
 
+    Shapes grow from the rank-2 edge one slot k = 3..n at a time: each
+    rank-(k-1) shape takes slot k as a leaf at a vertex, on a trivial
+    vertex, as a vertex on an edge, or as a leaf on a new trivial vertex on
+    an edge.  Removing slot k from a rank-k shape inverts exactly one of
+    the four: a vertex of valence >= 3 turns trivial, one of valence 2 is
+    smoothed away, and a leaf is deleted, with its neighbor smoothed away
+    too when that is a trivial vertex left with valence 2.  A labeled
+    reduced shape has no nontrivial automorphism: one fixes every marked
+    vertex, so every leaf, and a tree automorphism fixing every leaf is
+    the identity.  So distinct insertions into distinct shapes give
+    distinct shapes, and each shape is canonicalized exactly once.
+
     With up_to_relabeling=True, shapes are quotiented by slot permutations
     instead (one labeled representative per unlabeled shape).  Rank 6 has
     6,692 shapes and rank 7 already 143,816, so n is capped at 6.
@@ -552,15 +576,26 @@ def enumerate_shapes(n: int, up_to_relabeling: bool = False) -> list[TreeShape]:
         raise ValueError("need n >= 2")
     if n > 6:
         raise ValueError("desk scale exceeded: n <= 6")
-    keys = set()
-    for slot_of, edges in _anonymous_shapes(n):
-        marked = [v for v, s in enumerate(slot_of) if s]
-        perms = [tuple(range(1, n + 1))] if up_to_relabeling else itertools.permutations(range(1, n + 1))
-        for perm in perms:
-            assigned = list(slot_of)
-            for v, s in zip(marked, perm):
-                assigned[v] = s
-            keys.add(_canonical(n, assigned, edges))
+    if up_to_relabeling:
+        keys = []
+        for slot_of, edges in _anonymous_shapes(n):
+            slots = iter(range(1, n + 1))
+            keys.append(_canonical(n, [next(slots) if s else 0 for s in slot_of], edges))
+        return [TreeShape(*key) for key in sorted(keys)]
+    keys = [_canonical(2, (1, 2), ((0, 1),))]
+    for k in range(3, n + 1):
+        grown = []
+        for _, slot_of, edges in keys:
+            V = len(slot_of)
+            for v in range(V):  # a leaf at v, or v marked if trivial
+                grown.append(_canonical(k, slot_of + (k,), edges + ((v, V),)))
+                if not slot_of[v]:
+                    grown.append(_canonical(k, slot_of[:v] + (k,) + slot_of[v + 1:], edges))
+            for i, (u, v) in enumerate(edges):  # a vertex, or a leaf on a trivial one, on uv
+                rest = edges[:i] + edges[i + 1:] + ((u, V), (v, V))
+                grown.append(_canonical(k, slot_of + (k,), rest))
+                grown.append(_canonical(k, slot_of + (0, k), rest + ((V, V + 1),)))
+        keys = grown
     return [TreeShape(*key) for key in sorted(keys)]
 
 

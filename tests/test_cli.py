@@ -215,6 +215,14 @@ def test_rank_above_desk_scale_exits_2_at_once(capsys, argv):
     assert f"desk scale exceeded: n <= {bound}" in err
 
 
+def test_shapes_poset_and_up_to_relabeling_exclude_each_other(capsys):
+    """The spine poset is over labeled shapes, so --up-to-relabeling cannot
+    apply to it; argparse refuses the pair before any output."""
+    code, out, err = exit_code(capsys, "shapes", "--n", "3", "--poset", "--up-to-relabeling")
+    assert code == 2 and out == ""
+    assert "not allowed with argument" in err
+
+
 @pytest.mark.parametrize("argv", [["words", "reduce", "12", "--n", "0"],
                                   ["fold", "--words", "x1", "--n", "-1"],
                                   ["bp", "build", "--n", "0", "--unpaired"]])

@@ -21,6 +21,8 @@ from grushko.trees import (
     shape_poset,
     standard_marking,
 )
+from grushko import trees
+from shape_canon import canonical_by_marked_bfs
 
 W = parse
 
@@ -194,6 +196,47 @@ def test_enumerate_shapes_builds_each_shape_once(monkeypatch):
         built.clear()
         enumerate_shapes(n)
         assert len(built) == expected
+
+
+def test_enumerate_shapes_canonicalizes_each_shape_once(monkeypatch):
+    """Growth by slots makes one candidate per labeled shape at every rank:
+    1 + 4 + 32 + 396 = 433 canonical forms for rank 5."""
+    calls = []
+    canonical = trees._canonical
+
+    def counting(n, slot_of, edges):
+        calls.append(n)
+        return canonical(n, slot_of, edges)
+
+    monkeypatch.setattr(trees, "_canonical", counting)
+    for n, expected in [(2, 1), (3, 5), (4, 37), (5, 433)]:
+        calls.clear()
+        enumerate_shapes(n)
+        assert len(calls) == expected
+
+
+def _renumbered(shape, rng):
+    """(slot_of, edges) of a shape under a random vertex renumbering."""
+    perm = list(range(shape.num_vertices))
+    rng.shuffle(perm)
+    slot_of = [0] * shape.num_vertices
+    for v, s in enumerate(shape.slot_of):
+        slot_of[perm[v]] = s
+    edges = [(perm[v], perm[u]) for u, v in shape.edges]
+    rng.shuffle(edges)
+    return tuple(slot_of), tuple(edges)
+
+
+def test_canonical_matches_the_marked_bfs_reference():
+    """Trivial-vertex distance vectors give the same form as the full
+    (slot, distances to every marked vertex) sort, on every shape of rank
+    2-6, as listed and under a seeded random vertex renumbering."""
+    rng = random.Random(30)
+    for n in range(2, 7):
+        for shape in enumerate_shapes(n):
+            for slot_of, edges in [(shape.slot_of, shape.edges), _renumbered(shape, rng)]:
+                assert trees._canonical(n, slot_of, edges) == \
+                    canonical_by_marked_bfs(n, slot_of, edges)
 
 
 def test_enumerate_shapes_returns_canonical_shapes_in_key_order():
