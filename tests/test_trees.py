@@ -23,6 +23,7 @@ from grushko.trees import (
 )
 from grushko import trees
 from shape_canon import canonical_by_marked_bfs
+from shape_poset_ref import below_by_edge_subsets
 
 W = parse
 
@@ -169,8 +170,11 @@ def test_enumerate_shapes_output_is_pinned(n, up_to_relabeling, digest):
 
 
 def test_shape_poset_output_is_pinned():
-    below = [sorted(b) for b in shape_poset(5).below]
-    assert _sha(below) == "37515046f1636b3343e12c1443772e5b3a2d71703244450dfdd6fb57b364a092"
+    for n, digest in [
+        (5, "37515046f1636b3343e12c1443772e5b3a2d71703244450dfdd6fb57b364a092"),
+        (6, "57d14ca04c68955a5dedf7a0b202022a9575590cdf5dafe570b4883c63b169b9"),
+    ]:
+        assert _sha([sorted(b) for b in shape_poset(n).below]) == digest
 
 
 def test_enumerate_shapes_rank_bound():
@@ -282,25 +286,12 @@ def test_shape_poset_chains():
         assert sp.longest_chain() == chain
 
 
-def _below_by_validated_collapses(n):
-    """shape_poset(n).below with every collapse built as a validated TreeShape."""
-    shapes = enumerate_shapes(n)
-    index = {s.canonical_key(): i for i, s in enumerate(shapes)}
-    below = [set() for _ in shapes]
-    for i, shape in enumerate(shapes):
-        m = len(shape.edges)
-        for subset in itertools.chain.from_iterable(
-                itertools.combinations(range(m), r) for r in range(1, m)):
-            try:
-                below[i].add(index[collapse(shape, subset).canonical_key()])
-            except CollapseError:
-                pass
-    return below
+def test_shape_poset_matches_the_edge_subset_reference():
+    for n in range(2, 6):
+        assert shape_poset(n).below == below_by_edge_subsets(n)
 
 
 def test_shape_poset_validates_only_the_shapes(monkeypatch):
-    for n in range(2, 6):
-        assert shape_poset(n).below == _below_by_validated_collapses(n)
     built = []
     post_init = TreeShape.__post_init__
 
