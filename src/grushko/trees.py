@@ -10,7 +10,8 @@ connected fundamental domain L of the Bass-Serre tree, so it is adapted.
 Labeled shapes have one canonical form, _canonical(n, slot_of, edges);
 unlabeled ones (marked vertices indistinct) have one, _ahu_key.  Labeled
 shapes are generated slot by slot from the rank-2 edge, each exactly once
-(enumerate_shapes), so no two candidates are compared.
+(enumerate_shapes), so no two candidates are compared.  The spine poset
+closes single-edge collapses, taking shapes by edge count (shape_poset).
 
 The Bass-Serre tree is navigated lazily: it is tiled by translates g.L
 glued along marked vertices, with tile adjacency the Cayley graph of W_n
@@ -20,7 +21,6 @@ cap; the visibility module uses the tiling directly.
 
 from __future__ import annotations
 
-import itertools
 import json
 from collections import deque
 from dataclasses import dataclass
@@ -615,27 +615,32 @@ class ShapePoset:
         return max(best) if best else 0
 
     def relation_pairs(self) -> list[tuple[int, int]]:
-        return [(j, i) for i in range(len(self.shapes)) for j in self.below[i]]
+        return [(j, i) for i in range(len(self.shapes)) for j in sorted(self.below[i])]
 
 
 def shape_poset(n: int) -> ShapePoset:
     """The spine poset at rank n: S <= T when T collapses onto S.
 
-    Collapsing S and then S' is collapsing S | S', which the subset loop
-    visits too, so the relation is transitive as built.  A collapse is
-    looked up by the canonical form of its raw (slot_of, edges); a collapse
-    of a reduced shape is reduced (see collapse), so none is validated.
+    An edge set is admissible when no component holds two marked vertices.
+    Collapsing an admissible set is collapsing its edges one at a time, and
+    every step stays admissible, so the relation is the transitive closure
+    of single-edge collapses: below[i] is the union, over the edges of
+    shapes[i] that do not join two marked vertices, of the collapse c and
+    below[c].  A collapse has one edge fewer, so visiting shapes by edge
+    count fills below[c] first.  The full edge set is never admissible for
+    n >= 2, so every admissible set is proper and every collapse is a
+    listed shape.  A collapse is looked up by the canonical form of its raw
+    (slot_of, edges); a collapse of a reduced shape is reduced (see
+    collapse), so none is validated.
     """
     shapes = enumerate_shapes(n)
     index = {s.canonical_key(): i for i, s in enumerate(shapes)}
     below: list[set[int]] = [set() for _ in shapes]
-    for i, shape in enumerate(shapes):
-        m = len(shape.edges)
-        for r in range(1, m):
-            for subset in itertools.combinations(range(m), r):
-                try:
-                    smaller = _collapse(shape, subset)
-                except CollapseError:
-                    continue
-                below[i].add(index[_canonical(n, *smaller)])
+    for i in sorted(range(len(shapes)), key=lambda i: len(shapes[i].edges)):
+        shape = shapes[i]
+        for e, (u, v) in enumerate(shape.edges):
+            if not (shape.slot_of[u] and shape.slot_of[v]):
+                c = index[_canonical(n, *_collapse(shape, (e,)))]
+                below[i] |= below[c]
+                below[i].add(c)
     return ShapePoset(shapes, below)

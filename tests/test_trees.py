@@ -291,6 +291,23 @@ def test_shape_poset_matches_the_edge_subset_reference():
         assert shape_poset(n).below == below_by_edge_subsets(n)
 
 
+def test_shape_poset_collapses_each_admissible_edge_once(monkeypatch):
+    """One _collapse per edge that does not join two marked vertices: the
+    relation is closed over single edges, never built from edge subsets."""
+    calls = []
+    collapse_raw = trees._collapse
+
+    def counting(shape, edge_set):
+        calls.append(shape)
+        return collapse_raw(shape, edge_set)
+
+    monkeypatch.setattr(trees, "_collapse", counting)
+    for n, expected in [(2, 0), (3, 3), (4, 55), (5, 1090)]:
+        calls.clear()
+        shape_poset(n)
+        assert len(calls) == expected
+
+
 def test_shape_poset_validates_only_the_shapes(monkeypatch):
     built = []
     post_init = TreeShape.__post_init__
