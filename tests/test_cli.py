@@ -67,7 +67,7 @@ def test_shapes_poset(capsys):
     (None, "d9feb4f4a1780fdcabd649bfd6e988d177e750e2afef3062d79db0fcfc6f109f"),
     ("--up-to-relabeling", "52cbbf536f9f3cc45522c6ee2d522e20358edc82b386bd5bc79dc19972d19a1b"),
     ("--poset", "92536d6b83597b10a0b42bcbea08e242fe03f314fde264e4fb2ea812699a5193"),
-])
+], ids=["no-flag", "--up-to-relabeling", "--poset"])
 def test_shapes_output_is_pinned(capsys, flag, digest):
     """The rank-4 shape list, its order and its vertex numbering, byte for byte."""
     code, out, _ = run_cli(capsys, "shapes", "--n", "4", *([flag] if flag else []))

@@ -1,14 +1,24 @@
+import hashlib
 import itertools
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from grushko.words import conjugate, generator, generators, parse, random_reduced_word, reduce
+from grushko.words import (
+    NotInvolutionError,
+    conjugate,
+    generator,
+    generators,
+    parse,
+    random_reduced_word,
+    reduce,
+)
 from grushko.factors import VisibleIn, W2Factor, canonical_class
 from grushko import membership, visibility
 from grushko.membership import contains, fold, is_basis
@@ -276,6 +286,92 @@ def test_visible_classes_share_the_tree_certificate():
             for cls in (*fam.classes, *visible_classes_brute(tree, i)):
                 assert isinstance(cls.certificate, VisibleIn)
                 assert cls.certificate.tree is tree, (tree, i, cls)
+
+
+def _class_digest(lines) -> str:
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def _pinned_trees(group):
+    """Every rank-n fixture tree in standard marking, or 20 seeded trees of
+    rank 3-5 in non-standard markings."""
+    if group != "random":
+        n = int(group[-1])
+        return [MarkedTree(shape, standard_marking(n)) for shape in enumerate_shapes(n)]
+    rng = random.Random(39)
+    shapes = {n: enumerate_shapes(n) for n in (3, 4, 5)}
+    trees = []
+    while len(trees) < 20:
+        n = rng.choice([3, 4, 5])
+        tree = MarkedTree(shapes[n][rng.randrange(len(shapes[n]))], _random_marking(rng, n))
+        if not tree.standard:
+            trees.append(tree)
+    return trees
+
+
+VISIBLE_CLASS_DIGESTS = {
+    "rank2": "8b60201bf88808774f98b2f8523bf32c4430076c72ab627e9a4ade31b2b5a6af",
+    "rank3": "4b0a6fcb52d0db815ba6024b960d1827f22d7fad39bf22a1f1cb0204a4418553",
+    "rank4": "b0f9bea48bf60e7ee20e9f0c316256992e3bfd8fb406878bfbde77b104c6050c",
+    "rank5": "9c9ad95a01657b01cb09ff2a0cc7a06932da6b00244dfbfb03e795bbd3e28765",
+    "random": "16df2891625e4852bb16432dab733661bc3f16b88ccc94559141af10eb3d66b4",
+}
+
+
+@pytest.mark.parametrize("group", sorted(VISIBLE_CLASS_DIGESTS))
+def test_visible_classes_are_pinned(group):
+    """The text of every visible class per (tree, pair index), from the
+    segment family and from the unbounded brute-force oracle: one sha256
+    of the sorted class texts per pair, hashed in tree order."""
+    segment, brute = [], []
+    for tree in _pinned_trees(group):
+        for i in range(1, tree.n // 2 + 1):
+            segment.append(_class_digest(sorted(map(str, visible_classes(tree, i).classes))))
+            brute.append(_class_digest(sorted(map(str, visible_classes_brute(tree, i)))))
+    assert _class_digest(segment) == VISIBLE_CLASS_DIGESTS[group]
+    assert _class_digest(brute) == VISIBLE_CLASS_DIGESTS[group]
+
+
+def test_visibility_matches_tree_search_in_random_markings():
+    """The letter walk through in_marking_letters against the bs_path search,
+    on random factors in random non-standard markings of rank 3-5."""
+    rng = random.Random(40)
+    shapes = {n: enumerate_shapes(n) for n in (3, 4, 5)}
+    outcomes = []
+    while len(outcomes) < 120:
+        n = rng.choice([3, 4, 5])
+        tree = MarkedTree(shapes[n][rng.randrange(len(shapes[n]))], _random_marking(rng, n))
+        if tree.standard:
+            continue
+        i, j = rng.sample(range(1, n + 1), 2)
+        # conjugates of the marking involutions, or of the generators by
+        # shorter words: in marking letters those walks are already long,
+        # and the search visits exponentially many vertices in their length
+        if rng.random() < 0.5:
+            base, most = tree.marking_word, 3
+        else:
+            base, most = (lambda k: generator(k, n)), 2
+        a = conjugate(base(i), random_reduced_word(rng, n, rng.randrange(0, most)))
+        b = conjugate(base(j), random_reduced_word(rng, n, rng.randrange(0, most)))
+        f = W2Factor(a, b)
+        visible = is_visible(tree, f)
+        assert visible == _is_visible_by_search(tree, f), (tree, f)
+        outcomes.append(visible)
+    assert 20 <= sum(outcomes) <= 100
+
+
+@pytest.mark.parametrize("a, b, named", [
+    ("x1.x2", "x2.x3.x2", "x1*x2"),
+    ("x1", "x2.x3", "x2*x3"),
+    ("", "x2", "ε"),
+    ("x1.x2", "x2.x3", "x1*x2"),
+])
+def test_is_visible_rejects_non_involutions(a, b, named):
+    """The public entry validates its factor: a generator that is not an
+    involution raises NotInvolutionError naming it, a before b."""
+    f = W2Factor(W(a, 3), W(b, 3))
+    with pytest.raises(NotInvolutionError, match=f"^{re.escape(named)} is not an involution$"):
+        is_visible(caterpillar(3), f)
 
 
 def _segment_route_classes(tree, r, s):
