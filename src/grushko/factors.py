@@ -139,7 +139,11 @@ def core_path(a: Word, b: Word) -> Path:
             raise NotInvolutionError(f"{w} is not an involution")
     if a.rank != b.rank:
         raise RankMismatchError(f"rank mismatch: {a.rank} vs {b.rank}")
-    x, y = a.letters, b.letters
+    return _path(a.letters, b.letters)
+
+
+def _path(x: tuple[int, ...], y: tuple[int, ...]) -> Path:
+    """core_path of the involutions with the letters x != y, unchecked."""
     p, q = x[:len(x) // 2], y[:len(y) // 2]
     k = 0
     for s, t in zip(p, q):

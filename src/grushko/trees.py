@@ -26,7 +26,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
-from .words import Word, generators, involution_core, parse, reduce
+from .words import Word, _reduce_into, generators, involution_core, parse, reduce
 from .jsoncheck import check
 from . import membership
 
@@ -277,9 +277,14 @@ class MarkedTree:
             self._inverse_marking = phi.inverse()
         return self._inverse_marking(w)
 
+    def marking_letters(self, slots) -> tuple[int, ...]:
+        """Reduced letters of the product b_{k_1} ... b_{k_m} of the marking
+        involutions of the slots."""
+        return tuple(_reduce_into([], [x for k in slots for x in self.marking[k - 1].letters]))
+
     def marking_product(self, slots) -> Word:
         """The product b_{k_1} ... b_{k_m} of the marking involutions of the slots."""
-        return reduce([x for k in slots for x in self.marking[k - 1].letters], self.n)
+        return reduce(self.marking_letters(slots), self.n)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, MarkedTree) and self.shape == other.shape

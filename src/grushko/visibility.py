@@ -13,6 +13,12 @@ marking basis.  Each step between consecutive slots crosses the shape path
 between their vertices, an edge bitmask in TreeShape.segment_masks, and
 the labels are distinct iff those masks are pairwise disjoint.  Tests
 check this route against the lazy bs_path search.
+
+The searches run on letter tuples, with no Word per candidate: each
+b = g y g^-1 comes from words._conjugate_letters and its class from
+factors._path, and visible_classes checks b with _walk, the letter walk of
+is_visible.  Only the public entry points validate: is_visible its factor,
+and MarkedTree the marking that the searches start from.
 """
 
 from __future__ import annotations
@@ -21,8 +27,9 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import product
 
-from .words import Word, conjugate, identity, involution_core, reduce
-from .factors import CanonicalClass, VisibleIn, W2Factor, core_path
+from .words import (NotInvolutionError, RankMismatchError, Word, _conjugate_letters,
+                    _reduce_into, conjugate, reduce)
+from .factors import CanonicalClass, VisibleIn, W2Factor, _path, core_path
 from .trees import MarkedTree
 from . import membership
 
@@ -31,31 +38,45 @@ class CertificationError(RuntimeError):
     """A certification search failed; reported loudly, never dropped."""
 
 
-def _slot_walk(tree: MarkedTree, f: W2Factor | CanonicalClass) -> list[int]:
-    """Slot itinerary of the Bass-Serre path between the two fixed points."""
-    ja, ga = involution_core(f.a)
-    jb, gb = involution_core(f.b)
-    ca = involution_core(tree.marking_word(ja))[1].letters
-    cb = involution_core(tree.marking_word(jb))[1].letters
+def _walk(tree: MarkedTree, x: tuple[int, ...], y: tuple[int, ...]) -> list[int]:
+    """Slot itinerary of the Bass-Serre path between the fixed points of the
+    involutions with the letters x and y."""
+    hx, hy = len(x) // 2, len(y) // 2
+    ja, jb = x[hx], y[hy]
+    ca = tree.marking[ja - 1].letters
+    cb = tree.marking[jb - 1].letters
     # the tile move g_a^-1 g_b, with g_a = ga ca^-1 and g_b = gb cb^-1
-    h = reduce(ca + ga.letters[::-1] + gb.letters + cb[::-1], tree.n)
-    return [ja, *tree.in_marking_letters(h).letters, jb]
+    h = _reduce_into(list(ca[:len(ca) // 2]), x[:hx][::-1] + y[:hy] + cb[:len(cb) // 2][::-1])
+    if not tree.standard:
+        h = tree.in_marking_letters(reduce(h, tree.n)).letters
+    return [ja, *h, jb]
 
 
-def is_visible(tree: MarkedTree, f: W2Factor | CanonicalClass) -> bool:
-    """True iff the fixed-point path meets each edge orbit at most once.
-
-    Each step of the slot walk is a simple shape path, so no label repeats
-    iff the segment masks of the steps are pairwise disjoint.
-    """
-    masks = tree.shape.segment_masks
-    walk = _slot_walk(tree, f)
+def _disjoint(masks: Sequence[Sequence[int]], walk: Sequence[int]) -> bool:
+    """True iff the segments masks[a][b] of consecutive slots a, b of the
+    walk are pairwise disjoint."""
     used = 0
     for a, b in zip(walk, walk[1:]):
         if used & masks[a][b]:
             return False
         used |= masks[a][b]
     return True
+
+
+def is_visible(tree: MarkedTree, f: W2Factor | CanonicalClass) -> bool:
+    """True iff the fixed-point path meets each edge orbit at most once.
+
+    Each step of the slot walk is a simple shape path, so no label repeats
+    iff the segment masks of the steps are pairwise disjoint.  Raises
+    NotInvolutionError when a or b is not an involution, a checked first.
+    """
+    a, b = f.a, f.b
+    for w in (a, b):
+        if not w.is_involution:
+            raise NotInvolutionError(f"{w} is not an involution")
+        if w.rank != tree.n:
+            raise RankMismatchError(f"rank mismatch: {w.rank} vs {tree.n}")
+    return _disjoint(tree.shape.segment_masks, _walk(tree, a.letters, b.letters))
 
 
 def _interior_stops(tree: MarkedTree, x: int, y: int) -> list[int]:
@@ -67,12 +88,12 @@ def _interior_stops(tree: MarkedTree, x: int, y: int) -> list[int]:
     return [shape.slot_of[far] for _, far in path[:-1] if shape.slot_of[far]]
 
 
-def _subproducts(tree: MarkedTree, slots: list[int]) -> list[Word]:
-    """The 2^k products b_{s_1}^{e_1} ... b_{s_k}^{e_k}, e_1 the fastest bit."""
-    words = [identity(tree.n)]
+def _subproducts(tree: MarkedTree, slots: list[int]) -> list[tuple[int, ...]]:
+    """Letters of the 2^k products b_{s_1}^{e_1} ... b_{s_k}^{e_k}, e_1 the fastest bit."""
+    words: list[tuple[int, ...]] = [()]
     for slot in slots:
-        b = tree.marking_word(slot)
-        words += [w * b for w in words]
+        b = tree.marking_word(slot).letters
+        words += [tuple(_reduce_into(list(w), b)) for w in words]
     return words
 
 
@@ -101,13 +122,14 @@ def visible_classes(tree: MarkedTree, i: int) -> VisibleFamily:
     n = tree.n
     if 2 * i > n or i < 1:
         raise ValueError(f"pair index {i} out of range for rank {n}")
-    a = tree.marking_word(2 * i - 1)
-    y = tree.marking_word(2 * i)
+    masks = tree.shape.segment_masks
+    a = tree.marking_word(2 * i - 1).letters
+    y = tree.marking_word(2 * i).letters
     paths = set()
     for g in _subproducts(tree, _interior_stops(tree, 2 * i - 1, 2 * i)):
-        b = conjugate(y, g)
-        if b != a and is_visible(tree, W2Factor(a, b)):
-            paths.add(core_path(a, b))
+        b = _conjugate_letters(y, g)
+        if b != a and _disjoint(masks, _walk(tree, a, b)):
+            paths.add(_path(a, b))
     cert = VisibleIn(tree)
     classes = sorted((CanonicalClass(p, n, cert) for p in paths), key=CanonicalClass.key)
     return VisibleFamily(tree, i, tuple(classes))
@@ -164,14 +186,15 @@ def visible_classes_brute(tree: MarkedTree, i: int,
     n = tree.n
     if 2 * i > n or i < 1:
         raise ValueError(f"pair index {i} out of range for rank {n}")
-    a = tree.marking_word(2 * i - 1)
-    y = tree.marking_word(2 * i)
+    a = tree.marking_word(2 * i - 1).letters
+    y = tree.marking_word(2 * i).letters
     words, _ = visible_words(tree.shape.segment_masks, 2 * i - 1, 2 * i, max_len)
     paths = set()
     for h in words:
-        b = conjugate(y, tree.marking_product(h))
+        # h is reduced, so in the standard marking it spells g itself
+        b = _conjugate_letters(y, h if tree.standard else tree.marking_letters(h))
         if b != a:
-            paths.add(core_path(a, b))
+            paths.add(_path(a, b))
     cert = VisibleIn(tree)
     return {CanonicalClass(p, n, cert) for p in paths}
 
@@ -198,7 +221,7 @@ def certify_partial_basis(tree: MarkedTree, classes) -> tuple[Word, ...]:
     beta}, so it is <b_alpha, g b_beta g^-1> for g the marking product of v,
     read backwards when i = beta, and y_beta = g b_beta g^-1.  Why the
     prefix property holds: the slot walk of a visible class, r, h, s with
-    {r, s} = {alpha, beta} (_slot_walk), has pairwise disjoint segments.
+    {r, s} = {alpha, beta} (_walk), has pairwise disjoint segments.
     Leaving out the empty steps that a leading r or a trailing s of h makes,
     it crosses no edge twice, so it is the tree path between the two cores,
     and the other letters of h are distinct slots on that path.

@@ -129,13 +129,18 @@ def reduce(letters: Sequence[int], rank: int) -> Word:
     return _trusted(tuple(_reduce_into([], letters)), rank)
 
 
+def _conjugate_letters(a: tuple[int, ...], g: tuple[int, ...]) -> tuple[int, ...]:
+    """Letters of g a g^-1 reduced, for the reduced letters a and g."""
+    stack = list(g)
+    _reduce_into(stack, a)
+    _reduce_into(stack, reversed(g))
+    return tuple(stack)
+
+
 def conjugate(a: Word, g: Word) -> Word:
     """Reduced form of g a g^-1."""
     _check_rank(a, g)
-    stack = list(g.letters)
-    _reduce_into(stack, a.letters)
-    _reduce_into(stack, reversed(g.letters))
-    return _trusted(tuple(stack), a.rank)
+    return _trusted(_conjugate_letters(a.letters, g.letters), a.rank)
 
 
 def involution_core(a: Word) -> tuple[int, Word]:

@@ -12,6 +12,7 @@ import pytest
 
 from grushko.words import (
     NotInvolutionError,
+    RankMismatchError,
     conjugate,
     generator,
     generators,
@@ -36,7 +37,6 @@ from grushko.trees import (
 from grushko.visibility import (
     CertificationError,
     _interior_stops,
-    _subproducts,
     bp_fiber,
     certify_partial_basis,
     is_visible,
@@ -55,7 +55,9 @@ def segment_conjugators(tree, x, y):
     stabilizer generators b_1..b_p in order, and the conjugators are the
     2^p subproducts b_1^{e_1} ... b_p^{e_p}.
     """
-    return _subproducts(tree, [x, *_interior_stops(tree, x, y), y])
+    slots = [x, *_interior_stops(tree, x, y), y]
+    return [tree.marking_product([s for k, s in enumerate(slots) if e >> k & 1])
+            for e in range(2 ** len(slots))]
 
 
 def _is_visible_by_search(tree, f):
@@ -365,13 +367,18 @@ def test_visibility_matches_tree_search_in_random_markings():
     ("x1", "x2.x3", "x2*x3"),
     ("", "x2", "ε"),
     ("x1.x2", "x2.x3", "x1*x2"),
-])
+], ids=["a", "b", "empty-a", "both"])
 def test_is_visible_rejects_non_involutions(a, b, named):
     """The public entry validates its factor: a generator that is not an
     involution raises NotInvolutionError naming it, a before b."""
     f = W2Factor(W(a, 3), W(b, 3))
     with pytest.raises(NotInvolutionError, match=f"^{re.escape(named)} is not an involution$"):
         is_visible(caterpillar(3), f)
+
+
+def test_is_visible_rejects_a_factor_of_another_rank():
+    with pytest.raises(RankMismatchError):
+        is_visible(caterpillar(3), W2Factor(W("x1", 4), W("x2", 4)))
 
 
 def _segment_route_classes(tree, r, s):
