@@ -42,11 +42,11 @@ def _walk(tree: MarkedTree, x: tuple[int, ...], y: tuple[int, ...]) -> list[int]
     """Slot itinerary of the Bass-Serre path between the fixed points of the
     involutions with the letters x and y."""
     hx, hy = len(x) // 2, len(y) // 2
-    ja, jb = x[hx], y[hy]
-    ca = tree.marking[ja - 1].letters
-    cb = tree.marking[jb - 1].letters
+    ja, ga, jb, gb = x[hx], x[:hx], y[hy], y[:hy]
+    ma, mb = tree.marking[ja - 1].letters, tree.marking[jb - 1].letters
+    ca, cb = ma[:len(ma) // 2], mb[:len(mb) // 2]
     # the tile move g_a^-1 g_b, with g_a = ga ca^-1 and g_b = gb cb^-1
-    h = _reduce_into(list(ca[:len(ca) // 2]), x[:hx][::-1] + y[:hy] + cb[:len(cb) // 2][::-1])
+    h = _reduce_into(list(ca), ga[::-1] + gb + cb[::-1])
     if not tree.standard:
         h = tree.in_marking_letters(reduce(h, tree.n)).letters
     return [ja, *h, jb]
