@@ -162,7 +162,7 @@ def _sha(data) -> str:
     (4, True, "25f688817427a539709f0800387af41c3d114bd396b099f2635de2d7a76aef07"),
     (5, True, "ba3a3e0cea1ff146e39f89c351bd54f50f936db47bf7da225f643e9f345488df"),
     (6, True, "9e204cfe69703967246df1e35f2d97d65b5669d01c9c72aeb87df1a985bb7ffa"),
-], ids=[f"{n}-{mode}" for mode in ("labeled", "up-to-relabeling") for n in range(2, 7)])
+])
 def test_enumerate_shapes_output_is_pinned(n, up_to_relabeling, digest):
     """The shape list, its order and its vertex numbering, byte for byte."""
     shapes = enumerate_shapes(n, up_to_relabeling=up_to_relabeling)
