@@ -151,7 +151,7 @@ def _sha(data) -> str:
     return hashlib.sha256(repr(data).encode()).hexdigest()
 
 
-@pytest.mark.parametrize("n, up_to_relabeling, digest", [
+SHAPE_DIGESTS = [
     (2, False, "38d39da156ff74d4574ddad0d600462fa731bdff375c475ea03e8f028b1f3346"),
     (3, False, "e40cf9f5430910420a32d92b4961dbe3e79ba975d546fb7c11cc8a106113a390"),
     (4, False, "b036fb3985d1af6a9f1e65f59420339a5fb7934716544ae84db6bb512e2bc0b8"),
@@ -162,7 +162,11 @@ def _sha(data) -> str:
     (4, True, "25f688817427a539709f0800387af41c3d114bd396b099f2635de2d7a76aef07"),
     (5, True, "ba3a3e0cea1ff146e39f89c351bd54f50f936db47bf7da225f643e9f345488df"),
     (6, True, "9e204cfe69703967246df1e35f2d97d65b5669d01c9c72aeb87df1a985bb7ffa"),
-])
+]
+
+
+@pytest.mark.parametrize("n, up_to_relabeling, digest", SHAPE_DIGESTS,
+                         ids=[f"{n}-{mode}" for n, mode, _ in SHAPE_DIGESTS])
 def test_enumerate_shapes_output_is_pinned(n, up_to_relabeling, digest):
     """The shape list, its order and its vertex numbering, byte for byte."""
     shapes = enumerate_shapes(n, up_to_relabeling=up_to_relabeling)
@@ -368,6 +372,30 @@ def test_adapted_order():
         for shape in enumerate_shapes(n):
             tree = MarkedTree(shape, standard_marking(n))
             assert hull_order_is_adapted(tree, shape.adapted_order)
+
+
+ADAPTED_ORDER_DIGESTS = {
+    2: "6f1494ede5b616f4a0a0d86da481da4a4a131a7f752053833fd727b44a0631f1",
+    3: "202446bab9f7b63840caef314d054f11f98dddbc7afb2fb8403468ab3a4b3747",
+    4: "f350aeb01a62a23ef2fe52f408a360a05e434a433fc8a593979dcc6bbdfcbfde",
+    5: "2037152fadb46fb260cf161ae6efbc02b0cb8d340ab74dc0421585fe8b1fc801",
+    6: "7b520e91fe96a5c179c971dda80340e43d8b587f85b9de25a39d7bc2a06cb012",
+}
+
+
+@pytest.mark.parametrize("n", sorted(ADAPTED_ORDER_DIGESTS))
+def test_adapted_order_is_pinned(n):
+    """The adapted order of every shape of rank n in both enumeration modes,
+    and of three seeded slot permutations of each unlabeled shape."""
+    rng = random.Random(n)
+    orders = [shape.adapted_order for mode in (False, True)
+              for shape in enumerate_shapes(n, up_to_relabeling=mode)]
+    for shape in enumerate_shapes(n, up_to_relabeling=True):
+        for _ in range(3):
+            perm = rng.sample(range(1, n + 1), n)
+            slot_of = tuple(s and perm[s - 1] for s in shape.slot_of)
+            orders.append(TreeShape(n, slot_of, shape.edges).adapted_order)
+    assert _sha(orders) == ADAPTED_ORDER_DIGESTS[n]
 
 
 def test_convex_hull():

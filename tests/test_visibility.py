@@ -20,7 +20,7 @@ from grushko.words import (
     random_reduced_word,
     reduce,
 )
-from grushko.factors import VisibleIn, W2Factor, canonical_class
+from grushko.factors import CanonicalClass, VisibleIn, W2Factor, canonical_class
 from grushko import membership, visibility
 from grushko.membership import contains, fold, is_basis
 from grushko.trees import (
@@ -334,6 +334,33 @@ def test_visible_classes_are_pinned(group):
     assert _class_digest(brute) == VISIBLE_CLASS_DIGESTS[group]
 
 
+def test_visible_classes_walk_their_segment():
+    """Every visible class is visible, and its slot walk is x, S, y up to
+    empty steps, with S interior stops of the segment from x to y in path
+    order: the argument that lets visible_classes skip the walk check."""
+    trees = [MarkedTree(shape, standard_marking(n))
+             for n in range(2, 6) for shape in enumerate_shapes(n)]
+    rng = random.Random(41)
+    shapes = {n: enumerate_shapes(n) for n in (3, 4, 5, 6)}
+    wanted = len(trees) + 60
+    while len(trees) < wanted:
+        n = rng.choice([3, 4, 5, 6])
+        tree = MarkedTree(shapes[n][rng.randrange(len(shapes[n]))], _random_marking(rng, n))
+        if not tree.standard:
+            trees.append(tree)
+    for tree in trees:
+        for i in range(1, tree.n // 2 + 1):
+            x, y = 2 * i - 1, 2 * i
+            stops = _interior_stops(tree, x, y)
+            for cls in visible_classes(tree, i).classes:
+                assert is_visible(tree, cls), (tree, cls)
+                walk = visibility._walk(tree, cls.a.letters, cls.b.letters)
+                steps = [s for k, s in enumerate(walk) if k == 0 or s != walk[k - 1]]
+                assert steps[0] == x and steps[-1] == y, (tree, cls, walk)
+                left = iter(stops)
+                assert all(s in left for s in steps[1:-1]), (tree, cls, walk)
+
+
 def test_visibility_matches_tree_search_in_random_markings():
     """The letter walk through in_marking_letters against the bs_path search,
     on random factors in random non-standard markings of rank 3-5."""
@@ -519,6 +546,24 @@ def test_random_marking_certificates_check():
         checked += 1
 
 
+def _certificate_lines(tree, scans):
+    """The letters of the certificate of every fiber element and single class."""
+    return [repr(tuple(w.letters for w in certify_partial_basis(tree, classes)))
+            for classes in _fiber_elements(tree) + _single_classes(tree, scans)]
+
+
+RANDOM_CERTIFICATE_DIGEST = "6fa88439cbc448c9404d8b25ac63c7ce56a00ec86d32c63afd2df97e744c806a"
+
+
+def test_random_marking_certificates_are_pinned():
+    """The certificates of every fiber element and single class of the 20
+    seeded non-standard markings, letter for letter; the standard markings
+    are pinned by test_standard_certificates_equal_the_segment_scan."""
+    scans = {}
+    lines = [line for tree in _pinned_trees("random") for line in _certificate_lines(tree, scans)]
+    assert _class_digest(lines) == RANDOM_CERTIFICATE_DIGEST
+
+
 def test_certify_empty_returns_adapted_basis():
     t = caterpillar(4)
     assert certify_partial_basis(t, []) == tuple(generators(4))
@@ -570,6 +615,16 @@ def test_certify_checks_visibility_certified_by_another_tree():
     for other in (caterpillar(3, (1, 3, 2)), caterpillar(3)):
         with pytest.raises(CertificationError, match="is not visible"):
             certify_partial_basis(t, [cls.with_certificate(VisibleIn(other))])
+
+
+def test_certify_checks_the_basis_of_a_trusted_class():
+    """A class carrying VisibleIn of this tree skips is_visible, so a forged
+    certificate is caught by the final is_basis."""
+    t = caterpillar(3)
+    cls = CanonicalClass((1, (2, 1), 2), 3, VisibleIn(t))
+    assert not is_visible(t, cls)
+    with pytest.raises(CertificationError, match="fails the basis check"):
+        certify_partial_basis(t, [cls])
 
 
 def test_certify_rejects_core_collision():
