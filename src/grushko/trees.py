@@ -143,33 +143,34 @@ class TreeShape:
 
         Greedy peeling: repeatedly remove the largest-slot marked vertex that
         is a leaf of the convex hull of the remaining marked vertices; the
-        reversed peel sequence has the prefix-hull property.
+        reversed peel sequence has the prefix-hull property.  A trivial vertex
+        leaves the hull when at most one neighbour is left, which only the
+        removal of a neighbour brings about, so pruning walks out from each
+        removed vertex instead of rescanning the tree.
         """
-        adj = self.adjacency
-        alive = [True] * self.num_vertices
+        adj, slot_of = self.adjacency, self.slot_of
+        vertex = {s: v for v, s in enumerate(slot_of) if s}
         deg = [len(a) for a in adj]
-        remaining = set(range(1, self.n + 1))
+        alive = [True] * self.num_vertices
+        leaves = {s for s, v in vertex.items() if deg[v] <= 1}
         peeled = []
-
-        def remove(v):
-            alive[v] = False
-            for u, _ in adj[v]:
-                if alive[u]:
-                    deg[u] -= 1
-
-        while remaining:
-            k = max(k for k in remaining
-                    if deg[self.vertex_of_slot(k)] <= 1 and alive[self.vertex_of_slot(k)])
+        while leaves:
+            k = max(leaves)
+            leaves.remove(k)
             peeled.append(k)
-            remaining.discard(k)
-            remove(self.vertex_of_slot(k))
-            changed = True
-            while changed:  # prune trivial vertices left as leaves of the hull
-                changed = False
-                for v in range(self.num_vertices):
-                    if alive[v] and self.slot_of[v] == 0 and deg[v] <= 1:
-                        remove(v)
-                        changed = True
+            alive[vertex[k]] = False
+            stack = [vertex[k]]
+            while stack:  # prune the trivial vertices the removal leaves as hull leaves
+                for u, _ in adj[stack.pop()]:
+                    if alive[u]:
+                        deg[u] -= 1
+                        if deg[u] > 1:
+                            continue
+                        if slot_of[u]:
+                            leaves.add(slot_of[u])
+                        else:
+                            alive[u] = False
+                            stack.append(u)
         return tuple(reversed(peeled))
 
     def canonical_key(self) -> tuple:

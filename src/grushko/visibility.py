@@ -14,11 +14,14 @@ between their vertices, an edge bitmask in TreeShape.segment_masks, and
 the labels are distinct iff those masks are pairwise disjoint.  Tests
 check this route against the lazy bs_path search.
 
-The searches run on letter tuples, with no Word per candidate: each
-b = g y g^-1 comes from words._conjugate_letters and its class from
-factors._path, and visible_classes checks b with _walk, the letter walk of
-is_visible.  Only the public entry points validate: is_visible its factor,
-and MarkedTree the marking that the searches start from.
+The searches and certification run on letter tuples, with no Word per
+candidate: each b = g y g^-1 comes from words._conjugate_letters and its
+class from factors._path, and certify_partial_basis reads each core path
+with _path and makes a Word only of each basis member it returns.  Inputs
+are validated where they enter: Word and MarkedTree (the marking that the
+searches start from) when built, is_visible its factor, and
+certify_partial_basis its classes (core collisions, is_visible unless
+VisibleIn this tree) and, through is_basis, its result.
 """
 
 from __future__ import annotations
@@ -28,8 +31,8 @@ from dataclasses import dataclass
 from itertools import product
 
 from .words import (NotInvolutionError, RankMismatchError, Word, _conjugate_letters,
-                    _reduce_into, conjugate, reduce)
-from .factors import CanonicalClass, VisibleIn, W2Factor, _path, core_path
+                    _reduce_into, reduce)
+from .factors import CanonicalClass, VisibleIn, W2Factor, _path
 from .trees import MarkedTree
 from . import membership
 
@@ -52,17 +55,6 @@ def _walk(tree: MarkedTree, x: tuple[int, ...], y: tuple[int, ...]) -> list[int]
     return [ja, *h, jb]
 
 
-def _disjoint(masks: Sequence[Sequence[int]], walk: Sequence[int]) -> bool:
-    """True iff the segments masks[a][b] of consecutive slots a, b of the
-    walk are pairwise disjoint."""
-    used = 0
-    for a, b in zip(walk, walk[1:]):
-        if used & masks[a][b]:
-            return False
-        used |= masks[a][b]
-    return True
-
-
 def is_visible(tree: MarkedTree, f: W2Factor | CanonicalClass) -> bool:
     """True iff the fixed-point path meets each edge orbit at most once.
 
@@ -76,7 +68,14 @@ def is_visible(tree: MarkedTree, f: W2Factor | CanonicalClass) -> bool:
             raise NotInvolutionError(f"{w} is not an involution")
         if w.rank != tree.n:
             raise RankMismatchError(f"rank mismatch: {w.rank} vs {tree.n}")
-    return _disjoint(tree.shape.segment_masks, _walk(tree, a.letters, b.letters))
+    masks = tree.shape.segment_masks
+    walk = _walk(tree, a.letters, b.letters)
+    used = 0
+    for r, s in zip(walk, walk[1:]):
+        if used & masks[r][s]:
+            return False
+        used |= masks[r][s]
+    return True
 
 
 def _interior_stops(tree: MarkedTree, x: int, y: int) -> list[int]:
@@ -118,17 +117,24 @@ def visible_classes(tree: MarkedTree, i: int) -> VisibleFamily:
     b_x g gives its conjugate by b_x = a, whose class and visibility are
     the same.  So the 2^(p-2) interior subproducts give every class that
     the 2^p segment conjugators give.
+
+    Every candidate is visible, so no walk is checked.  g takes the
+    interior stops S it uses in path order, distinct slots, so its marking
+    letters are S, and the slot walk of <a, g y g^-1> is x, S, y, up to an
+    empty step y, y.  Those are marked vertices in order along the one
+    tree path from x to y, so consecutive steps cover consecutive pieces
+    of it, and their segment masks are disjoint.  c01 compares the family
+    with the exhaustive visible_classes_brute.
     """
     n = tree.n
     if 2 * i > n or i < 1:
         raise ValueError(f"pair index {i} out of range for rank {n}")
-    masks = tree.shape.segment_masks
     a = tree.marking_word(2 * i - 1).letters
     y = tree.marking_word(2 * i).letters
     paths = set()
     for g in _subproducts(tree, _interior_stops(tree, 2 * i - 1, 2 * i)):
         b = _conjugate_letters(y, g)
-        if b != a and _disjoint(masks, _walk(tree, a, b)):
+        if b != a:
             paths.add(_path(a, b))
     cert = VisibleIn(tree)
     classes = sorted((CanonicalClass(p, n, cert) for p in paths), key=CanonicalClass.key)
@@ -213,13 +219,18 @@ def certify_partial_basis(tree: MarkedTree, classes) -> tuple[Word, ...]:
     classes on disjoint cores form a partial basis; it raises
     CertificationError when a class is not visible here, on core
     collisions, and when the result fails is_basis.  A class certified
-    VisibleIn this very tree object (as visible_classes returns them)
-    already passed is_visible here and is not checked again.
+    VisibleIn this very tree object, as both searches return them, is not
+    checked with is_visible again.  visible_classes_brute keeps only
+    visible walks, and visible_classes checks none: its docstring shows
+    that every class it makes is visible.  A forged certificate still
+    meets the final is_basis.
 
     Each conjugator is read off the class's core path.  In marking letters
-    the class has the core path (i, v, j) (core_path), {i, j} = {alpha,
-    beta}, so it is <b_alpha, g b_beta g^-1> for g the marking product of v,
-    read backwards when i = beta, and y_beta = g b_beta g^-1.  Why the
+    the class has the core path (i, v, j), read by factors._path off the
+    letters of its pair (rewritten by in_marking_letters unless the marking
+    is standard), with {i, j} = {alpha, beta}.  So it is
+    <b_alpha, g b_beta g^-1> for g the marking product of v, read backwards
+    when i = beta, and y_beta = g b_beta g^-1.  Why the
     prefix property holds: the slot walk of a visible class, r, h, s with
     {r, s} = {alpha, beta} (_walk), has pairwise disjoint segments.
     Leaving out the empty steps that a leading r or a trailing s of h makes,
@@ -234,7 +245,7 @@ def certify_partial_basis(tree: MarkedTree, classes) -> tuple[Word, ...]:
     order = tree.shape.adapted_order
     pos = {slot: i for i, slot in enumerate(order)}
     used: set[int] = set()
-    conjugators: dict[int, Word] = {}
+    conjugators: dict[int, tuple[int, ...]] = {}
     for cls in classes:
         r, s = cls.cores()
         if r == s:
@@ -245,14 +256,20 @@ def certify_partial_basis(tree: MarkedTree, classes) -> tuple[Word, ...]:
         trusted = isinstance(cls.certificate, VisibleIn) and cls.certificate.tree is tree
         if not trusted and not is_visible(tree, cls):
             raise CertificationError(f"{cls} is not visible in this tree")
-        i, v, j = core_path(tree.in_marking_letters(cls.a), tree.in_marking_letters(cls.b))
-        if pos[i] < pos[j]:
-            conjugators[j] = tree.marking_product(v)
+        if tree.standard:
+            i, v, j = cls.path
+            x, y = (i,), v + (j,) + v[::-1]
         else:
-            conjugators[i] = tree.marking_product(v[::-1])
+            x = tree.in_marking_letters(cls.a).letters
+            y = tree.in_marking_letters(cls.b).letters
+        i, v, j = _path(x, y)
+        if pos[i] > pos[j]:
+            i, v, j = j, v[::-1], i
+        # v is reduced, so in the standard marking it spells g itself
+        conjugators[j] = v if tree.standard else tree.marking_letters(v)
 
-    out = tuple(conjugate(tree.marking_word(k), conjugators[k]) if k in conjugators
-                else tree.marking_word(k) for k in order)
+    out = tuple(Word(_conjugate_letters(tree.marking_word(k).letters, conjugators[k]), tree.n)
+                if k in conjugators else tree.marking_word(k) for k in order)
     if not membership.is_basis(list(out)):
         raise CertificationError("constructed tuple fails the basis check")
     return out
