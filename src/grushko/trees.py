@@ -26,7 +26,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
-from .words import Word, _reduce_into, generators, involution_core, parse, reduce
+from .words import Word, _reduce_into, generators, involution_core, parse
 from .jsoncheck import check
 from . import membership
 
@@ -239,7 +239,7 @@ class MarkedTree:
     """A tree shape plus a marking: slot j carries an involution with core x_j.
 
     What depends on the shape alone (segment masks, the adapted order) is
-    cached on the shape.  in_marking_letters and marking_product translate
+    cached on the shape.  in_marking_letters and marking_letters translate
     between words in x_1..x_n and words in the marking involutions.
     """
 
@@ -282,10 +282,6 @@ class MarkedTree:
         """Reduced letters of the product b_{k_1} ... b_{k_m} of the marking
         involutions of the slots."""
         return tuple(_reduce_into([], [x for k in slots for x in self.marking[k - 1].letters]))
-
-    def marking_product(self, slots) -> Word:
-        """The product b_{k_1} ... b_{k_m} of the marking involutions of the slots."""
-        return reduce(self.marking_letters(slots), self.n)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, MarkedTree) and self.shape == other.shape

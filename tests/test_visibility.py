@@ -56,7 +56,7 @@ def segment_conjugators(tree, x, y):
     2^p subproducts b_1^{e_1} ... b_p^{e_p}.
     """
     slots = [x, *_interior_stops(tree, x, y), y]
-    return [tree.marking_product([s for k, s in enumerate(slots) if e >> k & 1])
+    return [reduce(tree.marking_letters([s for k, s in enumerate(slots) if e >> k & 1]), tree.n)
             for e in range(2 ** len(slots))]
 
 
