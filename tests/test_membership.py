@@ -246,6 +246,47 @@ def test_is_basis_examples():
         is_basis(gens[:3])
 
 
+def test_is_basis_error_contract():
+    """No candidates is not a basis; a wrong count and mixed ranks raise,
+    the rank check winning over the involution check; a non-involution
+    is not a basis."""
+    assert is_basis([]) is False
+    with pytest.raises(ValueError, match="expected 3 candidates, got 2"):
+        is_basis([W("x1", 3), W("x2", 3)])
+    with pytest.raises(ValueError, match="expected 2 candidates, got 3"):
+        is_basis([W("x1", 2), W("x2", 2), W("x1", 2)])
+    for odd in (W("x3", 4), W("x1.x2", 4), W("x1.x2.x3", 4)):
+        with pytest.raises(RankMismatchError, match="generators of mixed rank"):
+            is_basis([W("x1", 3), W("x2", 3), odd])
+        with pytest.raises(RankMismatchError, match="generators of mixed rank"):
+            is_basis([W("x1", 3), odd, W("x1.x2", 3)])
+    for bad in (identity(3), W("x1.x2", 3), W("x1.x2.x3.x1", 3)):
+        assert is_basis([W("x1", 3), W("x2", 3), bad]) is False
+        assert is_basis([bad, W("x2", 3), W("x3", 3)]) is False
+    assert is_basis([W("x1", 3), W("x2", 3), W("x1.x3.x1", 3)]) is True
+
+
+def test_make_automorphism_not_basis_errors():
+    """A wrong count, a non-involution (ahead of the rank check) and
+    involutions that do not generate raise NotBasisError; involutions of
+    mixed rank raise RankMismatchError."""
+    with pytest.raises(NotBasisError, match="need 3 images, got 2"):
+        make_automorphism([W("x1", 3), W("x2", 3)])
+    for bad in (identity(3), W("x1.x2", 3), W("x1.x2", 4)):
+        with pytest.raises(NotBasisError, match="images must be involutions"):
+            make_automorphism([W("x1", 3), W("x2", 3), bad])
+    with pytest.raises(RankMismatchError, match="images of mixed rank"):
+        make_automorphism([W("x1", 3), W("x2", 3), W("x3", 4)])
+    for images in ([W("x1", 3), W("x1", 3), W("x3", 3)],
+                   [W("x1", 3), W("x2", 3), W("x3.x1.x3", 3)],
+                   [W("x1", 3), W("x2", 3), W("x1.x3.x2.x3.x1", 3)],
+                   [W("x2.x1.x2", 2), W("x1.x2.x1", 2)]):
+        with pytest.raises(NotBasisError, match="images do not generate W_n"):
+            make_automorphism(images)
+    assert is_basis([W("x1", 3), W("x2", 3), W("x3.x1.x3", 3)]) is False
+    assert is_basis([W("x2.x1.x2", 2), W("x1.x2.x1", 2)]) is False
+
+
 def test_is_basis_reads_the_fold_basepoint():
     """is_basis reads the basepoint mirrors off the unrelabeled folder; the
     answer is that of the relabeled core, on descent bases, on those bases
