@@ -1,4 +1,4 @@
-"""Stallings-style folding over the standard splitting of W_n.
+"""Stallings-style folding over the standard splitting of W_n, and bases.
 
 A subgroup H <= W_n acts on the Bass-Serre tree of the splitting
 W_n = <x_1> * ... * <x_n>.  The folded core is the quotient of the union of
@@ -11,7 +11,7 @@ reading letter j there bounces instead of moving.
 Membership: a reduced word w lies in H iff reading it from the basepoint
 stays inside the core and returns to the basepoint.
 
-(h) Inverse automorphisms need no folding.  Write involutions as
+(h) Bases and inverse automorphisms need no folding.  Write involutions as
     y_i = p_i x_{j_i} p_i^-1.  If no p_k begins with p_i x_{j_i}, the
     prefix trie of the p_i with a mirror j_i at the end of each is already
     folded, so it is the core of <y>, and that is W_n only when every p_i
@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from .words import (
     Word,
     RankMismatchError,
+    _conjugate_letters,
     _reduce_into,
     conjugate,
     generators,
@@ -93,10 +94,7 @@ class _Folder:
 
     Queued events are edges (u, j, v) and mirrors (u, j, None), named by
     possibly stale vertex ids.  Edges and mirrors are stored only at
-    union-find roots, each edge at both of its ends.  Before the run,
-    involutions are spelled into a prefix trie at the basepoint (see
-    add_involution), which needs no folding, so only their mirrors and the
-    letters of other generators are queued.
+    union-find roots, each edge at both of its ends.
     """
 
     def __init__(self):
@@ -104,7 +102,6 @@ class _Folder:
         self.adj: list[dict[int, int]] = [{}]
         self.mirrors: list[set[int]] = [set()]
         self.queue: deque = deque()
-        self.loops = 0  # generators queued as loops, not as involutions
 
     def find(self, u: int) -> int:
         root = u
@@ -120,27 +117,6 @@ class _Folder:
         self.adj.append({})
         self.mirrors.append(set())
         return v
-
-    def add_involution(self, g: Word):
-        """Spell the prefix p of the involution g = p x_j p^-1 into the trie
-        at the basepoint and queue the mirror j at its end.
-
-        Call it before run().  The trie follows the edges already there, so
-        a vertex has at most one edge per label (p is reduced, so no child
-        repeats its parent's label): a reduced trie is already folded, and
-        queueing its edges one by one would fold to the same core.
-        """
-        letters, adj = g.letters, self.adj
-        half = len(letters) // 2
-        u = 0
-        for a in letters[:half]:
-            v = adj[u].get(a)
-            if v is None:
-                v = self.new_vertex()
-                adj[u][a] = v
-                adj[v][a] = u
-            u = v
-        self.queue.append((u, letters[half], None))
 
     def _detach(self, u: int, j: int) -> int:
         """Remove the j-edge at root u from both ends; its far root."""
@@ -190,30 +166,6 @@ class _Folder:
                 adj[v][j] = u
 
 
-def _folded(gens: list[Word]) -> _Folder:
-    """The folder of the generators, run to completion (see fold).
-
-    Each generator's palindrome is tested once: the involutions go into the
-    trie, and the rest, the identity included, are counted in `loops`.
-    """
-    rank = gens[0].rank if gens else 1
-    f = _Folder()
-    for g in gens:
-        if g.rank != rank:
-            raise RankMismatchError("generators of mixed rank")
-        if g.is_involution:
-            f.add_involution(g)
-        else:
-            f.loops += 1
-            u = 0
-            for i, a in enumerate(g.letters):
-                v = 0 if i == len(g.letters) - 1 else f.new_vertex()
-                f.queue.append((u, a, v))
-                u = v
-    f.run()
-    return f
-
-
 def fold(gens: list[Word]) -> CoreGraph:
     """Fold the wedge of paths/loops spelling the generators into the core.
 
@@ -221,7 +173,23 @@ def fold(gens: list[Word]) -> CoreGraph:
     mirror j at its far end; other generators contribute loops at the
     basepoint.  The result is independent of fold order.
     """
-    f = _folded(gens)
+    rank = gens[0].rank if gens else 1
+    f = _Folder()
+    for g in gens:
+        if g.rank != rank:
+            raise RankMismatchError("generators of mixed rank")
+        letters, mirror = g.letters, None
+        if g.is_involution:
+            half = len(letters) // 2
+            letters, mirror = letters[:half], letters[half]
+        u = 0
+        for i, a in enumerate(letters):
+            v = 0 if mirror is None and i == len(letters) - 1 else f.new_vertex()
+            f.queue.append((u, a, v))
+            u = v
+        if mirror is not None:
+            f.queue.append((u, mirror, None))
+    f.run()
 
     # canonical relabeling by BFS from the basepoint, labels in letter order
     root = f.find(0)
@@ -242,7 +210,7 @@ def fold(gens: list[Word]) -> CoreGraph:
     for u, uu in order.items():
         for j, v in f.adj[u].items():
             adj[uu][j] = order[f.find(v)]
-    return CoreGraph(gens[0].rank if gens else 1, adj, mirrors)
+    return CoreGraph(rank, adj, mirrors)
 
 
 def read(core: CoreGraph, w: Word) -> tuple[int, tuple[int, ...]]:
@@ -273,30 +241,52 @@ def contains(core: CoreGraph, w: Word) -> bool:
     return read(core, w) == (core.basepoint, ())
 
 
-def is_basis(candidates: list[Word]) -> bool:
-    """True iff n involutions generate W_n, read off one fold.
+# ---------------------------------------------------------------------------
+# bases and automorphisms
+# ---------------------------------------------------------------------------
 
-    (d') x_j lies in a subgroup iff j is a mirror at the basepoint (run()
-    turns a j-loop into a mirror), so the subgroup is W_n iff the basepoint
-    carries all n mirrors.  n involutions that generate W_n always form a
-    free basis (Grushko/Kurosh rank count -- a stated dependency of this
-    package, exercised only in this direction), so generation is the whole
-    check.  The basepoint's mirrors are read straight off the folder, with
-    no relabeling, and a candidate that is not an involution shows up in
-    the folder's `loops`.
+def _nielsen(ys: list[tuple[int, ...]]) -> list[tuple[int, int]]:
+    """Apply the moves (h) to the involution letter tuples ys in place until
+    none applies; returns the moves (i, k), y_k <- y_i y_k y_i, in order.
+
+    Each move shortens y_k by two letters, so the loop ends; ys must be
+    involutions, since for others a move can lengthen y_k without end.
+    """
+    moves = []
+    moved = True
+    while moved:
+        moved = False
+        for i, yi in enumerate(ys):
+            head = yi[:len(yi) // 2 + 1]  # p_i x_{j_i}
+            for k, yk in enumerate(ys):
+                if len(yk) > len(yi) and yk[:len(head)] == head:
+                    ys[k] = _conjugate_letters(yk, yi)
+                    moves.append((i, k))
+                    moved = True
+    return moves
+
+
+def is_basis(candidates: list[Word]) -> bool:
+    """True iff the candidates are n involutions forming a basis of W_n.
+
+    Decided by the moves (h), which end at a permutation of the
+    generators exactly for a basis.  No candidates is not a basis; a
+    count other than the rank of the first raises ValueError, and mixed
+    ranks raise RankMismatchError.
     """
     if not candidates:
         return False
     n = candidates[0].rank
     if len(candidates) != n:
         raise ValueError(f"expected {n} candidates, got {len(candidates)}")
-    f = _folded(candidates)
-    return not f.loops and len(f.mirrors[f.find(0)]) == n
+    if any(c.rank != n for c in candidates):
+        raise RankMismatchError("generators of mixed rank")
+    if not all(c.is_involution for c in candidates):
+        return False
+    ys = [c.letters for c in candidates]
+    _nielsen(ys)
+    return sorted(ys) == [(j,) for j in range(1, n + 1)]
 
-
-# ---------------------------------------------------------------------------
-# automorphisms
-# ---------------------------------------------------------------------------
 
 def _apply_images(images: tuple[Word, ...], w: Word) -> Word:
     stack: list[int] = []
@@ -326,10 +316,9 @@ class Automorphism:
 def make_automorphism(images: list[Word] | tuple[Word, ...]) -> Automorphism:
     """Build an automorphism from n involution images.
 
-    The inverse comes from Nielsen moves (h): each move y_k <- y_i y_k y_i
-    is applied also to the word w_k in the abstract letters with
-    phi(w_k) = y_k, so when the y end at the generators, w_k is the
-    inverse image of y_k.
+    The inverse comes from the moves (h): each move y_k <- y_i y_k y_i is
+    replayed on the word w_k in the abstract letters with phi(w_k) = y_k,
+    so when the y end at the generators, w_k is the inverse image of y_k.
     """
     images = tuple(images)
     n = images[0].rank
@@ -339,21 +328,13 @@ def make_automorphism(images: list[Word] | tuple[Word, ...]) -> Automorphism:
         raise NotBasisError("images must be involutions")
     if any(b.rank != n for b in images):
         raise RankMismatchError("images of mixed rank")
-    ys = list(images)
+    ys = [b.letters for b in images]
     ws = list(generators(n))
-    moved = True
-    while moved:
-        moved = False
-        for i, yi in enumerate(ys):
-            head = yi.letters[:len(yi) // 2 + 1]  # p_i x_{j_i}
-            for k, yk in enumerate(ys):
-                if len(yk) > len(yi) and yk.letters[:len(head)] == head:
-                    ys[k] = conjugate(yk, yi)
-                    ws[k] = conjugate(ws[k], ws[i])
-                    moved = True
-    if sorted(y.letters for y in ys) != [(j,) for j in range(1, n + 1)]:
+    for i, k in _nielsen(ys):
+        ws[k] = conjugate(ws[k], ws[i])
+    if sorted(ys) != [(j,) for j in range(1, n + 1)]:
         raise NotBasisError("images do not generate W_n")
-    inverse_images = tuple(w for _, w in sorted(zip(ys, ws), key=lambda yw: yw[0].letters))
+    inverse_images = tuple(w for _, w in sorted(zip(ys, ws), key=lambda yw: yw[0]))
     return Automorphism(images, inverse_images)
 
 

@@ -170,14 +170,10 @@ def check_fiber(tree: MarkedTree) -> None:
     if any(s == 0 for s in sizes):
         raise CheckFailure(f"empty visible family in {tree!r}")
     target = join_poset(list(sizes))
-    mapping = {}
-    for element in fiber.elements:
-        key = frozenset(
-            (fam_i, fam.classes.index(cls))
-            for cls in element
-            for fam_i, fam in enumerate(fiber.families)
-            if cls in fam.classes)
-        mapping[element] = key
+    slot = {cls: (fam_i, idx) for fam_i, fam in enumerate(fiber.families)
+            for idx, cls in enumerate(fam.classes)}
+    mapping = {element: frozenset(slot[cls] for cls in element)
+               for element in fiber.elements}
     poset = Poset.by_inclusion(fiber.elements)
     if not poset.isomorphic_via(target, mapping):
         raise CheckFailure(f"fiber of {tree!r} is not the selection poset {sizes}")
@@ -264,7 +260,7 @@ def check_unpaired(n: int, radius: int) -> dict:
 def check_4_unpaired_components(config: RunConfig) -> dict:
     """The rank-4 unpaired complex splits into the three pairings."""
     details = {}
-    for L in (0, config.radius):
+    for L in sorted({0, config.radius}):
         got = check_unpaired(4, L)
         details[f"radius_{L}"] = {"elements": got["elements"], "components": got["components"]}
     return details
@@ -389,6 +385,10 @@ def check_9_embedding_coherence(config: RunConfig) -> dict:
         psi = semidirect_embed(v, g3)
         if not is_basis(list(phi.images)) or not is_basis(list(psi.images)):
             raise CheckFailure("embedding output fails the basis check")
+        # the inverse round trip proves generation without rerunning the moves
+        if any(f(f.inverse_images[j]) != x for f in (phi, psi)
+               for j, x in enumerate(generators(n))):
+            raise CheckFailure("embedding inverse images do not map back to the generators")
         twisted = tuple(u[i] * reduce(f3(reduce(v[i].letters, 3)).letters, n)
                         for i in range(n - 3))
         rhs = semidirect_embed(twisted, compose(f3, g3))

@@ -22,11 +22,9 @@ from grushko.membership import (
     make_automorphism,
     read,
     semidirect_embed,
-    _Folder,
 )
 from grushko.factors import core_path
 from grushko.basis_complex import _Descent, _retraction_generates
-from letter_fold import add_involution_by_letters
 
 W = parse
 
@@ -200,39 +198,6 @@ def test_fold_confluent():
         assert fold(o1) == fold(o2)
 
 
-def _generator_sets(rng, count):
-    """Seeded generator sets: involutions whose prefixes share stems, mixed
-    with loops (random words, the identity and odd palindromes among them)."""
-    for _ in range(count):
-        n = rng.randint(2, 5)
-        stems = [random_reduced_word(rng, n, rng.randrange(0, 4)) for _ in range(2)]
-        gens = []
-        for _ in range(rng.randint(1, 5)):
-            if rng.random() < 0.7:
-                p = rng.choice(stems) * random_reduced_word(rng, n, rng.randrange(0, 3))
-                gens.append(conjugate(generators(n)[rng.randrange(n)], p))
-            else:
-                gens.append(random_reduced_word(rng, n, rng.randrange(0, 7)))
-        yield gens
-
-
-def test_trie_seeded_fold_equals_letter_events(monkeypatch):
-    """Spelling involution prefixes into a trie folds to the same core as
-    queueing one event per letter (letter_fold.py)."""
-    rng = random.Random(53)
-    sets = list(_generator_sets(rng, 2500))
-    trie = [fold(gens) for gens in sets]
-    monkeypatch.setattr(_Folder, "add_involution", add_involution_by_letters)
-    shared = looped = 0
-    for gens, core in zip(sets, trie):
-        ref = fold(gens)
-        assert (core.adj, core.mirrors) == (ref.adj, ref.mirrors), gens
-        heads = [g.letters[0] for g in gens if g.is_involution and len(g) > 1]
-        shared += len(heads) > len(set(heads))
-        looped += any(not g.is_involution for g in gens)
-    assert shared >= 800 and looped >= 1000, (shared, looped)
-
-
 def test_is_basis_examples():
     gens = list(generators(4))
     assert is_basis(gens)
@@ -288,9 +253,9 @@ def test_make_automorphism_not_basis_errors():
 
 
 def test_is_basis_reads_the_fold_basepoint():
-    """is_basis reads the basepoint mirrors off the unrelabeled folder; the
-    answer is that of the relabeled core, on descent bases, on those bases
-    with one member conjugated by a random word, and on random involutions."""
+    """is_basis (the moves (h)) answers as the fold's basepoint does, all n
+    mirrors there, on descent bases, on those bases with one member
+    conjugated by a random word, and on random involutions."""
     rng = random.Random(41)
     seen = {True: 0, False: 0}
     for _ in range(300):
@@ -356,8 +321,9 @@ def _random_automorphism(rng, n):
 
 
 def test_nielsen_moves_agree_with_folding():
-    """make_automorphism (Nielsen moves, no folding) and is_basis (folding)
-    decide "is a basis" by separate routes.
+    """is_basis and make_automorphism (the moves (h)) decide "is a basis"
+    as folding does: n involutions whose fold has all n mirrors at the
+    basepoint.
 
     Bases come from random moves and permutations, the other tuples from
     random cores and conjugators of length <= 3 (a few of them bases too).
@@ -371,7 +337,9 @@ def test_nielsen_moves_agree_with_folding():
         else:
             images = [conjugate(x, random_reduced_word(rng, n, rng.randrange(0, 4)))
                       for x in rng.choices(generators(n), k=n)]
-        ok = is_basis(images)
+        ok = (all(y.is_involution for y in images)
+              and len(fold(images).mirrors[0]) == n)
+        assert is_basis(images) == ok, images
         try:
             phi = make_automorphism(images)
         except NotBasisError:

@@ -1,5 +1,6 @@
 """The per-item bodies of c01-c04: the figures they return and the failures
-they raise.  The criteria themselves are pinned in tests/test_acceptance.py."""
+they raise; and which radii c04 builds and what c09's inverse check
+catches.  The criteria themselves are pinned in tests/test_acceptance.py."""
 
 import dataclasses
 
@@ -85,3 +86,28 @@ def test_check_unpaired_fails_on_a_replaced_basis_member(monkeypatch):
     monkeypatch.setattr(verify, "build_unpaired_radius", replaced)
     with pytest.raises(CheckFailure, match="certificate of .* does not check"):
         check_unpaired(4, 0)
+
+
+def test_check_4_builds_each_radius_once(monkeypatch):
+    real = verify.check_unpaired
+    radii = []
+    monkeypatch.setattr(verify, "check_unpaired", lambda n, r: radii.append(r) or real(n, r))
+    assert list(verify.check_4_unpaired_components(verify.RunConfig(radius=0))) == ["radius_0"]
+    assert radii == [0]
+    verify.check_4_unpaired_components(verify.RunConfig(radius=1))
+    assert radii == [0, 0, 1]
+
+
+def test_check_9_fails_on_a_wrong_inverse(monkeypatch):
+    """The inverse round trip catches what is_basis on the images cannot."""
+    real = verify.semidirect_embed
+
+    def swapped(wtuple, phi3):
+        phi = real(wtuple, phi3)
+        inv = phi.inverse_images
+        return dataclasses.replace(phi, inverse_images=(inv[1], inv[0], *inv[2:]))
+
+    verify.check_9_embedding_coherence(verify.RunConfig())
+    monkeypatch.setattr(verify, "semidirect_embed", swapped)
+    with pytest.raises(CheckFailure, match="inverse images do not map back"):
+        verify.check_9_embedding_coherence(verify.RunConfig())
