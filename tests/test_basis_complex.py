@@ -1,6 +1,7 @@
 import functools
 import hashlib
 import itertools
+import json
 import random
 
 import pytest
@@ -25,6 +26,7 @@ from grushko.factors import (
 )
 from grushko.membership import is_basis
 from grushko.topology import betti, components
+from grushko.visibility import CertificationError
 from grushko.trees import MarkedTree, caterpillar, collapse, enumerate_shapes, standard_marking
 
 from grushko import basis_complex
@@ -164,6 +166,79 @@ def test_unpaired_output_is_pinned(build, complex_digest, report_digest):
     assert hashlib.sha256(sub.to_json().encode()).hexdigest() == complex_digest
     assert hashlib.sha256(connectivity_report(sub).to_json().encode()).hexdigest() \
         == report_digest
+
+
+# sha256 of the JSON list of every class's completing-basis letters, in the
+# build's class order; to_json carries no certificates
+CERTIFICATE_DIGESTS = {
+    (3, 0): "cbcba35f38a85b5f68f9cc17578a27ce82e03bb1da6c0d1d17e3476a4d41229a",
+    (3, 1): "a41f6f78103286d9cadda6d38767d9cf6e87c39d723d72272aa131515744ec96",
+    (3, 2): "b32e6c4fc430635b94283914082592bec34bc7fccd98254a3d92fbc263082dd4",
+    (3, 3): "237948ffdce4717dc9e0db23984cfaa932f32a5a3355f4fdd216247e3abe0060",
+    (3, 4): "403e74f50e0a5906cb7e2fc0b3cf901236de73029ad26df75c29fbd0e25a9230",
+    (4, 0): "3a4dfb6857a34cdecffffa56005a1def6f879bc9d662c4eb73d217d26e2d2462",
+    (4, 1): "2f11d742b2bbd4db0ca3f54fda49e3eab0930e5c0a4390dfe28877afc4d629bf",
+    (4, 2): "d2d35b6bf7f99ff4b711f3ccd36a73c284f9b311d6ebb12966bdb68e1441012f",
+    (5, 0): "fc6a5b8c0dc03b1ed36456d02c0d229c03487d41355cb79039b14b23e8834a12",
+    (5, 1): "3a6912392e3428cd638527b08e773d315888b3084104d449c647b01557157f24",
+}
+
+
+@pytest.mark.parametrize("build", [b for b, _, _ in UNPAIRED_DIGESTS], ids="{0[0]}-{0[1]}".format)
+def test_unpaired_certificates_are_pinned(build):
+    """The letters of every class's completing basis, member by member."""
+    letters = [[list(w.letters) for w in c.certificate.basis] for c in _unpaired(*build).classes]
+    assert hashlib.sha256(json.dumps(letters).encode()).hexdigest() == CERTIFICATE_DIGESTS[build]
+
+
+def _perturb_descents(monkeypatch, perturb):
+    """Pass every basis that descent returns through perturb(system, basis)."""
+    descend = basis_complex._Descent.descend
+
+    def patched(self, system):
+        basis = descend(self, system)
+        return None if basis is None else perturb(system, basis)
+
+    monkeypatch.setattr(basis_complex._Descent, "descend", patched)
+
+
+def test_build_refuses_a_class_basis_off_its_class(monkeypatch):
+    """A single-class basis with member j conjugated by a generator off the
+    cores i and j does not conjugate onto <x_i, v x_j v^-1>."""
+    def perturb(system, basis):
+        if len(system) == 1:
+            (i, _, j), = system
+            k = min(set(range(1, len(basis) + 1)) - {i, j})
+            basis[j - 1] = conjugate(basis[j - 1], generator(k, len(basis)))
+        return basis
+
+    _perturb_descents(monkeypatch, perturb)
+    with pytest.raises(CertificationError, match="does not conjugate onto"):
+        build_unpaired_radius(3, 0)
+
+
+def test_build_refuses_a_combination_basis_that_is_no_basis(monkeypatch):
+    """A combination's basis whose free member repeats a paired one still
+    holds every path of the system, but it is no basis."""
+    def perturb(system, basis):
+        if len(system) > 1:
+            paired = {c for i, _, j in system for c in (i, j)}
+            free = min(set(range(1, len(basis) + 1)) - paired)
+            basis[free - 1] = basis[system[0][0] - 1]
+        return basis
+
+    _perturb_descents(monkeypatch, perturb)
+    with pytest.raises(CertificationError, match="does not hold"):
+        build_unpaired_radius(5, 0)
+
+
+def test_build_refuses_a_combination_basis_on_the_wrong_paths(monkeypatch):
+    """A combination's basis in reverse order is a basis, but its members
+    i and j hold another class."""
+    _perturb_descents(monkeypatch,
+                      lambda system, basis: basis[::-1] if len(system) > 1 else basis)
+    with pytest.raises(CertificationError, match="does not hold"):
+        build_unpaired_radius(4, 0)
 
 
 FIXTURE_DIGESTS = [

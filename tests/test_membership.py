@@ -5,6 +5,7 @@ import pytest
 
 from grushko.words import (
     RankMismatchError,
+    _conjugate_letters,
     conjugate,
     generators,
     identity,
@@ -15,6 +16,7 @@ from grushko.words import (
 )
 from grushko.membership import (
     NotBasisError,
+    _nielsen,
     compose,
     contains,
     fold,
@@ -23,7 +25,7 @@ from grushko.membership import (
     read,
     semidirect_embed,
 )
-from grushko.factors import core_path
+from grushko.factors import core_path, strip
 from grushko.basis_complex import _Descent, _retraction_generates
 
 W = parse
@@ -277,6 +279,57 @@ def test_is_basis_reads_the_fold_basepoint():
         assert got == (len(fold(cands).mirrors[0]) == n), cands
         seen[got] += 1
     assert min(seen.values()) > 50, seen
+
+
+def _nielsen_scan(ys):
+    """The moves (h) by the plain scan, with no fast path: the reference
+    for _nielsen's moves, their order and the tuples they leave."""
+    moves = []
+    moved = True
+    while moved:
+        moved = False
+        for i, yi in enumerate(ys):
+            head = yi[:len(yi) // 2 + 1]
+            for k, yk in enumerate(ys):
+                if len(yk) > len(yi) and yk[:len(head)] == head:
+                    ys[k] = _conjugate_letters(yk, yi)
+                    moves.append((i, k))
+                    moved = True
+    return moves
+
+
+def test_nielsen_matches_the_plain_scan():
+    """_nielsen makes the plain scan's moves in its order and leaves the same
+    tuples, at ranks 2-5: on descent bases, on those bases with one member
+    conjugated by a random word, and on random involutions."""
+    rng = random.Random(43)
+    descents = {n: _Descent(n) for n in range(2, 6)}
+    seen = {"basis": 0, "perturbed": 0, "random": 0, "moves by a generator": 0}
+    for _ in range(600):
+        n = rng.randint(2, 5)
+        kind = rng.choice(["basis", "perturbed", "random"])
+        ys = None
+        if kind != "random":
+            i, j = rng.sample(range(1, n + 1), 2)
+            v = random_reduced_word(rng, n, rng.randrange(0, 7)).letters
+            basis = descents[n].descend([strip(i, v, j)])
+            ys = None if basis is None else [w.letters for w in basis]
+        if ys is None:
+            kind = "random"
+            ys = [_conjugate_letters((rng.randint(1, n),),
+                                     random_reduced_word(rng, n, rng.randrange(0, 5)).letters)
+                  for _ in range(n)]
+        elif kind == "perturbed":
+            k = rng.randrange(n)
+            ys[k] = _conjugate_letters(ys[k], random_reduced_word(rng, n, rng.randint(1, 3)).letters)
+        start, ref = list(ys), list(ys)
+        moves = _nielsen(ys)
+        assert (moves, ys) == (_nielsen_scan(ref), ref), start
+        seen[kind] += 1
+        for i, k in moves:
+            seen["moves by a generator"] += len(start[i]) == 1
+            start[k] = _conjugate_letters(start[k], start[i])
+    assert min(seen.values()) > 100, seen
 
 
 def test_is_basis_conjugation_invariant():
