@@ -321,6 +321,8 @@ def make_automorphism(images: list[Word] | tuple[Word, ...]) -> Automorphism:
     so when the y end at the generators, w_k is the inverse image of y_k.
     """
     images = tuple(images)
+    if not images:
+        raise NotBasisError("need n images, got 0")
     n = images[0].rank
     if len(images) != n:
         raise NotBasisError(f"need {n} images, got {len(images)}")

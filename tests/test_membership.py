@@ -234,9 +234,12 @@ def test_is_basis_error_contract():
 
 
 def test_make_automorphism_not_basis_errors():
-    """A wrong count, a non-involution (ahead of the rank check) and
-    involutions that do not generate raise NotBasisError; involutions of
-    mixed rank raise RankMismatchError."""
+    """No images, a wrong count, a non-involution (ahead of the rank check)
+    and involutions that do not generate raise NotBasisError; involutions
+    of mixed rank raise RankMismatchError."""
+    for empty in ([], ()):
+        with pytest.raises(NotBasisError, match="need n images, got 0"):
+            make_automorphism(empty)
     with pytest.raises(NotBasisError, match="need 3 images, got 2"):
         make_automorphism([W("x1", 3), W("x2", 3)])
     for bad in (identity(3), W("x1.x2", 3), W("x1.x2", 4)):
