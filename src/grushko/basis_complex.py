@@ -14,15 +14,15 @@ import itertools
 import json
 from dataclasses import dataclass
 
-from .words import Word, _reduce_into, conjugate, generator, generators, involution_core, reduce
+from .words import Word, _conjugate_letters, _reduce_into, conjugate, generator, reduce
 from .factors import (
     CanonicalClass,
     CompletingBasis,
     Path,
     VisibleIn,
     W2Factor,
+    _path,
     canonical_class,
-    core_path,
     parse_class,
     path_text,
     same_class_oracle,
@@ -162,6 +162,8 @@ class _Descent:
     involution, so the moves s_1..s_r give phi^-1 = s_1...s_r, whose images
     of x_1..x_n hold a conjugate of every class; move t conjugates the image
     of x_k by that of x_m.  A failed descent is no proof (ROADMAP item 5).
+    Bases are built and returned as reduced letter tuples (words._conjugate_letters);
+    the build makes Words only for the bases it stores.
 
     rows[path] holds _move(path, m, k) over the moves (m, k) in order, and
     the |v| of each; it is filled the first time a path is seen.  It is
@@ -172,7 +174,7 @@ class _Descent:
 
     def __init__(self, n: int):
         self.moves = list(itertools.permutations(range(1, n + 1), 2))
-        self.generators = generators(n)
+        self.generators = tuple((j,) for j in range(1, n + 1))
         self.rows: dict[Path, tuple[tuple[Path, ...], tuple[int, ...]]] = {}
         self.fate: dict[tuple[Path, ...], int | None] = {}
 
@@ -190,8 +192,9 @@ class _Descent:
                 return t, lower
         return None
 
-    def descend(self, system: list[Path]) -> list[Word] | None:
-        """A basis of W_n holding a conjugate of every class of system, or None.
+    def descend(self, system: list[Path]) -> list[tuple[int, ...]] | None:
+        """The letters of a basis of W_n holding a conjugate of every class
+        of system, or None.
 
         The memo is exact.  The move chosen at a system depends only on its
         set of paths (the cost is a sum over them), and so does the system
@@ -223,7 +226,7 @@ class _Descent:
         while key in fate:
             t = fate[key]
             m, k = self.moves[t]
-            basis[k - 1] = conjugate(basis[k - 1], basis[m - 1])
+            basis[k - 1] = _conjugate_letters(basis[k - 1], basis[m - 1])
             key = tuple(self.rows[p][0][t] for p in key)
         return basis
 
@@ -264,7 +267,11 @@ def build_unpaired_radius(n: int, radius: int) -> PartialBasisComplex:
     A single class keeps its basis as a CompletingBasis holding cls.a and
     cls.b literally: with basis[i-1] = p x_i p^-1, the basis conjugated by
     p^-1 holds x_i = cls.a and a conjugate of cls.b by 1 or x_i.  A placed
-    combination stores no certificate, so its basis is checked here.
+    combination stores no certificate, so its basis is checked here, with
+    the basis test is_basis runs (membership._is_basis_letters) and the core
+    path of each pair of members (factors._path).  Both checks, like the
+    fix-up, read letter tuples; only the stored bases are made Words, by
+    the checking constructor.
     """
     if radius < 0:
         raise ValueError(f"radius must be >= 0, got {radius}")
@@ -279,13 +286,14 @@ def build_unpaired_radius(n: int, radius: int) -> PartialBasisComplex:
             uncertified.append(path_text(path, n))
             continue
         i, v, j = path
-        b = Word(v + (j,) + v[::-1], n)
-        p = involution_core(basis[i - 1])[1]
-        g = ~p if conjugate(basis[j - 1], ~p) == b else generator(i, n) * ~p
-        held = tuple(conjugate(x, g) for x in basis)
+        b = v + (j,) + v[::-1]
+        g = basis[i - 1][:len(basis[i - 1]) // 2][::-1]  # p^-1
+        if _conjugate_letters(basis[j - 1], g) != b:
+            g = (i,) + g  # reduced, since p x_i p^-1 is
+        held = [_conjugate_letters(x, g) for x in basis]
         if held[j - 1] != b:
             raise CertificationError(f"descent basis does not conjugate onto {path}")
-        cls = CanonicalClass(path, n, CompletingBasis(held))
+        cls = CanonicalClass(path, n, CompletingBasis(tuple(Word(x, n) for x in held)))
         by_mask.setdefault(1 << i | 1 << j, []).append((cls, path))
 
     certified = [c for placed in by_mask.values() for c, _ in placed]
@@ -300,8 +308,8 @@ def build_unpaired_radius(n: int, radius: int) -> PartialBasisComplex:
                 if basis is None:
                     unplaced += 1
                     continue
-                if not membership.is_basis(basis) or any(
-                        core_path(basis[i - 1], basis[j - 1]) != (i, v, j)
+                if not membership._is_basis_letters(basis) or any(
+                        _path(basis[i - 1], basis[j - 1]) != (i, v, j)
                         for _, (i, v, j) in combo):
                     raise CertificationError(
                         f"descent basis does not hold {tuple(c for c, _ in combo)}")

@@ -257,6 +257,16 @@ def _nielsen(ys: list[tuple[int, ...]]) -> list[tuple[int, int]]:
     while moved:
         moved = False
         for i, yi in enumerate(ys):
+            if len(yi) == 1:
+                # y_i = x: the move applies to every y_k = x p' x_j p'^-1 x
+                # and conjugating by x strips its end letters
+                x = yi[0]
+                for k, yk in enumerate(ys):
+                    if yk[0] == x and len(yk) > 1:
+                        ys[k] = yk[1:-1]
+                        moves.append((i, k))
+                        moved = True
+                continue
             head = yi[:len(yi) // 2 + 1]  # p_i x_{j_i}
             for k, yk in enumerate(ys):
                 if len(yk) > len(yi) and yk[:len(head)] == head:
@@ -281,11 +291,17 @@ def is_basis(candidates: list[Word]) -> bool:
         raise ValueError(f"expected {n} candidates, got {len(candidates)}")
     if any(c.rank != n for c in candidates):
         raise RankMismatchError("generators of mixed rank")
-    if not all(c.is_involution for c in candidates):
+    return _is_basis_letters([c.letters for c in candidates])
+
+
+def _is_basis_letters(ys: list[tuple[int, ...]]) -> bool:
+    """True iff the reduced letter tuples ys are involutions forming a basis
+    of W_n, n = len(ys); is_basis after its checks.  ys is not changed."""
+    if not all(len(y) % 2 and y == y[::-1] for y in ys):
         return False
-    ys = [c.letters for c in candidates]
+    ys = list(ys)
     _nielsen(ys)
-    return sorted(ys) == [(j,) for j in range(1, n + 1)]
+    return sorted(ys) == [(j,) for j in range(1, len(ys) + 1)]
 
 
 def _apply_images(images: tuple[Word, ...], w: Word) -> Word:

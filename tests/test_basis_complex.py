@@ -8,6 +8,7 @@ import pytest
 
 from grushko.words import (
     Word,
+    _conjugate_letters,
     conjugate,
     generator,
     generators,
@@ -209,7 +210,7 @@ def test_build_refuses_a_class_basis_off_its_class(monkeypatch):
         if len(system) == 1:
             (i, _, j), = system
             k = min(set(range(1, len(basis) + 1)) - {i, j})
-            basis[j - 1] = conjugate(basis[j - 1], generator(k, len(basis)))
+            basis[j - 1] = _conjugate_letters(basis[j - 1], (k,))
         return basis
 
     _perturb_descents(monkeypatch, perturb)
@@ -304,9 +305,11 @@ def test_core_paths_are_the_classes_of_the_word_route(n, radius):
         assert path_text((i, v, j), n) == str(cls) == f"W2[a={cls.a};b={cls.b};pair={pair}]"
 
 
-def _holds(basis, system):
-    """basis is a basis whose members i and j generate each class (i, v, j)."""
-    n = len(basis)
+def _holds(letters, system):
+    """The letter tuples are a basis whose members i and j generate each
+    class (i, v, j)."""
+    n = len(letters)
+    basis = [Word(x, n) for x in letters]
     return is_basis(basis) and all(
         canonical_class(W2Factor(basis[i - 1], basis[j - 1]))
         == canonical_class(W2Factor(generator(i, n), conjugate(generator(j, n), Word(v, n))))
@@ -339,9 +342,9 @@ def _descend_plain(n, system):
             return None
         system, cost = moved, lower
         moves.append((m, k))
-    basis = list(generators(n))
+    basis = [(j,) for j in range(1, n + 1)]
     for m, k in moves:
-        basis[k - 1] = conjugate(basis[k - 1], basis[m - 1])
+        basis[k - 1] = _conjugate_letters(basis[k - 1], basis[m - 1])
     return basis
 
 

@@ -64,3 +64,21 @@ def test_src_takes_homology_on_face_complexes():
         stray = [c for c in calls.found if c[0] not in KEPT_ORDER_COMPLEX_BUILDERS]
         assert not stray, (path.name, stray)
     assert callers == KEPT_ORDER_COMPLEX_BUILDERS
+
+
+# Word-level helpers that the unpaired build replaces by work on letter tuples
+WORD_ROUND_TRIPS = {"conjugate", "involution_core", "core_path", "is_basis"}
+
+
+def test_unpaired_build_stays_on_letter_tuples():
+    """_Descent and build_unpaired_radius name none of the Word-level helpers:
+    descent bases, the single-class fix-up and the combination checks run on
+    letter tuples, and Words are made only for the stored certificates."""
+    tree = ast.parse((PACKAGE / "basis_complex.py").read_text())
+    scopes = {node.name: node for node in tree.body
+              if isinstance(node, (ast.ClassDef, ast.FunctionDef))}
+    for name in ("_Descent", "build_unpaired_radius"):
+        used = {node.id if isinstance(node, ast.Name) else node.attr
+                for node in ast.walk(scopes[name])
+                if isinstance(node, (ast.Name, ast.Attribute))}
+        assert not used & WORD_ROUND_TRIPS, (name, used & WORD_ROUND_TRIPS)

@@ -5,6 +5,7 @@ import pytest
 
 from grushko.words import (
     RankMismatchError,
+    Word,
     _conjugate_letters,
     conjugate,
     generators,
@@ -270,7 +271,8 @@ def test_is_basis_reads_the_fold_basepoint():
         cands = None
         if kind < 2:
             v = random_reduced_word(rng, n, rng.randrange(0, 6)).letters
-            cands = _Descent(n).descend([(i, v, j)])
+            basis = _Descent(n).descend([(i, v, j)])
+            cands = None if basis is None else [Word(x, n) for x in basis]
         if cands is None:
             cands = [conjugate(generators(n)[rng.randrange(n)],
                                random_reduced_word(rng, n, rng.randrange(0, 4)))
@@ -316,7 +318,7 @@ def test_nielsen_matches_the_plain_scan():
             i, j = rng.sample(range(1, n + 1), 2)
             v = random_reduced_word(rng, n, rng.randrange(0, 7)).letters
             basis = descents[n].descend([strip(i, v, j)])
-            ys = None if basis is None else [w.letters for w in basis]
+            ys = basis
         if ys is None:
             kind = "random"
             ys = [_conjugate_letters((rng.randint(1, n),),
@@ -324,7 +326,8 @@ def test_nielsen_matches_the_plain_scan():
                   for _ in range(n)]
         elif kind == "perturbed":
             k = rng.randrange(n)
-            ys[k] = _conjugate_letters(ys[k], random_reduced_word(rng, n, rng.randint(1, 3)).letters)
+            g = random_reduced_word(rng, n, rng.randint(1, 3)).letters
+            ys[k] = _conjugate_letters(ys[k], g)
         start, ref = list(ys), list(ys)
         moves = _nielsen(ys)
         assert (moves, ys) == (_nielsen_scan(ref), ref), start
