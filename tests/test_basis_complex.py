@@ -282,6 +282,26 @@ def test_retraction_test_skips_uncertified_classes(monkeypatch, n, radius, uncer
     assert len(searched) == len(sub.classes) + uncertified - skipped
 
 
+def _relabeled(cls, images):
+    """The class of cls under the permutation x_k -> x_images[k-1] of the
+    generators, an automorphism of W_n, read off the relabeled Words."""
+    def move(w):
+        return Word(tuple(images[x - 1] for x in w.letters), cls.rank)
+    return canonical_class(W2Factor(move(cls.a), move(cls.b)))
+
+
+@pytest.mark.parametrize("n,radius", [(4, 2), (5, 1)])
+def test_unpaired_output_is_closed_under_relabeling(n, radius):
+    """Relabeling the core paths of every element by (1 2) or by (1 2 ... n),
+    which generate S_n, gives an element again: placement is invariant there."""
+    sub = _unpaired(n, radius)
+    elements = {frozenset(c.path for c in e) for e in sub.elements}
+    for images in ((2, 1) + tuple(range(3, n + 1)), tuple(range(2, n + 1)) + (1,)):
+        image = {c.path: _relabeled(c, images).path for c in sub.classes}
+        assert set(image.values()) == set(image)
+        assert {frozenset(image[p] for p in e) for e in elements} == elements
+
+
 @pytest.mark.parametrize("n,radius,unplaced", [(4, 1, 24), (3, 2, 0), (5, 0, 0)])
 def test_unplaced_combinations_are_counted(n, radius, unplaced):
     assert _unpaired(n, radius).params["unplaced"] == unplaced
