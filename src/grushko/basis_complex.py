@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .words import Word, _conjugate_letters, _reduce_into, conjugate, generator, reduce
@@ -192,7 +193,7 @@ class _Descent:
                 return t, lower
         return None
 
-    def descend(self, system: list[Path]) -> list[tuple[int, ...]] | None:
+    def descend(self, system: Sequence[Path]) -> list[tuple[int, ...]] | None:
         """The letters of a basis of W_n holding a conjugate of every class
         of system, or None.
 
@@ -247,14 +248,117 @@ def _retraction_generates(path: Path) -> bool:
     return len(_reduce_into([i], kept + [j] + kept[::-1])) == 2
 
 
+# The stabilizer of the representative mask pair ({1, 2}, {3, 4}), generated
+# by (1 2), (3 4) and (1 3)(2 4): the images of 1..5, identity first.  Each
+# fixes 5, which a relabeling at rank 4 never reads.
+_STABILIZER = ((1, 2, 3, 4, 5), (2, 1, 3, 4, 5), (1, 2, 4, 3, 5), (2, 1, 4, 3, 5),
+               (3, 4, 1, 2, 5), (4, 3, 1, 2, 5), (3, 4, 2, 1, 5), (4, 3, 2, 1, 5))
+
+
+class _Relabel:
+    """The permutation x_k -> x_images[k-1] of the generators, an automorphism
+    sigma of W_n, on core paths and bases as letter tuples.
+
+    sigma sends <x_i, v x_j v^-1> to <x_sigma(i), sigma(v) x_sigma(j) sigma(v)^-1>,
+    and sigma(v) is still reduced and stripped, so the core path of the image
+    is (sigma(i), sigma(v), sigma(j)) or its reverse, whichever starts at the
+    smaller core.  paths holds each path's image, filled the first time the
+    path is seen.
+    """
+
+    def __init__(self, images: tuple[int, ...]):
+        self.images = images
+        self.table = bytes.maketrans(bytes(range(1, len(images) + 1)), bytes(images))
+        self.paths: dict[Path, Path] = {}
+
+    def path(self, path: Path) -> Path:
+        moved = self.paths.get(path)
+        if moved is None:
+            i, v, j = path
+            i, j = self.images[i - 1], self.images[j - 1]
+            v = tuple(bytes(v).translate(self.table))
+            moved = self.paths[path] = (i, v, j) if i < j else (j, v[::-1], i)
+        return moved
+
+    def basis(self, basis: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+        """sigma(B) with the image of member k as member sigma(k).  Its
+        member sigma(k) has core sigma(k), so where B holds the path
+        (i, v, j) at its members i and j, sigma(B) holds the image path at
+        the members named by that path's cores."""
+        moved: list[tuple[int, ...]] = [()] * len(basis)
+        for k, x in zip(self.images, basis):
+            moved[k - 1] = tuple(bytes(x).translate(self.table))
+        return moved
+
+
+def _mask_pairs(n: int) -> list[tuple[int, int, _Relabel, _Relabel]]:
+    """Each pair of disjoint core masks, the one with the smaller core
+    first, with sigma_M and sigma_M^-1: sigma_M sends 1, 2 to the first
+    mask, ascending, 3, 4 to the second, and 5 to the free core at rank 5.
+    The representative comes first, with sigma_M the identity."""
+    out = []
+    for (p, q), (r, s) in itertools.combinations(itertools.combinations(range(1, n + 1), 2), 2):
+        if not {p, q} & {r, s}:
+            images = (p, q, r, s) + tuple(sorted(set(range(1, n + 1)) - {p, q, r, s}))
+            inverse = [0] * n
+            for k, x in enumerate(images, 1):
+                inverse[x - 1] = k
+            out.append((1 << p | 1 << q, 1 << r | 1 << s,
+                        _Relabel(images), _Relabel(tuple(inverse))))
+    return out
+
+
+def _place_pairs(descent: _Descent, by_mask: dict[int, list[Path]],
+                 mask_pairs: list[tuple[int, int, _Relabel, _Relabel]]
+                 ) -> dict[tuple[Path, Path], list[tuple[int, ...]]]:
+    """The placed pairs of paths on the representative mask pair, each with
+    a basis that holds it, closed under the representative's stabilizer.
+
+    Each pair on the representative is descended unless the closure has
+    placed it already.  A pair C on another mask pair M whose preimage
+    under sigma_M is not placed is descended itself (the fallback); if that
+    places C with the basis B, its preimage is placed with sigma_M^-1(B).
+    """
+    placed: dict[tuple[Path, Path], list[tuple[int, ...]]] = {}
+    stabilizer = list(map(_Relabel, _STABILIZER[1:]))
+    for first, second, _, inverse in mask_pairs:
+        for system in itertools.product(by_mask[first], by_mask[second]):
+            # sigma_M^-1 sends the first mask to {1, 2}, so pre is sorted
+            pre = inverse.path(system[0]), inverse.path(system[1])
+            if pre in placed:
+                continue
+            basis = descent.descend(system)
+            if basis is None:
+                continue
+            placed[pre] = basis = inverse.basis(basis)
+            for s in stabilizer:
+                x, y = s.path(pre[0]), s.path(pre[1])
+                image = (x, y) if x < y else (y, x)
+                if image not in placed:
+                    placed[image] = s.basis(basis)
+    return placed
+
+
+def _basis_holds(basis: list[tuple[int, ...]], system: tuple[Path, Path]) -> bool:
+    """The basis test is_basis runs (membership._is_basis_letters), and the
+    core path of the members i and j of basis (factors._path) is (i, v, j)
+    for each path of system."""
+    if not membership._is_basis_letters(basis):
+        return False
+    for i, v, j in system:
+        if _path(basis[i - 1], basis[j - 1]) != (i, v, j):
+            return False
+    return True
+
+
 def build_unpaired_radius(n: int, radius: int) -> PartialBasisComplex:
     """All partial bases of classes with conjugators of length <= radius.
 
     Classes are <g x_i g^-1, h x_j h^-1> with |g|, |h| <= radius; classes
-    and combinations are placed by Whitehead descent (_Descent).  Single
+    and pairs of classes are placed by Whitehead descent (_Descent).  Single
     classes it cannot place are listed in params["uncertified"], and the
-    combinations it cannot place are counted in params["unplaced"].  A
-    failed descent is not a proof (ROADMAP item 5).
+    pairs it cannot place are counted in params["unplaced"].  A failed
+    descent is not a proof (ROADMAP item 5).
 
     (c) The class depends only on v = g^-1 h: conjugating by g^-1 gives
     <x_i, v x_j v^-1>, and x_i v or v x_j give the same class.  The words
@@ -266,22 +370,40 @@ def build_unpaired_radius(n: int, radius: int) -> PartialBasisComplex:
 
     A single class keeps its basis as a CompletingBasis holding cls.a and
     cls.b literally: with basis[i-1] = p x_i p^-1, the basis conjugated by
-    p^-1 holds x_i = cls.a and a conjugate of cls.b by 1 or x_i.  A placed
-    combination stores no certificate, so its basis is checked here, with
-    the basis test is_basis runs (membership._is_basis_letters) and the core
-    path of each pair of members (factors._path).  Both checks, like the
-    fix-up, read letter tuples; only the stored bases are made Words, by
-    the checking constructor.
+    p^-1 holds x_i = cls.a and a conjugate of cls.b by 1 or x_i.
+
+    At rank <= 5 a partial basis has at most two classes, on a pair of
+    disjoint core masks.  A permutation sigma of the generators is an
+    automorphism, so if B is a basis holding a conjugate of every class of
+    a pair C, then sigma(B) is a basis holding a conjugate of every class
+    of sigma(C) (_Relabel).  Pairs are therefore placed on the
+    representative mask pair ({1,2},{3,4}) only (_place_pairs): descended
+    there, the placed set closed under the 8 permutations that fix the
+    representative, and a pair C on the mask pair M is placed with
+    sigma_M(B) when sigma_M^-1(C) is placed with B.  Where that preimage
+    is not placed, C is descended itself, and if that places C its
+    preimage is placed and closed.  Any tau in S_n is sigma_tau(M) s
+    sigma_M^-1 for an s that fixes the representative, so the pairs
+    placed this way are closed under S_n: the whole orbit of a pair placed
+    by the fallback is placed, and the result is the S_n-closure of every
+    pair that descent places.
+
+    No placed pair stores a certificate, so each one's basis, descended or
+    carried, is checked here before it becomes an element (_basis_holds).
+    Both checks, like the fix-up, read letter tuples; only the stored
+    bases of single classes are made Words, by the checking constructor.
     """
     if radius < 0:
         raise ValueError(f"radius must be >= 0, got {radius}")
     if n > 5 or radius > MAX_RADIUS:
         raise ValueError(f"budgeted construction: n <= 5 and radius <= {MAX_RADIUS}")
     descent = _Descent(n)
-    by_mask: dict[int, list[tuple]] = {}  # core mask -> [(certified class, core path)]
+    # core mask -> its placed core paths; (i, (), j), at cost 0, is always one
+    by_mask: dict[int, list[Path]] = {}
+    cls_of: dict[Path, CanonicalClass] = {}
     uncertified: list[str] = []
     for path in _core_paths(n, 2 * radius):
-        basis = descent.descend([path]) if _retraction_generates(path) else None
+        basis = descent.descend((path,)) if _retraction_generates(path) else None
         if basis is None:
             uncertified.append(path_text(path, n))
             continue
@@ -290,35 +412,30 @@ def build_unpaired_radius(n: int, radius: int) -> PartialBasisComplex:
         g = basis[i - 1][:len(basis[i - 1]) // 2][::-1]  # p^-1
         if _conjugate_letters(basis[j - 1], g) != b:
             g = (i,) + g  # reduced, since p x_i p^-1 is
-        held = [_conjugate_letters(x, g) for x in basis]
+        held = [_conjugate_letters(x, g) for x in basis] if g else basis
         if held[j - 1] != b:
             raise CertificationError(f"descent basis does not conjugate onto {path}")
-        cls = CanonicalClass(path, n, CompletingBasis(tuple(Word(x, n) for x in held)))
-        by_mask.setdefault(1 << i | 1 << j, []).append((cls, path))
+        cls_of[path] = CanonicalClass(path, n, CompletingBasis(tuple(Word(x, n) for x in held)))
+        by_mask.setdefault(1 << i | 1 << j, []).append(path)
 
-    certified = [c for placed in by_mask.values() for c, _ in placed]
-    elements: set[frozenset[CanonicalClass]] = {frozenset([c]) for c in certified}
-    unplaced = 0
-    for size in range(2, n // 2 + 1):
-        for masks in itertools.combinations(by_mask, size):
-            if any(a & b for a, b in itertools.combinations(masks, 2)):
+    elements: set[frozenset[CanonicalClass]] = {frozenset([c]) for c in cls_of.values()}
+    mask_pairs = _mask_pairs(n)
+    placed = _place_pairs(descent, by_mask, mask_pairs) if mask_pairs else {}
+    candidates = 0
+    for first, second, sigma, _ in mask_pairs:
+        candidates += len(by_mask[first]) * len(by_mask[second])
+        for (a, b), basis in placed.items():
+            image = sigma.path(a), sigma.path(b)
+            classes = cls_of.get(image[0]), cls_of.get(image[1])
+            if None in classes:
                 continue
-            for combo in itertools.product(*(by_mask[m] for m in masks)):
-                basis = descent.descend([path for _, path in combo])
-                if basis is None:
-                    unplaced += 1
-                    continue
-                if not membership._is_basis_letters(basis) or any(
-                        _path(basis[i - 1], basis[j - 1]) != (i, v, j)
-                        for _, (i, v, j) in combo):
-                    raise CertificationError(
-                        f"descent basis does not hold {tuple(c for c, _ in combo)}")
-                for sub in range(2, size + 1):
-                    elements.update(frozenset(c for c, _ in picked)
-                                    for picked in itertools.combinations(combo, sub))
-    params = {"radius": radius, "uncertified": sorted(uncertified), "unplaced": unplaced}
+            if not _basis_holds(sigma.basis(basis), image):
+                raise CertificationError(f"descent basis does not hold {classes}")
+            elements.add(frozenset(classes))
+    params = {"radius": radius, "uncertified": sorted(uncertified),
+              "unplaced": candidates - len(elements) + len(cls_of)}
     return PartialBasisComplex(n, False, params,
-                               sorted(certified, key=CanonicalClass.key),
+                               sorted(cls_of.values(), key=CanonicalClass.key),
                                sorted(elements, key=_element_key))
 
 

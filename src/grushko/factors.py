@@ -41,6 +41,7 @@ form is unsound and the build fails.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 
 from .words import NotInvolutionError, RankMismatchError, Word, conjugate, identity, involution_core, parse
 
@@ -204,12 +205,19 @@ class CanonicalClass:
         return path_text(self.path, self.rank)
 
 
+@cache
+def _letter_names(n: int) -> tuple[str, ...]:
+    """The text x1..xn of each letter at rank n, at its index (0 is unused)."""
+    return ("",) + tuple(f"x{k}" for k in range(1, n + 1))
+
+
 def path_text(path: Path, n: int) -> str:
     """The stable text W2[a=...;b=...;pair=...] of the class of a core path
     (i, v, j) at rank n: its canonical pair (x_i, v x_j v^-1) and pair index."""
     i, v, j = path
     pair = core_pair_index(i, j, n)
-    b = "*".join([f"x{x}" for x in v + (j,) + v[::-1]])
+    names = _letter_names(n)
+    b = "*".join([names[x] for x in v + (j,) + v[::-1]])
     return f"W2[a=x{i};b={b};pair={'none' if pair is None else pair}]"
 
 

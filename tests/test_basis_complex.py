@@ -20,6 +20,7 @@ from grushko.words import (
 from grushko.factors import (
     W2Factor,
     canonical_class,
+    core_path,
     parse_class,
     path_text,
     same_class_oracle,
@@ -420,9 +421,9 @@ def test_descent_bases_check():
 
 
 def test_descent_expands_each_system_once(monkeypatch):
-    """At (4, 1) the 243 combination descents visit 878 systems, only 243
-    of them distinct; with the fates, each is expanded at most once, and
-    the three standard pairings (cost 0) are never expanded."""
+    """At (4, 1) the 36 pair descents visit 55 systems, only 45 of them
+    distinct; with the fates, each is expanded at most once, and the
+    standard pairing (cost 0) is never expanded."""
     expanded = []
     step = basis_complex._Descent._step
 
@@ -433,7 +434,119 @@ def test_descent_expands_each_system_once(monkeypatch):
     monkeypatch.setattr(basis_complex._Descent, "_step", record)
     build_unpaired_radius(4, 1)
     assert len(expanded) == len(set(expanded))
-    assert sum(len(system) == 2 for system in expanded) == 240
+    assert sum(len(system) == 2 for system in expanded) == 45
+
+
+def _on_representative(system):
+    """The pair of paths lies on the mask pair ({1,2},{3,4})."""
+    return sorted({i, j} for i, _, j in system) == [{1, 2}, {3, 4}]
+
+
+def _record_descents(monkeypatch, n, radius, refuse=lambda system: False):
+    """Build (n, radius) with descent failing on the pair systems refuse
+    picks; the build and every pair system descended, as (sorted paths, placed)."""
+    descend = basis_complex._Descent.descend
+    calls = []
+
+    def patched(self, system):
+        basis = None if refuse(tuple(sorted(system))) else descend(self, system)
+        if len(system) == 2:
+            calls.append((tuple(sorted(system)), basis is not None))
+        return basis
+
+    with monkeypatch.context() as m:
+        m.setattr(basis_complex._Descent, "descend", patched)
+        return build_unpaired_radius(n, radius), calls
+
+
+def _stabilizer_orbit(system):
+    """The images of a pair of paths under the 8 permutations that fix the
+    mask pair ({1,2},{3,4}), relabeled through Words."""
+    n = 4
+    cls = [canonical_class(W2Factor(generator(i, n), conjugate(generator(j, n), Word(v, n))))
+           for i, v, j in system]
+    orbit = set()
+    for low, high in itertools.product(((1, 2), (2, 1)), ((3, 4), (4, 3))):
+        for images in (low + high, high + low):
+            orbit.add(tuple(sorted(_relabeled(c, images).path for c in cls)))
+    return orbit
+
+
+def test_descent_runs_on_the_representative_and_the_fallback(monkeypatch):
+    """At (4, 1) pairs are descended on the representative ({1,2},{3,4})
+    until the stabilizer closure places them, and elsewhere only where the
+    preimage on the representative is unplaced: the 8 unplaced
+    representative pairs and their 16 images, none of which descent places."""
+    sub, calls = _record_descents(monkeypatch, 4, 1)
+    on_rep = [placed for system, placed in calls if _on_representative(system)]
+    off_rep = [placed for system, placed in calls if not _on_representative(system)]
+    assert (len(on_rep), sum(on_rep), len(off_rep), sum(off_rep)) == (20, 12, 16, 0)
+    assert sub.params["unplaced"] == 24
+
+
+def test_stabilizer_closure_places_a_refused_representative_pair(monkeypatch):
+    """Descent refuses one placed representative pair whose stabilizer
+    orbit has other members: a later member's closure places it, no pair
+    off the representative is descended for it, and the output is unchanged."""
+    _, calls = _record_descents(monkeypatch, 4, 1)
+    refused = next(system for system, placed in calls if placed and
+                   _on_representative(system) and len(_stabilizer_orbit(system)) > 1)
+    sub, sabotaged = _record_descents(monkeypatch, 4, 1, lambda system: system == refused)
+    assert (refused, False) in sabotaged
+    assert [c for c in sabotaged if not _on_representative(c[0])] \
+        == [c for c in calls if not _on_representative(c[0])]
+    assert sub.to_json() == _unpaired(4, 1).to_json()
+
+
+def test_fallback_places_an_orbit_refused_on_the_representative(monkeypatch):
+    """Descent refuses a whole stabilizer orbit on the representative: the
+    fallback descends an image of it on another mask pair, places it, and
+    carries its orbit back, so the output is unchanged."""
+    _, calls = _record_descents(monkeypatch, 4, 1)
+    orbit = next(_stabilizer_orbit(system) for system, placed in calls
+                 if placed and len(_stabilizer_orbit(system)) > 1)
+    sub, sabotaged = _record_descents(monkeypatch, 4, 1, lambda system: system in orbit)
+    assert any(placed for system, placed in sabotaged if not _on_representative(system))
+    assert sub.to_json() == _unpaired(4, 1).to_json()
+
+
+@pytest.mark.parametrize("n,radius", [(4, 0), (4, 1), (4, 2), (5, 0), (5, 1)])
+def test_every_placed_pair_is_checked_and_rechecks(monkeypatch, n, radius):
+    """Each pair element's basis, descended or carried, went through the
+    build's check once; is_basis on Words and core_path of its members
+    agree with that check on every one of them."""
+    checked = []
+    holds = basis_complex._basis_holds
+
+    def record(basis, system):
+        checked.append((basis, system))
+        return holds(basis, system)
+
+    monkeypatch.setattr(basis_complex, "_basis_holds", record)
+    sub = build_unpaired_radius(n, radius)
+    pairs = sorted(sorted(c.path for c in e) for e in sub.elements if len(e) == 2)
+    assert sorted(sorted(system) for _, system in checked) == pairs
+    mask_pairs = 3 if n == 4 else 15
+    assert mask_pairs * sum(_on_representative(system) for _, system in checked) == len(pairs)
+    for letters, system in checked:
+        basis = [Word(x, n) for x in letters]
+        assert is_basis(basis)
+        for i, v, j in system:
+            assert core_path(basis[i - 1], basis[j - 1]) == (i, v, j)
+
+
+def test_build_refuses_a_carried_basis_off_its_pair(monkeypatch):
+    """A relabeled basis in reverse order is a basis, but its members hold
+    other classes: the check refuses it."""
+    relabel = basis_complex._Relabel.basis
+
+    def reversed_off_identity(self, basis):
+        moved = relabel(self, basis)
+        return moved[::-1] if self.images != tuple(sorted(self.images)) else moved
+
+    monkeypatch.setattr(basis_complex._Relabel, "basis", reversed_off_identity)
+    with pytest.raises(CertificationError, match="does not hold"):
+        build_unpaired_radius(5, 0)
 
 
 def test_radius_zero_rank4():

@@ -70,15 +70,25 @@ def test_src_takes_homology_on_face_complexes():
 WORD_ROUND_TRIPS = {"conjugate", "involution_core", "core_path", "is_basis"}
 
 
+def _names(node) -> set[str]:
+    return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute))}
+
+
 def test_unpaired_build_stays_on_letter_tuples():
-    """_Descent and build_unpaired_radius name none of the Word-level helpers:
-    descent bases, the single-class fix-up and the combination checks run on
-    letter tuples, and Words are made only for the stored certificates."""
+    """build_unpaired_radius, and every function and class of basis_complex
+    it reaches, name none of the Word-level helpers: descent bases, the
+    single-class fix-up, the relabeled paths and bases of the combination
+    phase and its checks run on letter tuples, and Words are made only for
+    the stored certificates."""
     tree = ast.parse((PACKAGE / "basis_complex.py").read_text())
     scopes = {node.name: node for node in tree.body
               if isinstance(node, (ast.ClassDef, ast.FunctionDef))}
-    for name in ("_Descent", "build_unpaired_radius"):
-        used = {node.id if isinstance(node, ast.Name) else node.attr
-                for node in ast.walk(scopes[name])
-                if isinstance(node, (ast.Name, ast.Attribute))}
+    reached, todo = set(), ["build_unpaired_radius"]
+    while todo:
+        name = todo.pop()
+        reached.add(name)
+        used = _names(scopes[name])
         assert not used & WORD_ROUND_TRIPS, (name, used & WORD_ROUND_TRIPS)
+        todo.extend(used & scopes.keys() - reached)
+    assert {"_Descent", "_Relabel", "_mask_pairs", "_place_pairs", "_basis_holds"} <= reached
