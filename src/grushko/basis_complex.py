@@ -432,8 +432,9 @@ def build_unpaired_radius(n: int, radius: int) -> PartialBasisComplex:
             if not _basis_holds(sigma.basis(basis), image):
                 raise CertificationError(f"descent basis does not hold {classes}")
             elements.add(frozenset(classes))
+    placed_pairs = len(elements) - len(cls_of)
     params = {"radius": radius, "uncertified": sorted(uncertified),
-              "unplaced": candidates - len(elements) + len(cls_of)}
+              "unplaced": candidates - placed_pairs}
     return PartialBasisComplex(n, False, params,
                                sorted(cls_of.values(), key=CanonicalClass.key),
                                sorted(elements, key=_element_key))
