@@ -267,9 +267,23 @@ class _Relabel:
     """
 
     def __init__(self, images: tuple[int, ...]):
+        order = bytes(range(1, len(images) + 1))
+        if sorted(images) != list(order):
+            raise ValueError(f"images {images} are not a permutation of 1..{len(order)}")
         self.images = images
-        self.table = bytes.maketrans(bytes(range(1, len(images) + 1)), bytes(images))
+        self.identity = bytes(images) == order
+        self.table = bytes.maketrans(order, bytes(images))
         self.paths: dict[Path, Path] = {}
+        self._inverse: _Relabel | None = None
+
+    @property
+    def inverse(self) -> _Relabel:
+        """sigma^-1, built from images on first use; its inverse is sigma."""
+        if self._inverse is None:
+            order = bytes(range(1, len(self.images) + 1))
+            self._inverse = _Relabel(tuple(order.translate(bytes.maketrans(bytes(self.images), order))))
+            self._inverse._inverse = self
+        return self._inverse
 
     def path(self, path: Path) -> Path:
         moved = self.paths.get(path)
@@ -290,26 +304,35 @@ class _Relabel:
             moved[k - 1] = tuple(bytes(x).translate(self.table))
         return moved
 
+    def carry(self, basis: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+        """sigma(B) for a basis B, certified a basis without a Nielsen run:
+        sigma^-1 must map it back to B.  Then it is the image of B under
+        the automorphism sigma, and is_basis, an exact decision, would only
+        repeat B's answer.  The identity returns B itself."""
+        if self.identity:
+            return basis
+        moved = self.basis(basis)
+        if self.inverse.basis(moved) != basis:
+            raise CertificationError(
+                f"relabeled basis does not hold: {self.images} does not map back to {basis}")
+        return moved
 
-def _mask_pairs(n: int) -> list[tuple[int, int, _Relabel, _Relabel]]:
+
+def _mask_pairs(n: int) -> list[tuple[int, int, _Relabel]]:
     """Each pair of disjoint core masks, the one with the smaller core
-    first, with sigma_M and sigma_M^-1: sigma_M sends 1, 2 to the first
-    mask, ascending, 3, 4 to the second, and 5 to the free core at rank 5.
-    The representative comes first, with sigma_M the identity."""
+    first, with sigma_M: it sends 1, 2 to the first mask, ascending, 3, 4
+    to the second, and 5 to the free core at rank 5.  The representative
+    comes first, with sigma_M the identity."""
     out = []
     for (p, q), (r, s) in itertools.combinations(itertools.combinations(range(1, n + 1), 2), 2):
         if not {p, q} & {r, s}:
             images = (p, q, r, s) + tuple(sorted(set(range(1, n + 1)) - {p, q, r, s}))
-            inverse = [0] * n
-            for k, x in enumerate(images, 1):
-                inverse[x - 1] = k
-            out.append((1 << p | 1 << q, 1 << r | 1 << s,
-                        _Relabel(images), _Relabel(tuple(inverse))))
+            out.append((1 << p | 1 << q, 1 << r | 1 << s, _Relabel(images)))
     return out
 
 
 def _place_pairs(descent: _Descent, by_mask: dict[int, list[Path]],
-                 mask_pairs: list[tuple[int, int, _Relabel, _Relabel]]
+                 mask_pairs: list[tuple[int, int, _Relabel]]
                  ) -> dict[tuple[Path, Path], list[tuple[int, ...]]]:
     """The placed pairs of paths on the representative mask pair, each with
     a basis that holds it, closed under the representative's stabilizer.
@@ -318,10 +341,14 @@ def _place_pairs(descent: _Descent, by_mask: dict[int, list[Path]],
     placed it already.  A pair C on another mask pair M whose preimage
     under sigma_M is not placed is descended itself (the fallback); if that
     places C with the basis B, its preimage is placed with sigma_M^-1(B).
+    Each basis descent returns is checked once here with the basis test
+    is_basis runs (membership._is_basis_letters); every other basis is
+    carried from a checked one (_Relabel.carry).
     """
     placed: dict[tuple[Path, Path], list[tuple[int, ...]]] = {}
     stabilizer = list(map(_Relabel, _STABILIZER[1:]))
-    for first, second, _, inverse in mask_pairs:
+    for first, second, sigma in mask_pairs:
+        inverse = sigma.inverse
         for system in itertools.product(by_mask[first], by_mask[second]):
             # sigma_M^-1 sends the first mask to {1, 2}, so pre is sorted
             pre = inverse.path(system[0]), inverse.path(system[1])
@@ -330,21 +357,22 @@ def _place_pairs(descent: _Descent, by_mask: dict[int, list[Path]],
             basis = descent.descend(system)
             if basis is None:
                 continue
-            placed[pre] = basis = inverse.basis(basis)
+            if not membership._is_basis_letters(basis):
+                raise CertificationError(f"descent basis does not hold {system}: it is no basis")
+            placed[pre] = basis = inverse.carry(basis)
             for s in stabilizer:
                 x, y = s.path(pre[0]), s.path(pre[1])
                 image = (x, y) if x < y else (y, x)
                 if image not in placed:
-                    placed[image] = s.basis(basis)
+                    placed[image] = s.carry(basis)
     return placed
 
 
 def _basis_holds(basis: list[tuple[int, ...]], system: tuple[Path, Path]) -> bool:
-    """The basis test is_basis runs (membership._is_basis_letters), and the
-    core path of the members i and j of basis (factors._path) is (i, v, j)
-    for each path of system."""
-    if not membership._is_basis_letters(basis):
-        return False
+    """The core path of the members i and j of basis (factors._path) is
+    (i, v, j) for each path of system.  That it is a basis at all is
+    certified where it is made: by membership._is_basis_letters if descent
+    returned it, else by _Relabel.carry from such a basis."""
     for i, v, j in system:
         if _path(basis[i - 1], basis[j - 1]) != (i, v, j):
             return False
@@ -388,10 +416,14 @@ def build_unpaired_radius(n: int, radius: int) -> PartialBasisComplex:
     by the fallback is placed, and the result is the S_n-closure of every
     pair that descent places.
 
-    No placed pair stores a certificate, so each one's basis, descended or
-    carried, is checked here before it becomes an element (_basis_holds).
-    Both checks, like the fix-up, read letter tuples; only the stored
-    bases of single classes are made Words, by the checking constructor.
+    No placed pair stores a certificate, so each one's basis is certified
+    before the pair becomes an element: a basis that descent returns for a
+    pair by one Nielsen run (membership._is_basis_letters, in _place_pairs),
+    any other as sigma(B) of a certified B that sigma^-1 maps back to B
+    (_Relabel.carry), and each element's basis must hold both of its paths
+    (_basis_holds).  These checks, like the fix-up, read letter tuples;
+    only the stored bases of single classes are made Words, by the
+    checking constructor.
     """
     if radius < 0:
         raise ValueError(f"radius must be >= 0, got {radius}")
@@ -422,14 +454,14 @@ def build_unpaired_radius(n: int, radius: int) -> PartialBasisComplex:
     mask_pairs = _mask_pairs(n)
     placed = _place_pairs(descent, by_mask, mask_pairs) if mask_pairs else {}
     candidates = 0
-    for first, second, sigma, _ in mask_pairs:
+    for first, second, sigma in mask_pairs:
         candidates += len(by_mask[first]) * len(by_mask[second])
         for (a, b), basis in placed.items():
             image = sigma.path(a), sigma.path(b)
             classes = cls_of.get(image[0]), cls_of.get(image[1])
             if None in classes:
                 continue
-            if not _basis_holds(sigma.basis(basis), image):
+            if not _basis_holds(sigma.carry(basis), image):
                 raise CertificationError(f"descent basis does not hold {classes}")
             elements.add(frozenset(classes))
     placed_pairs = len(elements) - len(cls_of)

@@ -31,7 +31,7 @@ from grushko.topology import betti, components
 from grushko.visibility import CertificationError
 from grushko.trees import MarkedTree, caterpillar, collapse, enumerate_shapes, standard_marking
 
-from grushko import basis_complex
+from grushko import basis_complex, membership
 from grushko.basis_complex import (
     ConnectivityReport,
     PartialBasisComplex,
@@ -510,20 +510,40 @@ def test_fallback_places_an_orbit_refused_on_the_representative(monkeypatch):
     assert sub.to_json() == _unpaired(4, 1).to_json()
 
 
-@pytest.mark.parametrize("n,radius", [(4, 0), (4, 1), (4, 2), (5, 0), (5, 1)])
+# Nielsen runs per build: one per basis descent returns for a pair
+NIELSEN_RUNS = {(4, 0): 1, (4, 1): 12, (4, 2): 173, (5, 0): 1, (5, 1): 40}
+
+
+@pytest.mark.parametrize("n,radius", NIELSEN_RUNS)
 def test_every_placed_pair_is_checked_and_rechecks(monkeypatch, n, radius):
-    """Each pair element's basis, descended or carried, went through the
-    build's check once; is_basis on Words and core_path of its members
-    agree with that check on every one of them."""
-    checked = []
+    """The Nielsen test runs once on each basis that descent places a pair
+    with, and on no carried one.  Each pair element's basis, descended or
+    carried, goes through the build's path check once; is_basis on Words
+    and core_path of its members agree with the build on every one of them."""
+    nielsen, placing, checked = [], [], []
+    is_basis_letters = membership._is_basis_letters
+    descend = basis_complex._Descent.descend
     holds = basis_complex._basis_holds
+
+    def count(ys):
+        nielsen.append(ys)
+        return is_basis_letters(ys)
+
+    def record_descent(self, system):
+        basis = descend(self, system)
+        if basis is not None and len(system) == 2:
+            placing.append(system)
+        return basis
 
     def record(basis, system):
         checked.append((basis, system))
         return holds(basis, system)
 
+    monkeypatch.setattr(membership, "_is_basis_letters", count)
+    monkeypatch.setattr(basis_complex._Descent, "descend", record_descent)
     monkeypatch.setattr(basis_complex, "_basis_holds", record)
     sub = build_unpaired_radius(n, radius)
+    assert len(nielsen) == len(placing) == NIELSEN_RUNS[n, radius]
     pairs = sorted(sorted(c.path for c in e) for e in sub.elements if len(e) == 2)
     assert sorted(sorted(system) for _, system in checked) == pairs
     mask_pairs = 3 if n == 4 else 15
@@ -533,6 +553,34 @@ def test_every_placed_pair_is_checked_and_rechecks(monkeypatch, n, radius):
         assert is_basis(basis)
         for i, v, j in system:
             assert core_path(basis[i - 1], basis[j - 1]) == (i, v, j)
+
+
+def test_build_refuses_a_carried_basis_with_a_repeated_free_member(monkeypatch):
+    """A relabeled basis whose rank-5 free member repeats a paired one still
+    holds both paths, which the path check reads, but it is no basis: the
+    inverse relabel does not map it back to the basis it was carried from."""
+    relabel = basis_complex._Relabel.basis
+
+    def free_overwritten_off_identity(self, basis):
+        moved = relabel(self, basis)
+        if not self.identity:
+            moved[self.images[4] - 1] = moved[self.images[0] - 1]
+        return moved
+
+    monkeypatch.setattr(basis_complex._Relabel, "basis", free_overwritten_off_identity)
+    with pytest.raises(CertificationError, match="does not hold"):
+        build_unpaired_radius(5, 0)
+
+
+def test_relabel_refuses_images_that_are_no_permutation(monkeypatch):
+    """A relabeling is an automorphism only when its images permute 1..n;
+    the build refuses a stabilizer literal that repeats a core."""
+    with pytest.raises(ValueError, match="not a permutation"):
+        basis_complex._Relabel((1, 1, 3, 4))
+    bad = basis_complex._STABILIZER[:1] + ((2, 2, 3, 4, 5),) + basis_complex._STABILIZER[2:]
+    monkeypatch.setattr(basis_complex, "_STABILIZER", bad)
+    with pytest.raises(ValueError, match="not a permutation"):
+        build_unpaired_radius(4, 1)
 
 
 def test_build_refuses_a_carried_basis_off_its_pair(monkeypatch):
