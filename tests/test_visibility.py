@@ -564,6 +564,39 @@ def test_random_marking_certificates_are_pinned():
     assert _class_digest(lines) == RANDOM_CERTIFICATE_DIGEST
 
 
+def _fixture_trees():
+    return [tree for n in range(2, 6) for tree in _pinned_trees(f"rank{n}")]
+
+
+def _maximal_selections(tree):
+    """One class from every nonempty family, in the order bp_fiber takes them."""
+    families = bp_fiber(tree, certify=False).families
+    return itertools.product(*[fam.classes for fam in families if fam.classes])
+
+
+def _selection_lines(trees):
+    return [repr(tuple(w.letters for w in certify_partial_basis(tree, selection)))
+            for tree in trees for selection in _maximal_selections(tree)]
+
+
+# the certificates of every maximal selection, letter for letter
+SELECTION_CERTIFICATE_DIGESTS = {
+    "fixtures": "1986fb7f0466542b647af953edf17e7eee5cac1a5d850fa1ce0aca65ecefa9b0",
+    "random": "8c15ef24b4675d9baabd13c1ab488c45deefebeb59318db875c572dc67a81e82",
+}
+
+
+def test_maximal_selection_certificates_are_pinned():
+    """The certificates of the 1,253 maximal selections of the rank 2-5
+    fixture trees and the 38 of the 20 seeded non-standard markings."""
+    lines = _selection_lines(_fixture_trees())
+    assert len(lines) == 1253
+    assert _class_digest(lines) == SELECTION_CERTIFICATE_DIGESTS["fixtures"]
+    lines = _selection_lines(_pinned_trees("random"))
+    assert len(lines) == 38
+    assert _class_digest(lines) == SELECTION_CERTIFICATE_DIGESTS["random"]
+
+
 def test_certify_empty_returns_adapted_basis():
     t = caterpillar(4)
     assert certify_partial_basis(t, []) == tuple(generators(4))
