@@ -16,12 +16,17 @@ check this route against the lazy bs_path search.
 
 The searches and certification run on letter tuples, with no Word per
 candidate: each b = g y g^-1 comes from words._conjugate_letters and its
-class from factors._path, and certify_partial_basis reads each core path
-with _path and makes a Word only of each basis member it returns.  Inputs
-are validated where they enter: Word and MarkedTree (the marking that the
-searches start from) when built, is_visible its factor, and
-certify_partial_basis its classes (core collisions, is_visible unless
-VisibleIn this tree) and, through is_basis, its result.
+class from factors._path.  Certification has a per-class step
+(_conjugated_member: visibility, the core path in marking letters, the
+letters of the conjugated member) and a per-selection step (_basis_letters:
+core collisions and the letter-level basis test).  bp_fiber runs the first
+once per class of a fiber and the second once per maximal selection, with
+no Word; certify_partial_basis runs both and makes a Word only of each
+basis member it returns.  Inputs are validated where they enter: Word and
+MarkedTree (the marking that the searches start from) when built,
+is_visible its factor, and the two steps the classes (core collisions,
+is_visible unless VisibleIn this tree) and the result
+(membership._is_basis_letters).
 """
 
 from __future__ import annotations
@@ -209,6 +214,52 @@ def visible_classes_brute(tree: MarkedTree, i: int,
 # constructive basis certification
 # ---------------------------------------------------------------------------
 
+def _conjugated_member(tree: MarkedTree,
+                       cls: CanonicalClass) -> tuple[int, int, tuple[int, ...]]:
+    """The per-class step of certification: the core slots alpha, beta of
+    cls, alpha first in the adapted order, and the letters of y_beta.
+    Raises CertificationError when the cores coincide and when cls is not
+    visible here; a VisibleIn of this very tree object is trusted."""
+    r, s = cls.cores()
+    if r == s:
+        raise CertificationError(f"core collision inside {cls}")
+    trusted = isinstance(cls.certificate, VisibleIn) and cls.certificate.tree is tree
+    if not trusted and not is_visible(tree, cls):
+        raise CertificationError(f"{cls} is not visible in this tree")
+    if tree.standard:
+        i, v, j = cls.path
+    else:
+        i, v, j = _path(tree.in_marking_letters(cls.a).letters,
+                        tree.in_marking_letters(cls.b).letters)
+    order = tree.shape.adapted_order
+    if order.index(i) > order.index(j):
+        i, v, j = j, v[::-1], i
+    # v is reduced, so in the standard marking it spells g itself
+    g = v if tree.standard else tree.marking_letters(v)
+    return i, j, _conjugate_letters(tree.marking_word(j).letters, g)
+
+
+def _basis_letters(tree: MarkedTree,
+                   members: Sequence[tuple[int, int, tuple[int, ...]]]) -> list[tuple[int, ...]]:
+    """The per-selection step of certification: the letters of the basis
+    that holds the members (alpha, beta, y_beta) of _conjugated_member,
+    indexed along tree.shape.adapted_order, every other slot keeping its
+    marking involution.  Raises CertificationError when two members share
+    a core and when the letter-level basis test says no."""
+    used: set[int] = set()
+    placed: dict[int, tuple[int, ...]] = {}
+    for alpha, beta, y in members:
+        if alpha in used or beta in used:
+            raise CertificationError("core collision across classes")
+        used.update((alpha, beta))
+        placed[beta] = y
+    ys = [placed[k] if k in placed else tree.marking_word(k).letters
+          for k in tree.shape.adapted_order]
+    if not membership._is_basis_letters(ys):
+        raise CertificationError("constructed tuple fails the basis check")
+    return ys
+
+
 def certify_partial_basis(tree: MarkedTree, classes) -> tuple[Word, ...]:
     """Build a basis realizing the given visible classes jointly.
 
@@ -216,22 +267,27 @@ def certify_partial_basis(tree: MarkedTree, classes) -> tuple[Word, ...]:
     such that consecutive construction prefixes generate the corresponding
     marking prefixes and each input class is <y_alpha, y_beta> for its core
     slots, alpha before beta.  This is the constructive proof that visible
-    classes on disjoint cores form a partial basis; it raises
-    CertificationError when a class is not visible here, on core
-    collisions, and when the result fails is_basis.  A class certified
-    VisibleIn this very tree object, as both searches return them, is not
-    checked with is_visible again.  visible_classes_brute keeps only
-    visible walks, and visible_classes checks none: its docstring shows
-    that every class it makes is visible.  A forged certificate still
-    meets the final is_basis.
+    classes on disjoint cores form a partial basis.  It runs in the two
+    steps that bp_fiber shares: the per-class step _conjugated_member on
+    each class in turn, then the per-selection step _basis_letters, and
+    only then makes a Word of each basis member.  It raises
+    CertificationError on a core collision inside a class or a class that
+    is not visible here (per class), and on a core collision across
+    classes or a result that fails the letter-level basis test
+    (membership._is_basis_letters, which is_basis runs; per selection).
+    A class certified VisibleIn this very tree object, as both searches
+    return them, is not checked with is_visible again.
+    visible_classes_brute keeps only visible walks, and visible_classes
+    checks none: its docstring shows that every class it makes is visible.
+    A forged certificate still meets the final basis test.
 
     Each conjugator is read off the class's core path.  In marking letters
-    the class has the core path (i, v, j), read by factors._path off the
-    letters of its pair (rewritten by in_marking_letters unless the marking
-    is standard), with {i, j} = {alpha, beta}.  So it is
-    <b_alpha, g b_beta g^-1> for g the marking product of v, read backwards
-    when i = beta, and y_beta = g b_beta g^-1.  Why the
-    prefix property holds: the slot walk of a visible class, r, h, s with
+    the class has the core path (i, v, j): its own path in the standard
+    marking, and otherwise read by factors._path off the letters of its
+    pair rewritten by in_marking_letters, with {i, j} = {alpha, beta}.  So
+    it is <b_alpha, g b_beta g^-1> for g the marking product of v, read
+    backwards when i = beta, and y_beta = g b_beta g^-1.  Why the prefix
+    property holds: the slot walk of a visible class, r, h, s with
     {r, s} = {alpha, beta} (_walk), has pairwise disjoint segments.
     Leaving out the empty steps that a leading r or a trailing s of h makes,
     it crosses no edge twice, so it is the tree path between the two cores,
@@ -242,37 +298,8 @@ def certify_partial_basis(tree: MarkedTree, classes) -> tuple[Word, ...]:
     before beta.  By induction the earlier y's generate the earlier marking
     involutions, so they hold g, and with y_beta they generate b_beta.
     """
-    order = tree.shape.adapted_order
-    pos = {slot: i for i, slot in enumerate(order)}
-    used: set[int] = set()
-    conjugators: dict[int, tuple[int, ...]] = {}
-    for cls in classes:
-        r, s = cls.cores()
-        if r == s:
-            raise CertificationError(f"core collision inside {cls}")
-        if r in used or s in used:
-            raise CertificationError("core collision across classes")
-        used.update((r, s))
-        trusted = isinstance(cls.certificate, VisibleIn) and cls.certificate.tree is tree
-        if not trusted and not is_visible(tree, cls):
-            raise CertificationError(f"{cls} is not visible in this tree")
-        if tree.standard:
-            i, v, j = cls.path
-            x, y = (i,), v + (j,) + v[::-1]
-        else:
-            x = tree.in_marking_letters(cls.a).letters
-            y = tree.in_marking_letters(cls.b).letters
-        i, v, j = _path(x, y)
-        if pos[i] > pos[j]:
-            i, v, j = j, v[::-1], i
-        # v is reduced, so in the standard marking it spells g itself
-        conjugators[j] = v if tree.standard else tree.marking_letters(v)
-
-    out = tuple(Word(_conjugate_letters(tree.marking_word(k).letters, conjugators[k]), tree.n)
-                if k in conjugators else tree.marking_word(k) for k in order)
-    if not membership.is_basis(list(out)):
-        raise CertificationError("constructed tuple fails the basis check")
-    return out
+    members = [_conjugated_member(tree, cls) for cls in classes]
+    return tuple(Word(y, tree.n) for y in _basis_letters(tree, members))
 
 
 # ---------------------------------------------------------------------------
@@ -294,11 +321,15 @@ class TreeFiber:
 def bp_fiber(tree: MarkedTree, certify: bool = True) -> TreeFiber:
     """Nonempty class sets with at most one class per pair index, all visible.
 
-    With certify, certify_partial_basis runs on the maximal selections, one
-    class from every nonempty family; this is the executable content of the
+    With certify, the maximal selections, one class from every nonempty
+    family, are certified; this is the executable content of the
     pointwise-to-setwise upgrade.  Every element is a subset of a maximal
     selection, and a subset of a partial basis is a partial basis (the same
     basis holds conjugates of its classes), so every element is certified.
+    The two steps of certify_partial_basis are split: each class's member
+    is computed once per fiber, and a selection costs only the collision
+    check and the letter-level basis test; no Word is made.  The members
+    are local to the call, so nothing is kept per tree.
     """
     n = tree.n
     families = tuple(visible_classes(tree, i) for i in range(1, n // 2 + 1))
@@ -306,6 +337,8 @@ def bp_fiber(tree: MarkedTree, certify: bool = True) -> TreeFiber:
                 for combo in product(*[(None, *fam.classes) for fam in families])]
     elements = [e for e in elements if e]
     if certify and elements:
-        for selection in product(*[fam.classes for fam in families if fam.classes]):
-            certify_partial_basis(tree, selection)
+        members = [[_conjugated_member(tree, cls) for cls in fam.classes]
+                   for fam in families if fam.classes]
+        for selection in product(*members):
+            _basis_letters(tree, selection)
     return TreeFiber(tree, families, elements)

@@ -92,3 +92,24 @@ def test_unpaired_build_stays_on_letter_tuples():
         assert not used & WORD_ROUND_TRIPS, (name, used & WORD_ROUND_TRIPS)
         todo.extend(used & scopes.keys() - reached)
     assert {"_Descent", "_Relabel", "_mask_pairs", "_place_pairs", "_basis_holds"} <= reached
+
+
+# the Word-level names that fiber certification leaves to certify_partial_basis
+FIBER_WORD_NAMES = {"Word", "is_basis", "certify_partial_basis"}
+
+
+def test_fiber_certification_stays_on_letter_tuples():
+    """bp_fiber, and every function and class of visibility it reaches,
+    name no Word, is_basis or certify_partial_basis: each class's member
+    and each selection's basis test run on letter tuples."""
+    tree = ast.parse((PACKAGE / "visibility.py").read_text())
+    scopes = {node.name: node for node in tree.body
+              if isinstance(node, (ast.ClassDef, ast.FunctionDef))}
+    reached, todo = set(), ["bp_fiber"]
+    while todo:
+        name = todo.pop()
+        reached.add(name)
+        used = _names(scopes[name])
+        assert not used & FIBER_WORD_NAMES, (name, used & FIBER_WORD_NAMES)
+        todo.extend(used & scopes.keys() - reached)
+    assert {"visible_classes", "_conjugated_member", "_basis_letters", "is_visible"} <= reached

@@ -692,30 +692,48 @@ def _rank5_tree(sizes):
 
 
 def test_bp_fiber_folds_once_per_maximal_selection(monkeypatch):
-    """Certification runs is_basis on the maximal selections only: the
-    product of the nonempty family sizes, not one per element."""
+    """Certification runs the letter-level basis test on the maximal
+    selections only: the product of the nonempty family sizes, not one
+    per element."""
     tree = _rank5_tree((4, 4))
     calls = []
-    real = membership.is_basis
-    monkeypatch.setattr(membership, "is_basis", lambda c: calls.append(c) or real(c))
+    real = membership._is_basis_letters
+    monkeypatch.setattr(membership, "_is_basis_letters", lambda ys: calls.append(ys) or real(ys))
     fiber = bp_fiber(tree, certify=True)
     assert len(fiber.elements) == 24
     assert len(calls) == math.prod(s for s in fiber.sizes() if s) == 16
-    monkeypatch.setattr(membership, "is_basis", lambda c: False)
+    monkeypatch.setattr(membership, "_is_basis_letters", lambda ys: False)
     with pytest.raises(CertificationError, match="fails the basis check"):
         bp_fiber(tree, certify=True)
     assert bp_fiber(tree, certify=False).elements == fiber.elements
 
 
+def _record_selections(monkeypatch):
+    """Hook both certification steps: the classes that reach the per-class
+    step, the classes of each selection that reaches the per-selection step,
+    and the letters that step returns."""
+    member_of, steps, selections, letters = {}, [], [], []
+    real_member, real_basis = visibility._conjugated_member, visibility._basis_letters
+
+    def member(tree, cls):
+        m = real_member(tree, cls)
+        member_of[m] = cls
+        steps.append(cls)
+        return m
+
+    def basis(tree, members):
+        selections.append(frozenset(member_of[m] for m in members))
+        ys = real_basis(tree, members)
+        letters.append(repr(tuple(ys)))
+        return ys
+
+    monkeypatch.setattr(visibility, "_conjugated_member", member)
+    monkeypatch.setattr(visibility, "_basis_letters", basis)
+    return steps, selections, letters
+
+
 def test_bp_fiber_elements_lie_in_certified_selections(monkeypatch):
-    certified = []
-    real = visibility.certify_partial_basis
-
-    def record(tree, classes):
-        certified.append(frozenset(classes))
-        return real(tree, classes)
-
-    monkeypatch.setattr(visibility, "certify_partial_basis", record)
+    _, certified, _ = _record_selections(monkeypatch)
     for n in range(2, 6):
         for shape in enumerate_shapes(n)[::7]:
             certified.clear()
@@ -723,6 +741,36 @@ def test_bp_fiber_elements_lie_in_certified_selections(monkeypatch):
             assert len(certified) == math.prod(s for s in fiber.sizes() if s)
             assert all(any(e <= top for top in certified) for e in fiber.elements)
             assert all(top in fiber.elements for top in certified)
+
+
+def test_bp_fiber_certifies_the_pinned_selections(monkeypatch):
+    """bp_fiber hands the per-selection step exactly the pinned certificate
+    letters, with one per-class step per class and one letter-level basis
+    test per maximal selection."""
+    fixtures, seeded = _fixture_trees(), _pinned_trees("random")  # a marking runs is_basis
+    tests = []
+    real = membership._is_basis_letters
+    monkeypatch.setattr(membership, "_is_basis_letters", lambda ys: tests.append(ys) or real(ys))
+    steps, _, letters = _record_selections(monkeypatch)
+    for tree in fixtures:
+        bp_fiber(tree, certify=True)
+    assert (len(steps), len(tests), len(letters)) == (1494, 1253, 1253)
+    assert _class_digest(letters) == SELECTION_CERTIFICATE_DIGESTS["fixtures"]
+    letters.clear()
+    for tree in seeded:
+        bp_fiber(tree, certify=True)
+    assert _class_digest(letters) == SELECTION_CERTIFICATE_DIGESTS["random"]
+
+
+def test_bp_fiber_refuses_members_on_one_core(monkeypatch):
+    """A per-class step that puts two members of a selection on one core
+    stops bp_fiber (test_bp_fiber_folds_once_per_maximal_selection makes
+    the basis test say no)."""
+    tree = _rank5_tree((4, 4))
+    real = visibility._conjugated_member
+    monkeypatch.setattr(visibility, "_conjugated_member", lambda *args: (1, 2, real(*args)[2]))
+    with pytest.raises(CertificationError, match="core collision across classes"):
+        bp_fiber(tree, certify=True)
 
 
 def test_collapse_preserves_visibility():
