@@ -27,7 +27,6 @@ from .factors import (
     parse_class,
     path_text,
     same_class_oracle,
-    strip,
 )
 from .jsoncheck import check
 from .trees import MarkedTree, enumerate_shapes
@@ -136,24 +135,6 @@ def _core_paths(n: int, max_len: int):
             yield from ((i, v, j) for v in level if v[-1] != j)
 
 
-def _move(path: Path, m: int, k: int) -> Path:
-    """The core path of a class under the partial conjugation x_k -> x_m x_k x_m.
-
-    <x_i, v x_j v^-1> goes to <s(x_i), s(v) s(x_j) s(v)^-1>; conjugated by
-    x_m^[i=k] it is <x_i, v' x_j v'^-1> with v' = x_m^[i=k] s(v) x_m^[j=k],
-    stripped (factors.strip).  The path is left unoriented: descent reads
-    only |v| and the cores.
-
-    As v is reduced, only x_m's cancel in v', in runs of two or three, and
-    dropping two never brings equal letters together: dropping each x_m x_m
-    once, left to right, reduces v'.
-    """
-    i, v, j = path
-    w = bytes((m,)) * (i == k) + bytes(v).replace(bytes((k,)), bytes((m, k, m))) \
-        + bytes((m,)) * (j == k)
-    return strip(i, tuple(w.replace(bytes((m, m)), b"")), j)
-
-
 class _Descent:
     """Whitehead descent at rank n, for one build.
 
@@ -166,15 +147,28 @@ class _Descent:
     Bases are built and returned as reduced letter tuples (words._conjugate_letters);
     the build makes Words only for the bases it stores.
 
-    rows[path] holds _move(path, m, k) over the moves (m, k) in order, and
-    the |v| of each; it is filled the first time a path is seen.  It is
-    keyed by the whole path, since the end factors x_m^[i=k] and x_m^[j=k]
-    depend on i and j.  Reading it instead of calling _move changes no
-    cost and no move order, so every descent makes the same moves.
+    rows[path] holds the core path of the class of path under each move
+    (m, k) in order, and the |v| of each; it is filled the first time a
+    path is seen.  It is keyed by the whole path, since the end factors
+    below depend on i and j.  Reading it changes no cost and no move
+    order, so every descent makes the same moves.
+
+    A move sends <x_i, v x_j v^-1> to <s(x_i), s(v) s(x_j) s(v)^-1>;
+    conjugated by x_m^[i=k] it is <x_i, v' x_j v'^-1> with
+    v' = x_m^[i=k] s(v) x_m^[j=k], stripped as by factors.strip.  The path is
+    left unoriented: descent reads only |v| and the cores.  As v is
+    reduced, only x_m's cancel in v', in runs of two or three, and dropping
+    two never brings equal letters together: dropping each x_m x_m once,
+    left to right, reduces v'.  A row is built from byte tables, one entry
+    per move: k, x_m x_k x_m, x_m x_m and x_m.  A move whose k is neither a
+    core nor a letter of v leaves the path as it is, and its row entry is
+    the path itself.
     """
 
     def __init__(self, n: int):
         self.moves = list(itertools.permutations(range(1, n + 1), 2))
+        self.table = [(k, bytes((k,)), bytes((m, k, m)), bytes((m, m)), bytes((m,)))
+                      for m, k in self.moves]
         self.generators = tuple((j,) for j in range(1, n + 1))
         self.rows: dict[Path, tuple[tuple[Path, ...], tuple[int, ...]]] = {}
         self.fate: dict[tuple[Path, ...], int | None] = {}
@@ -182,8 +176,27 @@ class _Descent:
     def _row(self, path: Path) -> tuple[tuple[Path, ...], tuple[int, ...]]:
         row = self.rows.get(path)
         if row is None:
-            moved = tuple(_move(path, m, k) for m, k in self.moves)
-            row = self.rows[path] = moved, tuple(len(v) for _, v, _ in moved)
+            i, v, j = path
+            word, first, last = bytes(v), bytes((i,)), bytes((j,))
+            moved, lengths = [], []
+            for k, letter, mkm, mm, m in self.table:
+                if k != i and k != j and k not in word:
+                    moved.append(path)
+                    lengths.append(len(v))
+                    continue
+                w = word.replace(letter, mkm)
+                if k == i:
+                    w = m + w
+                elif k == j:
+                    w += m
+                w = w.replace(mm, b"")
+                if w.startswith(first):
+                    w = w[1:]
+                if w.endswith(last):
+                    w = w[:-1]
+                moved.append((i, tuple(w), j))
+                lengths.append(len(w))
+            row = self.rows[path] = tuple(moved), tuple(lengths)
         return row
 
     def _step(self, system: tuple[Path, ...], cost: int) -> tuple[int, int] | None:
@@ -467,9 +480,11 @@ def build_unpaired_radius(n: int, radius: int) -> PartialBasisComplex:
     placed_pairs = len(elements) - len(cls_of)
     params = {"radius": radius, "uncertified": sorted(uncertified),
               "unplaced": candidates - placed_pairs}
-    return PartialBasisComplex(n, False, params,
-                               sorted(cls_of.values(), key=CanonicalClass.key),
-                               sorted(elements, key=_element_key))
+    classes = sorted(cls_of.values(), key=CanonicalClass.key)
+    # the order of _element_key: positions in classes follow CanonicalClass.key
+    position = {c: p for p, c in enumerate(classes)}
+    return PartialBasisComplex(n, False, params, classes,
+                               sorted(elements, key=lambda e: sorted(map(position.__getitem__, e))))
 
 
 # ---------------------------------------------------------------------------

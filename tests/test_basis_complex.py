@@ -9,13 +9,13 @@ import pytest
 from grushko.words import (
     Word,
     _conjugate_letters,
+    _reduce_into,
     conjugate,
     generator,
     generators,
     identity,
     parse,
     random_reduced_word,
-    reduce,
 )
 from grushko.factors import (
     W2Factor,
@@ -37,13 +37,13 @@ from grushko.basis_complex import (
     PartialBasisComplex,
     _Descent,
     _core_paths,
-    _move,
+    _element_key,
     build_from_trees,
     build_unpaired_radius,
     connectivity_report,
     rank3_isolated_family,
 )
-from grushko.factors import CompletingBasis, VisibleIn
+from grushko.factors import CanonicalClass, CompletingBasis, VisibleIn
 
 W = parse
 
@@ -191,6 +191,26 @@ def test_unpaired_certificates_are_pinned(build):
     """The letters of every class's completing basis, member by member."""
     letters = [[list(w.letters) for w in c.certificate.basis] for c in _unpaired(*build).classes]
     assert hashlib.sha256(json.dumps(letters).encode()).hexdigest() == CERTIFICATE_DIGESTS[build]
+
+
+@pytest.mark.parametrize("build", [b for b, _, _ in UNPAIRED_DIGESTS], ids="{0[0]}-{0[1]}".format)
+def test_unpaired_elements_are_in_element_key_order(build):
+    """The build sorts its elements by the positions of their classes in
+    its class list, which is the order of _element_key.  to_json re-sorts,
+    so no digest sees this order."""
+    sub = _unpaired(*build)
+    assert sub.classes == sorted(sub.classes, key=CanonicalClass.key)
+    assert sub.elements == sorted(sub.elements, key=_element_key)
+
+
+def test_rank4_complexes_are_coreduced_in_every_component():
+    """K at (4,1) and (4,2) has three components and H_1 free of rank 168
+    and 3,648; coreduction leaves exactly those cells: one critical vertex
+    for each component after the first, and one edge per circle."""
+    for build, cells in (((4, 1), [2, 168]), ((4, 2), [2, 3648])):
+        cx = _unpaired(*build).face_complex()
+        assert [len(g) for g in cx.chain_complex.grades] == cells
+        assert betti(cx, "Q") == {0: cells[0], 1: cells[1]}
 
 
 def _perturb_descents(monkeypatch, perturb):
@@ -348,9 +368,19 @@ def test_descent_places_the_missed_joint_element():
     assert basis == _descend_plain(4, system)
 
 
+def _move(path, m, k):
+    """Reference for one row entry of _Descent: the core path of the class
+    of path under x_k -> x_m x_k x_m.  The image x_m^[i=k] s(v) x_m^[j=k]
+    is written out letter by letter, reduced by push/pop and stripped."""
+    i, v, j = path
+    image = [m] * (i == k) + [b for a in v for b in ((m, k, m) if a == k else (a,))] \
+        + [m] * (j == k)
+    return strip(i, tuple(_reduce_into([], image)), j)
+
+
 def _descend_plain(n, system):
-    """Descent with every move recomputed and no memo: the reference for
-    the move table and the fates."""
+    """Descent with every move recomputed by the reference _move and no
+    memo: the reference for the rows and the fates."""
     moves = []
     cost = sum(len(v) for _, v, _ in system)
     while cost:
@@ -374,17 +404,26 @@ def _random_path(rng, n, i, j, length):
 
 
 def test_move_equals_the_image_reduced_letter_by_letter():
-    """_move drops each x_m x_m of x_m^[i=k] s(v) x_m^[j=k] once; a full
-    push/pop reduction of that word gives the same path."""
+    """Each row of _Descent, built from byte tables, equals the reference
+    _move over every move, and lists the lengths of its paths.  A move
+    whose k is neither a core nor a letter of v stores the path object
+    itself."""
     rng = random.Random(37)
+    identities = 0
     for _ in range(500):
         n = rng.choice([3, 4, 5])
         i, j = rng.sample(range(1, n + 1), 2)
         path = _random_path(rng, n, i, j, rng.randrange(0, 12))
-        for m, k in itertools.permutations(range(1, n + 1), 2):
-            image = [m] * (i == k) + [b for a in path[1] for b in ((m, k, m) if a == k else (a,))] \
-                + [m] * (j == k)
-            assert _move(path, m, k) == strip(i, reduce(image, n).letters, j), (path, m, k)
+        moves = list(itertools.permutations(range(1, n + 1), 2))
+        # a fresh descent: a shared one would hold the first equal path seen
+        moved, lengths = _Descent(n)._row(path)
+        assert moved == tuple(_move(path, m, k) for m, k in moves), path
+        assert lengths == tuple(len(v) for _, v, _ in moved), path
+        for (m, k), image in zip(moves, moved):
+            if k not in (i, j, *path[1]):
+                assert image is path, (path, m, k)
+                identities += 1
+    assert identities > 500, identities
 
 
 def test_descent_bases_check():

@@ -94,6 +94,19 @@ def test_unpaired_build_stays_on_letter_tuples():
     assert {"_Descent", "_Relabel", "_mask_pairs", "_place_pairs", "_basis_holds"} <= reached
 
 
+def test_descent_rows_have_one_move_implementation():
+    """basis_complex defines no _move, and _Descent names none: a row is
+    built only from its byte tables, and the letter-by-letter reference
+    lives in the tests."""
+    tree = ast.parse((PACKAGE / "basis_complex.py").read_text())
+    defined = {node.name for node in ast.walk(tree)
+               if isinstance(node, (ast.ClassDef, ast.FunctionDef))}
+    assert "_move" not in defined
+    descent = next(node for node in tree.body
+                   if isinstance(node, ast.ClassDef) and node.name == "_Descent")
+    assert "_move" not in _names(descent)
+
+
 # the Word-level names that fiber certification leaves to certify_partial_basis
 FIBER_WORD_NAMES = {"Word", "is_basis", "certify_partial_basis"}
 

@@ -495,6 +495,28 @@ def _reference_homology(cx):
     return bettis, hom
 
 
+def _disjoint_union(*pieces):
+    """The pieces side by side, each moved onto vertices above the last's."""
+    simplices, offset = [], 0
+    for cx in pieces:
+        simplices += [tuple(v + offset for v in s) for s in cx.simplices]
+        offset += max(cx.vertices) + 1
+    return SimplicialComplex(simplices)
+
+
+POINT = SimplicialComplex([(0,)])
+
+# disconnected complexes, each with its integral homology; the torsion lies
+# in a component after the first, which coreduction reaches only from a
+# critical vertex
+DISJOINT_UNIONS = [
+    (_disjoint_union(POINT, RP2), {0: (1, ()), 1: (0, (2,)), 2: (0, ())}),
+    (_disjoint_union(RP2, RP2), {0: (1, ()), 1: (0, (2, 2)), 2: (0, ())}),
+    (_disjoint_union(TRIANGLE, POINT, DISK), {0: (2, ()), 1: (1, ()), 2: (0, ())}),
+    (_disjoint_union(*[POINT] * 12), {0: (11, ())}),
+]
+
+
 def _barycentric(cx):
     """Order complex of the face poset: the barycentric subdivision of cx."""
     return Poset.by_inclusion(frozenset(s) for s in cx.simplices).order_complex()
@@ -507,7 +529,7 @@ def test_coreduced_homology_equals_full_boundary_reference():
               for _ in range(30)]
     subdivided_rp2 = _barycentric(RP2)
     complexes = [*_fixture_complexes(), *randoms, *(p.order_complex() for p in posets),
-                 subdivided_rp2]
+                 subdivided_rp2, *(cx for cx, _ in DISJOINT_UNIONS)]
     for cx in complexes:
         bettis, hom = _reference_homology(cx)
         for field, want in bettis.items():
@@ -516,6 +538,24 @@ def test_coreduced_homology_equals_full_boundary_reference():
         assert cx.chain_complex.boundary_squared_is_zero()
     assert integral_homology(subdivided_rp2) == {0: (0, ()), 1: (0, (2,)), 2: (0, ())}
     assert subdivided_rp2.f_vector() == [31, 90, 60]
+    for cx, hom in DISJOINT_UNIONS:
+        assert integral_homology(cx) == hom, sorted(cx.simplices)
+
+
+def test_coreduction_keeps_one_critical_vertex_per_further_component():
+    """Each component after the first is coreduced from a critical vertex:
+    a column with empty boundary that is no face of any surviving cell.
+    A copy of RP2 keeps 5 edges and 5 triangles, as RP2 alone does,
+    wherever it sits in the union."""
+    assert [len(g) for g in RP2.chain_complex.grades] == [0, 5, 5]
+    cells = [[1, 5, 5], [1, 10, 10], [2, 1, 0], [11]]
+    for (cx, _), want in zip(DISJOINT_UNIONS, cells):
+        cc = cx.chain_complex
+        assert [len(g) for g in cc.grades] == want, sorted(cx.simplices)
+        vertices = [cx.grades[0].index(g) for g in cc.grades[0]]
+        assert all(cc.boundaries[0][v] == {} for v in vertices)
+        if len(cc.boundaries) > 1:
+            assert not any(r in vertices for col in cc.boundaries[1].values() for r in col)
 
 
 # ---------------------------------------------------------------------------
